@@ -169,10 +169,12 @@ def test_batched_kernel_speedup_gate(benchmark, program, trace):
     """Hard floor: the batched lane kernel must stay >= 2x the
     ``run_compiled`` oracle loop on the Figure-14 configuration set.
 
-    Measured *warm* (decode tables and fused lane rows pre-built): a
-    grid sweep builds each trace's tables once and replays them across
-    hundreds of cells, so steady-state replay is what the kernel is for
-    -- and what must not regress.  Both paths are timed interleaved,
+    Measured with *warm* decode tables: a grid sweep builds each trace's
+    table once and replays it across hundreds of cells, so steady-state
+    replay is what the kernel is for -- and what must not regress.  The
+    fused lane rows are not cached: each timed ``batched_grid`` fuses
+    them again, one lockstep round at a time, so their cost is inside
+    the measured kernel time.  Both paths are timed interleaved,
     min-of-3, in this same process; the ratio is stable (+-2%) even when
     absolute host timings wander.
     """
@@ -201,7 +203,7 @@ def test_batched_kernel_speedup_gate(benchmark, program, trace):
         batch.run()
 
     oracle_grid()
-    batched_grid()  # warm decode tables + lane rows
+    batched_grid()  # warm decode tables
     oracle_s, batched_s = [], []
     for _ in range(3):
         start = _time.perf_counter()

@@ -22,7 +22,11 @@ A :class:`BatchedFrontEndSimulator` steps N independent lanes in
 lanes advance through records ``[k*C, (k+1)*C)`` before any lane moves
 on.  Lanes over the same trace therefore touch the same table rows and
 the same process-wide shadow-decode tables (:mod:`repro.core
-.decode_tables`) while they are hot.
+.decode_tables`) while they are hot.  The kernel's per-record row
+tuples are fused one round at a time, by the first lane that steps
+records of the round, and shared by every lane with the same table and
+structure geometry until the round ends; rounds that fast-forward has
+skipped for every such lane are never fused.
 
 Bit-exactness contract: a lane performs *exactly* the same structure
 operations, in the same order, with the same counter updates as
@@ -80,8 +84,17 @@ class BatchUnsupported(ValueError):
     """The lane needs instrumentation only ``run_compiled`` drives."""
 
 
-def _lane_rows(table, simulator):
-    """Pre-fused per-record row tuples, cached on the table per geometry.
+def _geometry(simulator) -> tuple:
+    """The structure geometry a lane's fused rows depend on."""
+    btb = simulator.bpu.btb
+    config = simulator.config
+    return (btb.infinite, btb.n_sets, btb.tag_bits,
+            simulator.hierarchy.l1i.n_sets, config.decode_width,
+            config.backend_effective_width)
+
+
+def _lane_rows(table, geometry, start: int, stop: int) -> list:
+    """Fused row tuples for records ``[start, stop)`` of one geometry.
 
     The kernel loop unpacks ONE tuple per record instead of indexing
     ~20 parallel columns: zip-fusing the table columns with the
@@ -89,72 +102,99 @@ def _lane_rows(table, simulator):
     of the branch / first / tail lines, decode cycles, retire delta)
     turns per-record address arithmetic into a single C-level
     ``UNPACK_SEQUENCE``.  Rows depend only on the trace and the
-    structure geometry -- grid lanes over one trace share them -- and
-    are derived vectorised when numpy is present.
+    structure geometry, so lanes stepping the same lockstep round share
+    them: :class:`_Round` fuses a round's rows on first use and they go
+    with the round, so only chunks some lane actually steps are ever
+    built.  The derived columns come from ``numpy.frombuffer`` slices
+    of the compiled int64 buffers when numpy is present, from the
+    table's lists otherwise.
     """
-    btb = simulator.bpu.btb
-    config = simulator.config
-    l1_n_sets = simulator.hierarchy.l1i.n_sets
-    decode_width = config.decode_width
-    backend_width = config.backend_effective_width
-    key = (btb.infinite, btb.n_sets, btb.tag_bits, l1_n_sets,
-           decode_width, backend_width)
-    rows = table._lane_cols.get(key)
-    if rows is not None:
-        return rows
+    (btb_infinite, btb_n_sets, btb_tag_bits, l1_n_sets, decode_width,
+     backend_width) = geometry
     line_size = table.line_size
-    n = table.n_records
+    n = stop - start
     np = _compiled._np
     if np is not None:
-        word = np.asarray(table.branch_pc, dtype=np.int64) >> 1
-        if btb.infinite:
+        def i64(name):
+            return np.frombuffer(table.int64[name], dtype=np.int64,
+                                 count=n, offset=start * 8)
+        branch_pc = i64("branch_pc")
+        if btb_infinite:
             bidx = btag = [0] * n
         else:
+            word = branch_pc >> 1
             bidx = (((word ^ (word >> 11) ^ (word >> 23))
-                     % btb.n_sets).tolist())
-            btag = ((word // btb.n_sets)
-                    & ((1 << btb.tag_bits) - 1)).tolist()
-        bls = ((np.asarray(table.branch_line, dtype=np.int64)
-                // line_size) % l1_n_sets).tolist()
-        fls = ((np.asarray(table.first_line, dtype=np.int64)
-                // line_size) % l1_n_sets).tolist()
-        tail_line = ((np.asarray(table.exit_pc, dtype=np.int64) - 1)
+                     % btb_n_sets).tolist())
+            btag = ((word // btb_n_sets)
+                    & ((1 << btb_tag_bits) - 1)).tolist()
+        bls = ((branch_pc // line_size) % l1_n_sets).tolist()
+        fls = ((i64("first_line") // line_size) % l1_n_sets).tolist()
+        tail_line = ((branch_pc + i64("branch_len") - 1)
                      & ~(line_size - 1))
         tls = ((tail_line // line_size) % l1_n_sets).tolist()
         tl = tail_line.tolist()
-        ni = np.asarray(table.n_instr, dtype=np.int64)
+        ni = i64("n_instr")
         dcyc = ((ni + (decode_width - 1)) // decode_width).tolist()
         nbw = (ni / backend_width).tolist()
     else:
-        if btb.infinite:
+        if btb_infinite:
             bidx = btag = [0] * n
         else:
-            n_sets = btb.n_sets
-            tag_mask = (1 << btb.tag_bits) - 1
+            tag_mask = (1 << btb_tag_bits) - 1
             bidx = []
             btag = []
-            for pc in table.branch_pc:
+            for pc in table.branch_pc[start:stop]:
                 word = pc >> 1
-                bidx.append((word ^ (word >> 11) ^ (word >> 23)) % n_sets)
-                btag.append((word // n_sets) & tag_mask)
+                bidx.append((word ^ (word >> 11) ^ (word >> 23))
+                            % btb_n_sets)
+                btag.append((word // btb_n_sets) & tag_mask)
         bls = [(line // line_size) % l1_n_sets
-               for line in table.branch_line]
+               for line in table.branch_line[start:stop]]
         fls = [(line // line_size) % l1_n_sets
-               for line in table.first_line]
+               for line in table.first_line[start:stop]]
         mask = ~(line_size - 1)
-        tl = [(pc - 1) & mask for pc in table.exit_pc]
+        tl = [(pc - 1) & mask for pc in table.exit_pc[start:stop]]
         tls = [(line // line_size) % l1_n_sets for line in tl]
+        n_instr = table.n_instr[start:stop]
         dcyc = [(count + decode_width - 1) // decode_width
-                for count in table.n_instr]
-        nbw = [count / backend_width for count in table.n_instr]
-    rows = list(zip(table.kind, table.kind_code, table.taken,
-                    table.branch_pc, table.target, table.fallthrough,
-                    table.n_instr, table.branch_line, bls, bidx, btag,
-                    table.first_line, fls, table.n_lines,
-                    table.entry_offset, table.tail_aligned,
-                    table.exit_pc, tl, tls, dcyc, nbw))
-    table._lane_cols[key] = rows
-    return rows
+                for count in n_instr]
+        nbw = [count / backend_width for count in n_instr]
+    return list(zip(table.kind[start:stop], table.kind_code[start:stop],
+                    table.taken[start:stop], table.branch_pc[start:stop],
+                    table.target[start:stop],
+                    table.fallthrough[start:stop],
+                    table.n_instr[start:stop],
+                    table.branch_line[start:stop], bls, bidx, btag,
+                    table.first_line[start:stop], fls,
+                    table.n_lines[start:stop],
+                    table.entry_offset[start:stop],
+                    table.tail_aligned[start:stop],
+                    table.exit_pc[start:stop], tl, tls, dcyc, nbw))
+
+
+class _Round:
+    """One lockstep round ``[start, stop)`` and the rows fused for it.
+
+    Rows are keyed by (decode table, geometry): the first lane that
+    steps records of the round fuses them, every later lane over the
+    same table and geometry reuses them, and they go with the round.
+    """
+
+    __slots__ = ("start", "stop", "_rows")
+
+    def __init__(self, start: int, stop: int):
+        self.start = start
+        self.stop = stop
+        self._rows: dict = {}
+
+    def rows(self, table, geometry) -> list:
+        key = (table, geometry)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = _lane_rows(
+                table, geometry, self.start,
+                min(self.stop, table.n_records))
+        return rows
 
 
 class _Lane:
@@ -166,7 +206,7 @@ class _Lane:
         self.table = table
         self.warmup = warmup
         self.n_records = table.n_records
-        self.rows = _lane_rows(table, simulator)
+        self.geometry = _geometry(simulator)
 
         # Fast-forward controller (repro.frontend.fastforward); the lane
         # passes *itself* as the probe's state carrier -- its attribute
@@ -200,15 +240,18 @@ class _Lane:
             self.intervals.warmup = warmup
             self.next_boundary = self.intervals.interval_size
 
-    def advance(self, start: int, stop: int) -> None:
-        """Advance through records [start, stop), probing for skips.
+    def advance(self, round_: _Round) -> None:
+        """Advance through this lane's records of one lockstep round,
+        probing for skips.
 
         Chunks at or before a fast-forward skip's landing point are
-        already accounted for and no-op; otherwise the segment splits at
-        the controller's probe indices.  The kernel flushes every
-        chunk-local accumulator at the end of each ``_advance``, so the
-        state a probe digests is exact.
+        already accounted for and no-op (and never fuse rows); otherwise
+        the segment splits at the controller's probe indices.  The
+        kernel flushes every chunk-local accumulator at the end of each
+        ``_advance``, so the state a probe digests is exact.
         """
+        start = round_.start
+        stop = min(round_.stop, self.n_records)
         if start < self._resume:
             start = self._resume
             if start >= stop:
@@ -218,15 +261,16 @@ class _Lane:
             while ff.active and start <= ff.next_probe < stop:
                 probe = ff.next_probe
                 if probe > start:
-                    self._advance_segment(start, probe)
+                    self._advance_segment(start, probe, round_)
                 start = ff.on_probe(probe, self)
                 self.processed = start
                 self._resume = start
                 if start >= stop:
                     return
-        self._advance_segment(start, stop)
+        self._advance_segment(start, stop, round_)
 
-    def _advance_segment(self, start: int, stop: int) -> None:
+    def _advance_segment(self, start: int, stop: int,
+                         round_: _Round) -> None:
         """Advance through records [start, stop).
 
         Splits the segment at interval-window boundaries (emitting one
@@ -237,14 +281,14 @@ class _Lane:
         """
         intervals = self.intervals
         if intervals is None:
-            self._advance_warm(start, stop)
+            self._advance_warm(start, stop, round_)
             return
         size = intervals.interval_size
         cursor = start
         while cursor < stop:
             boundary = self.next_boundary
             if boundary <= stop:
-                self._advance_warm(cursor, boundary)
+                self._advance_warm(cursor, boundary, round_)
                 intervals.boundary(
                     boundary, self.sim.stats, self.counted_instructions,
                     self.counted_blocks,
@@ -253,25 +297,25 @@ class _Lane:
                 self.next_boundary = boundary + size
                 cursor = boundary
             else:
-                self._advance_warm(cursor, stop)
+                self._advance_warm(cursor, stop, round_)
                 cursor = stop
 
-    def _advance_warm(self, start: int, stop: int) -> None:
+    def _advance_warm(self, start: int, stop: int, round_: _Round) -> None:
         """One segment, split at the warmup boundary."""
         if not self.counting:
             warmup = self.warmup
             if start < warmup < stop:
-                self._advance(start, warmup)
-                self._advance(warmup, stop)
+                self._advance(start, warmup, round_)
+                self._advance(warmup, stop, round_)
                 return
-        self._advance(start, stop)
+        self._advance(start, stop, round_)
 
     # The kernel: one fully inlined replay of records [start, stop).
     # Every structure operation and counter update below replicates the
     # oracle (engine.run_compiled + bpu.process_fields +
     # skia.on_ftq_entry) operation-for-operation; only the dispatch
     # around them is flattened.
-    def _advance(self, start: int, stop: int) -> None:
+    def _advance(self, start: int, stop: int, round_: _Round) -> None:
         sim = self.sim
         config = sim.config
         stats_obj = sim.stats
@@ -295,8 +339,12 @@ class _Lane:
             self.cycles_at_count_start = self.retire_free
             self.wp_at_count_start = hierarchy.wrong_path_fills
 
-        # Pre-fused per-record rows (see _lane_rows).
-        rows = self.rows[start:stop]
+        # Fused per-record rows of this round (see _lane_rows); segments
+        # never cross a round, so the slice lies inside the fused chunk.
+        chunk_rows = round_.rows(self.table, self.geometry)
+        base = round_.start
+        assert base <= start <= stop <= base + len(chunk_rows)
+        rows = chunk_rows[start - base:stop - base]
 
         # Structures, locals-bound.
         l1i = hierarchy.l1i
@@ -1001,7 +1049,10 @@ class BatchedFrontEndSimulator:
     ``[0, C)``, ``[C, 2C)``, ... so lanes sharing a trace reuse its
     decode table and the process-wide shadow-decode tables while hot.
     Each lane's final ``SimStats`` is bit-identical to what
-    ``FrontEndSimulator.run_compiled`` would have produced.
+    ``FrontEndSimulator.run_compiled`` would have produced.  A batch is
+    single-shot: a second :meth:`run`, or :meth:`add_lane` after the
+    first, raises ``RuntimeError`` instead of replaying the trace on
+    top of finished lanes.
     """
 
     def __init__(self, chunk_records: int = CHUNK_RECORDS):
@@ -1009,6 +1060,7 @@ class BatchedFrontEndSimulator:
             raise ValueError("chunk_records must be positive")
         self.chunk_records = chunk_records
         self._lanes: list[_Lane] = []
+        self._ran = False
 
     def __len__(self) -> int:
         return len(self._lanes)
@@ -1016,7 +1068,10 @@ class BatchedFrontEndSimulator:
     def add_lane(self, simulator: FrontEndSimulator,
                  compiled: CompiledTrace, warmup: int = 0) -> None:
         """Register one cell; raises :class:`BatchUnsupported` when its
-        engine plan keeps it on ``run_compiled``."""
+        engine plan keeps it on ``run_compiled``, and ``RuntimeError``
+        once :meth:`run` has started."""
+        if self._ran:
+            raise RuntimeError("add_lane() after run(); build a new batch")
         reason = plan_engine(simulator).kernel_reason
         if reason is not None:
             raise BatchUnsupported(f"{reason}; run the cell on run_compiled")
@@ -1032,18 +1087,22 @@ class BatchedFrontEndSimulator:
         return self._run()
 
     def _run(self) -> list[SimStats]:
+        if self._ran:
+            raise RuntimeError("BatchedFrontEndSimulator.run() is "
+                               "single-shot; build a new batch")
+        self._ran = True
         lanes = self._lanes
         if lanes:
             longest = max(lane.n_records for lane in lanes)
             chunk = self.chunk_records
             start = 0
             while start < longest:
-                stop = start + chunk
+                # One round: its fused rows live only while it runs.
+                round_ = _Round(start, start + chunk)
                 for lane in lanes:
-                    n = lane.n_records
-                    if start < n:
-                        lane.advance(start, stop if stop < n else n)
-                start = stop
+                    if start < lane.n_records:
+                        lane.advance(round_)
+                start = round_.stop
         return [lane.finish() for lane in lanes]
 
 

@@ -265,13 +265,19 @@ class TraceDecodeTable:
     mean a new ``CompiledTrace`` and therefore fresh tables.  They are
     never serialised -- a worker attaching a shared buffer rebuilds its
     table lazily on first batched use.
+
+    The table holds no per-geometry state.  The kernel derives the
+    geometry-dependent columns (BTB set/tag, L1 set numbers, decode
+    cycles, retire delta) one lockstep chunk at a time from the
+    compiled buffers in ``int64`` (``numpy.frombuffer`` slices), and
+    drops them when the chunk's round ends.
     """
 
     __slots__ = ("n_records", "line_size", "block_start", "n_instr",
                  "branch_pc", "exit_pc", "kind", "kind_code", "taken",
                  "target", "fallthrough", "next_pc", "first_line",
                  "n_lines", "branch_line", "entry_offset", "tail_aligned",
-                 "_lane_cols")
+                 "int64")
 
     def __init__(self, trace: "CompiledTrace", line_size: int):
         self.n_records = n = trace.n_records
@@ -322,9 +328,13 @@ class TraceDecodeTable:
         # Codes alongside objects: the kernel's per-kind flag tables and
         # counter accumulators index by small int, avoiding enum hashing.
         self.kind_code = codes
-        # Geometry-dependent index columns (BTB set/tag, L1 set numbers)
-        # cached per structure geometry by repro.frontend.batch.
-        self._lane_cols: dict = {}
+        # The compiled int64 buffers the kernel's per-chunk geometry
+        # derivation slices (plain references, so no buffer export
+        # outlives a chunk).
+        self.int64 = {"branch_pc": col("branch_pc"),
+                      "branch_len": col("branch_len"),
+                      "first_line": first_line,
+                      "n_instr": col("n_instr")}
 
 
 class CompiledTrace:

@@ -16,6 +16,7 @@ import dataclasses
 
 import pytest
 
+import repro.frontend.batch as batch_mod
 import repro.workloads.compiled as compiled_mod
 from repro.frontend.batch import (
     BatchedFrontEndSimulator,
@@ -154,6 +155,41 @@ class TestEdgeCases:
         assert simulator.metrics_snapshot() == expect_metrics
 
 
+#: Lockstep chunk sizes for the partial-chunk checks: one record per
+#: round, a prime that splits rounds at every offset, and the default.
+PARTIAL_CHUNKS = (1, 7, 4096)
+
+#: Interval window that lands mid-chunk for chunk sizes 7 and 4096
+#: (WARMUP=150 does too).
+PARTIAL_WINDOW = 100
+
+
+def _run_with_intervals(program, compiled, config, chunk_records=None):
+    """``(stats, metrics, interval series)`` of one cell: the
+    ``run_compiled`` oracle when ``chunk_records`` is None, else a
+    single-lane kernel stepping rounds of ``chunk_records``."""
+    config = dataclasses.replace(config, interval_size=PARTIAL_WINDOW)
+    simulator = FrontEndSimulator(program, config, seed=0)
+    if chunk_records is None:
+        stats = simulator.run_compiled(compiled, warmup=WARMUP)
+    else:
+        batch = BatchedFrontEndSimulator(chunk_records=chunk_records)
+        batch.add_lane(simulator, compiled, warmup=WARMUP)
+        stats = batch.run()[0]
+    return (dataclasses.asdict(stats), simulator.metrics_snapshot(),
+            simulator.intervals.series().to_json_text())
+
+
+def _assert_partial_chunks(program, compiled, expected):
+    """Every chunk size matches the oracle, so each round's row slice
+    offsets are right wherever warm-up and window boundaries fall."""
+    for chunk_records in PARTIAL_CHUNKS:
+        for name, config in CONFIGS.items():
+            got = _run_with_intervals(program, compiled, config,
+                                      chunk_records)
+            assert got == expected[name], (name, chunk_records)
+
+
 def test_numpy_absent_fallback(monkeypatch):
     """Pure-Python row derivation is bit-identical to the numpy path."""
     program = build_program("voter", seed=0)
@@ -162,11 +198,123 @@ def test_numpy_absent_fallback(monkeypatch):
         name: _oracle_run(program, records, config)
         for name, config in CONFIGS.items()
     }
+    oracle_trace = compile_trace(records)
+    expected_partial = {
+        name: _run_with_intervals(program, oracle_trace, config)
+        for name, config in CONFIGS.items()
+    }
     monkeypatch.setattr(compiled_mod, "_np", None)
     compiled = compile_trace(records)  # fresh tables, built without numpy
     for name, config in CONFIGS.items():
         assert _batched_run(program, compiled, config) == expected[name], \
             name
+    _assert_partial_chunks(program, compiled, expected_partial)
+
+
+def test_numpy_partial_chunks():
+    """The numpy row derivation over partial chunks matches the oracle."""
+    assert compiled_mod._np is not None, "numpy path under test"
+    program = build_program("voter", seed=0)
+    compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
+    expected = {
+        name: _run_with_intervals(program, compiled, config)
+        for name, config in CONFIGS.items()
+    }
+    _assert_partial_chunks(program, compiled, expected)
+
+
+class TestSingleShot:
+    """A batch runs once; replaying it would corrupt finished lanes."""
+
+    def _ran_batch(self):
+        program = build_program("voter", seed=0)
+        compiled = compile_trace(build_trace("voter", 3_000, seed=0))
+        simulator = FrontEndSimulator(program, CONFIGS["both"], seed=0)
+        batch = BatchedFrontEndSimulator()
+        batch.add_lane(simulator, compiled, warmup=500)
+        stats = batch.run()[0]
+        return batch, simulator, compiled, dataclasses.asdict(stats)
+
+    def test_second_run_raises(self):
+        batch, simulator, _, before = self._ran_batch()
+        with pytest.raises(RuntimeError):
+            batch.run()
+        assert dataclasses.asdict(simulator.stats) == before
+        assert simulator._records_seen == 3_000
+
+    def test_add_lane_after_run_raises(self):
+        batch, simulator, compiled, _ = self._ran_batch()
+        late = FrontEndSimulator(simulator.program, FrontEndConfig(), seed=0)
+        with pytest.raises(RuntimeError):
+            batch.add_lane(late, compiled, warmup=500)
+        assert len(batch) == 1
+
+
+class TestLazyFusion:
+    """Lane rows are fused per round, on demand, and shared."""
+
+    CHUNK = 1_024
+    WARMUP = 500
+
+    def test_fused_once_per_round_and_only_where_stepped(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FASTFORWARD", "1")
+        program = build_program("steady-stream", seed=0)
+        compiled = compile_trace(build_trace("steady-stream", 24_000,
+                                             seed=0))
+        table = compiled.decode_table(FrontEndConfig().line_size)
+        slots_before = {name: getattr(table, name)
+                        for name in type(table).__slots__}
+        int64_before = dict(table.int64)
+
+        fused = []      # (round start, table, geometry, rows)
+        stepped = set()  # (round start, table, geometry)
+        fuse = batch_mod._lane_rows
+
+        def spy_fuse(table, geometry, start, stop):
+            rows = fuse(table, geometry, start, stop)
+            fused.append((start, table, geometry, len(rows)))
+            return rows
+
+        advance = batch_mod._Lane._advance
+
+        def spy_advance(lane, start, stop, round_):
+            if stop > start:
+                stepped.add((round_.start, lane.table, lane.geometry))
+            return advance(lane, start, stop, round_)
+
+        monkeypatch.setattr(batch_mod, "_lane_rows", spy_fuse)
+        monkeypatch.setattr(batch_mod._Lane, "_advance", spy_advance)
+
+        configs = list(CONFIGS.values()) + [
+            FrontEndConfig().with_btb_entries(2048)]
+        simulators = [FrontEndSimulator(program, config, seed=0)
+                      for config in configs]
+        batch = BatchedFrontEndSimulator(chunk_records=self.CHUNK)
+        for simulator in simulators:
+            batch.add_lane(simulator, compiled, warmup=self.WARMUP)
+        batch.run()
+
+        for simulator in simulators:
+            assert simulator.fastforward_summary["skipped_records"] > 0
+        keys = [(start, table, geometry)
+                for start, table, geometry, _ in fused]
+        geometries = {geometry for _, _, geometry in keys}
+        assert len(geometries) == 2
+        # One fusion per (round, table, geometry), shared by its lanes.
+        assert len(keys) == len(set(keys))
+        # Fused exactly where some lane of the geometry stepped: rounds
+        # every such lane skipped past are never built.
+        assert set(keys) == stepped
+        rounds = -(-compiled.n_records // self.CHUNK)
+        assert len(keys) < rounds * len(geometries)
+        assert (sum(rows for *_, rows in fused)
+                < compiled.n_records * len(geometries))
+        # The table caches nothing per geometry.
+        assert all(getattr(table, name) is value
+                   for name, value in slots_before.items())
+        assert table.int64.keys() == int64_before.keys()
+        assert all(table.int64[name] is value
+                   for name, value in int64_before.items())
 
 
 #: One row per engine-plan case: (config, attach, REPRO_FASTFORWARD,
