@@ -67,6 +67,8 @@ class LRUCache:
     dispose of live values themselves (see ``WorkloadCache.clear``).
     """
 
+    COUNTERS = ("hits", "misses", "evictions")
+
     def __init__(self, maxsize: int | None = None,
                  on_evict: Callable[[Hashable, Any], None] | None = None):
         if maxsize is not None and maxsize < 0:
@@ -119,6 +121,14 @@ class LRUCache:
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Uncounted lookup that does not touch recency."""
         return self._data.get(key, default)
+
+    def state(self, base: float) -> tuple:
+        """Keys, least- to most-recently used: the eviction order.
+
+        Values are left out: every memo call-site stores a pure function
+        of its key, so key order is the whole behavioural state.
+        """
+        return tuple(self._data)
 
     def clear(self) -> None:
         """Drop all entries; counters are preserved."""

@@ -35,6 +35,9 @@ class SBBEntry:
 class SBBStructure:
     """One of the two SBB halves: set-associative, LRU + retired-first."""
 
+    COUNTERS = ("lookups", "hits", "insertions", "evictions_bogus_first",
+                "evictions_lru", "retired_marks")
+
     def __init__(self, entries: int, assoc: int, tag_bits: int,
                  entry_bits: int, name: str, use_retired_bit: bool = True):
         if entries and entries < assoc:
@@ -122,6 +125,13 @@ class SBBStructure:
     def occupancy(self) -> int:
         return sum(len(way) for way in self._sets)
 
+    def state(self, base: float) -> list:
+        """``(set, tag, payload, retired)`` per entry, each set in LRU
+        order.  Holds no timestamps."""
+        return [(index, tag, e.payload, e.retired)
+                for index, way in enumerate(self._sets)
+                for tag, e in way.items()]
+
     @property
     def size_bytes(self) -> float:
         return self.entries * self.entry_bits / 8
@@ -132,13 +142,8 @@ class SBBStructure:
 
     def register_metrics(self, scope) -> None:
         """Expose counters as lazily-sampled gauges (repro.obs)."""
-        scope.gauge("lookups", lambda: self.lookups)
-        scope.gauge("hits", lambda: self.hits)
-        scope.gauge("insertions", lambda: self.insertions)
-        scope.gauge("evictions_bogus_first",
-                    lambda: self.evictions_bogus_first)
-        scope.gauge("evictions_lru", lambda: self.evictions_lru)
-        scope.gauge("retired_marks", lambda: self.retired_marks)
+        for name in self.COUNTERS:
+            scope.gauge(name, lambda name=name: getattr(self, name))
         scope.gauge("occupancy", self.occupancy)
         scope.gauge("entries", lambda: self.entries)
 

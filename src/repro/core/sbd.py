@@ -135,23 +135,22 @@ class ShadowBranchDecoder:
             self._shared_tails = None
             self._shared_heads = None
 
+    def memos(self) -> dict[str, LRUCache]:
+        """The three decode caches, by metric name."""
+        return {"head_memo": self._head_memo, "tail_memo": self._tail_memo,
+                "line_cache": self._line_cache}
+
     def cache_stats(self) -> dict[str, CacheStats]:
         """Hit/miss/eviction counters for the three decode caches."""
-        return {
-            "head_memo": self._head_memo.stats,
-            "tail_memo": self._tail_memo.stats,
-            "line_cache": self._line_cache.stats,
-        }
+        return {name: cache.stats for name, cache in self.memos().items()}
 
     def register_metrics(self, scope) -> None:
         """Expose the decode-cache counters as gauges (repro.obs)."""
-        for name, cache in (("head_memo", self._head_memo),
-                            ("tail_memo", self._tail_memo),
-                            ("line_cache", self._line_cache)):
+        for name, cache in self.memos().items():
             sub = scope.scope(name)
-            sub.gauge("hits", lambda c=cache: c.hits)
-            sub.gauge("misses", lambda c=cache: c.misses)
-            sub.gauge("evictions", lambda c=cache: c.evictions)
+            for counter in cache.COUNTERS:
+                sub.gauge(counter,
+                          lambda c=cache, n=counter: getattr(c, n))
             sub.gauge("size", lambda c=cache: len(c))
 
     # ------------------------------------------------------------------

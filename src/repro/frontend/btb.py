@@ -30,6 +30,8 @@ class BTBEntry:
 class BranchTargetBuffer:
     """Set-associative BTB indexed by branch PC."""
 
+    COUNTERS = ("lookups", "hits", "false_hits_detected")
+
     def __init__(self, entries: int = 8192, assoc: int = 4,
                  tag_bits: int = 10, entry_bits: int = 78,
                  infinite: bool = False):
@@ -118,6 +120,17 @@ class BranchTargetBuffer:
             return len(self._full)
         return sum(len(way) for way in self._sets)
 
+    def state(self, base: float) -> list:
+        """``(set, tag, kind, target)`` per entry, each set in LRU order,
+        then the infinite mode's ``(pc, kind, target)`` by PC.  Holds no
+        timestamps.  (``_value_`` is the plain attribute behind the
+        slower ``BranchKind.value`` property.)"""
+        return ([(index, tag, e.kind._value_, e.target)
+                 for index, way in enumerate(self._sets)
+                 for tag, e in way.items()]
+                + sorted((pc, e.kind._value_, e.target)
+                         for pc, e in self._full.items()))
+
     @property
     def size_bytes(self) -> float:
         return self.entries * self.entry_bits / 8
@@ -129,9 +142,8 @@ class BranchTargetBuffer:
 
     def register_metrics(self, scope) -> None:
         """Expose counters as lazily-sampled gauges (repro.obs)."""
-        scope.gauge("lookups", lambda: self.lookups)
-        scope.gauge("hits", lambda: self.hits)
-        scope.gauge("false_hits_detected", lambda: self.false_hits_detected)
+        for name in self.COUNTERS:
+            scope.gauge(name, lambda name=name: getattr(self, name))
         scope.gauge("occupancy", self.occupancy)
         scope.gauge("entries", lambda: self.entries)
         scope.gauge("infinite", lambda: int(self.infinite))

@@ -16,8 +16,30 @@ from __future__ import annotations
 from repro.frontend.config import FrontEndConfig
 
 
+def relative_time(value: float, base: float) -> float | None:
+    """A timestamp relative to ``base``; the past collapses to one class.
+
+    Ready times and FTQ completions at or before ``base`` are
+    behaviourally interchangeable (every consumer takes
+    ``max(value, now)`` with ``now >= base``, or drains them before
+    reading), so they all map to ``None``.
+    """
+    return value - base if value > base else None
+
+
+def shifted_time(value: float, base: float, shift: float) -> float:
+    """``value`` moved ``shift`` later if it lies after ``base``.
+
+    The inverse view of :func:`relative_time`: only future-dated
+    timestamps carry behaviour, so only they move with the clocks.
+    """
+    return value + shift if value > base else value
+
+
 class SetAssociativeCache:
     """One cache level; stores line addresses with LRU replacement."""
+
+    COUNTERS = ("accesses", "misses")
 
     def __init__(self, size_bytes: int, assoc: int, line_size: int,
                  name: str = "cache"):
@@ -71,6 +93,21 @@ class SetAssociativeCache:
     def occupancy(self) -> int:
         return sum(len(way) for way in self._sets)
 
+    def state(self, base: float) -> list:
+        """``(line, ready time relative to base)`` per line, each set in
+        LRU order (a line's address fixes its set)."""
+        return [(line, relative_time(ready, base))
+                for way in self._sets for line, ready in way.items()]
+
+    def shift_ready_times(self, base: float, shift: float) -> None:
+        """Move every ready time after ``base`` ``shift`` later.
+
+        In-place value updates keep each set's LRU (insertion) order.
+        """
+        for way in self._sets:
+            for line, ready in way.items():
+                way[line] = shifted_time(ready, base, shift)
+
     def flush(self) -> None:
         for way in self._sets:
             way.clear()
@@ -85,6 +122,8 @@ class CacheHierarchy:
     that served the miss (2, 3, or 4 for memory).
     """
 
+    COUNTERS = ("wrong_path_fills",)
+
     def __init__(self, config: FrontEndConfig):
         line = config.line_size
         self.l1i = SetAssociativeCache(config.l1i_size, config.l1i_assoc,
@@ -98,6 +137,11 @@ class CacheHierarchy:
         self.memory_latency = config.memory_latency
         self.line_size = config.line_size
         self.wrong_path_fills = 0
+
+    def state(self, base: float) -> tuple:
+        """Empty: the levels are structures of their own, so the
+        hierarchy holds only its wrong-path fill counter."""
+        return ()
 
     def access(self, line_addr: int, now: float,
                wrong_path: bool = False) -> tuple[bool, float, int]:

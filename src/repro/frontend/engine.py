@@ -145,7 +145,7 @@ class FrontEndSimulator:
 
         Normally the collector comes from ``config.interval_size``; the
         divergence bisector attaches its own (same window, plus a
-        ``state_probe``) to sample structure-occupancy digests at the
+        ``state_probe``) to sample structure-state digests at the
         window boundaries.
         """
         self.intervals = collector
@@ -161,6 +161,29 @@ class FrontEndSimulator:
         if self.intervals is not None:
             snapshot.update(self.intervals.snapshot())
         return snapshot
+
+    def structures(self) -> dict:
+        """Every stateful structure, by name.
+
+        Each one exposes ``state(base)`` -- its behavioural contents,
+        timestamps relative to ``base`` and past ones collapsed to
+        ``None`` -- and ``COUNTERS``, the plain counters a fast-forward
+        skip scales.  Fast-forward probes and skips and the divergence
+        bisector all read structure state through this list.  The
+        optional comparator is not listed; fast-forward declines
+        comparator runs.
+        """
+        bpu, hierarchy = self.bpu, self.hierarchy
+        found = {"btb": bpu.btb, "tage": bpu.tage, "loop": bpu.loop,
+                 "ittage": bpu.ittage, "ras": bpu.ras,
+                 "hierarchy": hierarchy, "l1i": hierarchy.l1i,
+                 "l2": hierarchy.l2, "l3": hierarchy.l3}
+        if self.skia is not None:
+            found["usbb"] = self.skia.sbb.usbb
+            found["rsbb"] = self.skia.sbb.rsbb
+            for name, memo in self.skia.sbd.memos().items():
+                found[f"sbd_{name}"] = memo
+        return {name: s for name, s in found.items() if s is not None}
 
     @staticmethod
     def _build_comparator(program: Program, config: FrontEndConfig):

@@ -18,13 +18,14 @@ the remaining whole periods analytically:
    the preamble; ``quantum`` a common multiple of the period and the
    interval size so every probe lands at the same trace phase *and*
    the same interval offset).  Each probe hashes the behavioural state
-   relative to its own clock base (:func:`repro.obs.digests.probe_digest`,
-   memoised per structure so quiescent structures hash once).
+   relative to its own clock base (:func:`repro.obs.digests.probe_digest`
+   over every structure's ``state(base)``).
 3. **Skip** -- the first repeated digest at indices ``A < B`` proves
    ``state(B) == state(A)`` shifted by ``Δ = base_B - base_A``.  The
    remaining ``N = (n - B) // (B - A)`` whole strides are applied in
    O(structures): clocks and future-dated timestamps shift by ``N*Δ``,
-   every counter ``c`` becomes ``c + N*(c_B - c_A)``, interval rows are
+   every counter ``c`` named in a structure's ``COUNTERS`` becomes
+   ``c + N*(c_B - c_A)``, interval rows are
    synthesised by replicating the ``(A, B]`` window deltas, and the
    engine resumes at ``B + N*(B - A)`` for the epilogue.
 
@@ -50,8 +51,9 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from repro.frontend.caches import shifted_time
 from repro.frontend.plan import note_reason, plan_engine
-from repro.obs.digests import StructureDigest, probe_digest
+from repro.obs.digests import probe_digest
 
 #: Stop probing after this many unmatched digests: a state orbit that
 #: has not closed within 64 quanta is treated as non-converging.
@@ -126,41 +128,6 @@ class _Probe:
         self.interval_prev = interval_prev
 
 
-def _counter_sites(simulator) -> list[tuple[object, str]]:
-    """Every plain-int/float counter that must scale across a skip.
-
-    Covers everything a metric snapshot can observe plus the engine's
-    internal consistency anchors (cache counters feed stats deltas;
-    ``hierarchy.wrong_path_fills`` feeds ``stats.wrong_path_fills``).
-    """
-    bpu = simulator.bpu
-    hierarchy = simulator.hierarchy
-    sites = [
-        (bpu.btb, "lookups"), (bpu.btb, "hits"),
-        (bpu.btb, "false_hits_detected"),
-        (bpu.tage, "predictions"), (bpu.tage, "mispredictions"),
-        (bpu.ittage, "predictions"), (bpu.ittage, "mispredictions"),
-        (bpu.ras, "pushes"), (bpu.ras, "pops"),
-        (bpu.ras, "underflows"), (bpu.ras, "overflow_overwrites"),
-        (hierarchy, "wrong_path_fills"),
-        (hierarchy.l1i, "accesses"), (hierarchy.l1i, "misses"),
-        (hierarchy.l2, "accesses"), (hierarchy.l2, "misses"),
-        (hierarchy.l3, "accesses"), (hierarchy.l3, "misses"),
-    ]
-    if bpu.loop is not None:
-        sites += [(bpu.loop, "predictions"), (bpu.loop, "overrides")]
-    if simulator.skia is not None:
-        for half in (simulator.skia.sbb.usbb, simulator.skia.sbb.rsbb):
-            sites += [(half, name) for name in (
-                "insertions", "evictions_bogus_first", "evictions_lru",
-                "lookups", "hits", "retired_marks")]
-        sbd = simulator.skia.sbd
-        for cache in (sbd._head_memo, sbd._tail_memo, sbd._line_cache):
-            sites += [(cache, name) for name in
-                      ("hits", "misses", "evictions")]
-    return sites
-
-
 class FastForward:
     """Per-run probe/skip controller shared by both engines.
 
@@ -196,8 +163,10 @@ class FastForward:
         self.skipped_strides = 0
         self.stride = 0
         self._seen: dict[bytes, _Probe] = {}
-        self._digests = StructureDigest()
-        self._sites = None
+        #: Every counter a skip scales: the structures' ``COUNTERS``.
+        self._sites = [(structure, name) for structure
+                       in simulator.structures().values()
+                       for name in structure.COUNTERS]
 
     # ------------------------------------------------------------------
 
@@ -205,7 +174,7 @@ class FastForward:
         """Hash state between records; skip when a digest repeats."""
         sim = self.sim
         base = state.iag_free
-        digest = probe_digest(sim, state, base, self._digests)
+        digest = probe_digest(sim, state, base)
         self.probes += 1
         prior = self._seen.get(digest)
         if prior is None:
@@ -249,8 +218,6 @@ class FastForward:
 
     def _snapshot(self, index: int, base: float, state) -> _Probe:
         sim = self.sim
-        if self._sites is None:
-            self._sites = _counter_sites(sim)
         counters = [getattr(obj, name) for obj, name in self._sites]
         hist = sim._resteer_latency
         intervals = sim.intervals
@@ -278,16 +245,11 @@ class FastForward:
         # Future-dated FTQ completions shift with the clocks; past ones
         # are dead (drained unread or max()-ed against a later now).
         state.ftq_inflight = deque(
-            done + shift if done > base else done
-            for done in state.ftq_inflight)
-        # Cache ready times, same rule.  In-place value updates keep
-        # each set's LRU (insertion) order.
-        for level in (sim.hierarchy.l1i, sim.hierarchy.l2,
-                      sim.hierarchy.l3):
-            for way in level._sets:
-                for line, ready in way.items():
-                    if ready > base:
-                        way[line] = ready + shift
+            shifted_time(done, base, shift) for done in state.ftq_inflight)
+        # Cache ready times, same rule.
+        hierarchy = sim.hierarchy
+        for level in (hierarchy.l1i, hierarchy.l2, hierarchy.l3):
+            level.shift_ready_times(base, shift)
 
         # Counters: c -> c + n * (c_now - c_prior).
         for (obj, name), before in zip(self._sites, prior.counters):

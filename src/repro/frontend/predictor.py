@@ -42,6 +42,8 @@ class _TaggedEntry:
 class TageLite:
     """TAGE with a bimodal base and geometric tagged tables."""
 
+    COUNTERS = ("predictions", "mispredictions")
+
     def __init__(self, table_bits: int = 12, tag_bits: int = 9,
                  history_lengths: tuple[int, ...] = (5, 15, 44, 130),
                  seed: int = 0):
@@ -179,6 +181,18 @@ class TageLite:
         table_number, index, tag = self._rng.choice(candidates[:2])
         self.tables[table_number][index] = _TaggedEntry(tag, taken)
 
+    def state(self, base: float) -> tuple:
+        """Tagged entries, bimodal counters, history and the allocator's
+        RNG state.  Holds no timestamps."""
+        return (
+            tuple(tuple(sorted((index, e.tag, e.ctr, e.useful)
+                               for index, e in table.items()))
+                  for table in self.tables),
+            tuple(sorted(self.bimodal.items())),
+            self.history,
+            self._rng.getstate(),
+        )
+
     @property
     def accuracy(self) -> float:
         if not self.predictions:
@@ -207,6 +221,8 @@ class LoopPredictor:
     ``confidence_threshold`` times, it predicts the exit exactly --
     something global-history TAGE only manages for short trips.
     """
+
+    COUNTERS = ("predictions", "overrides")
 
     def __init__(self, entries: int = 256, confidence_threshold: int = 3,
                  max_trip: int = 4096):
@@ -250,6 +266,11 @@ class LoopPredictor:
                 entry.confidence = 0
             entry.current = 0
 
+    def state(self, base: float) -> tuple:
+        """Per-PC ``(trip, current, confidence)`` in eviction order."""
+        return tuple((pc, e.trip, e.current, e.confidence)
+                     for pc, e in self._table.items())
+
 
 class _ITEntry:
     __slots__ = ("tag", "target", "confidence")
@@ -262,6 +283,8 @@ class _ITEntry:
 
 class ITTageLite:
     """Indirect target predictor: last-target base + tagged history tables."""
+
+    COUNTERS = ("predictions", "mispredictions")
 
     def __init__(self, table_bits: int = 10, history_lengths: tuple[int, ...] = (4, 16, 64),
                  tag_bits: int = 9):
@@ -356,6 +379,17 @@ class ITTageLite:
         self.base[pc] = target
         self.history = ((self.history << 2) ^ (target & 0xFFFF)) & ((1 << 128) - 1)
         return prediction
+
+    def state(self, base: float) -> tuple:
+        """Tagged entries, last-target base table and path history.
+        Holds no timestamps."""
+        return (
+            tuple(tuple(sorted((index, e.tag, e.target, e.confidence)
+                               for index, e in table.items()))
+                  for table in self.tables),
+            tuple(sorted(self.base.items())),
+            self.history,
+        )
 
     @property
     def accuracy(self) -> float:

@@ -23,6 +23,8 @@ from __future__ import annotations
 class ReturnAddressStack:
     """Circular return-address stack."""
 
+    COUNTERS = ("pushes", "pops", "underflows", "overflow_overwrites")
+
     def __init__(self, depth: int = 32):
         if depth <= 0:
             raise ValueError("RAS depth must be positive")
@@ -69,11 +71,13 @@ class ReturnAddressStack:
         self._top = 0
         self._occupancy = 0
 
+    def state(self, base: float) -> tuple:
+        """Buffer slots, push pointer and occupancy.  No timestamps."""
+        return tuple(self._buffer), self._top, self._occupancy
+
     def register_metrics(self, scope) -> None:
         """Expose counters as lazily-sampled gauges (repro.obs)."""
-        scope.gauge("pushes", lambda: self.pushes)
-        scope.gauge("pops", lambda: self.pops)
-        scope.gauge("underflows", lambda: self.underflows)
-        scope.gauge("overflow_overwrites", lambda: self.overflow_overwrites)
+        for name in self.COUNTERS:
+            scope.gauge(name, lambda name=name: getattr(self, name))
         scope.gauge("occupancy", lambda: self._occupancy)
         scope.gauge("depth", lambda: self.depth)

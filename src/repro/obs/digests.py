@@ -1,105 +1,56 @@
-"""Shared structure digests: occupancy hashes and fast-forward probes.
+"""Shared structure digests: bisector state hashes and fast-forward probes.
 
-Two consumers, two fidelity levels:
+Both digests read one protocol: every structure listed by
+:meth:`repro.frontend.engine.FrontEndSimulator.structures` returns its
+behavioural contents from ``state(base)``, with timestamps relative to
+``base`` and past ones collapsed to ``None``.
 
 * :func:`state_digest` -- the divergence bisector's per-window rolling
-  *occupancy* hash (moved verbatim from ``obs/divergence.py``; the hex
-  strings it produces are unchanged).  It hashes which entries are
-  resident, not their payloads -- enough to catch two runs whose
-  counters agree but whose residency drifted.
-* :func:`probe_digest` -- the fast-forward layer's *behavioural* state
-  hash.  Two probes at the same trace phase with equal probe digests
-  imply the simulator evolves identically (modulo a uniform clock
-  shift) over the next period, so payloads matter: BTB entry kinds and
-  targets, TAGE counters and its allocator RNG state, cache ready
-  times relative to the probe's clock base, SBB payload/retired bits,
-  the FTQ contents and scheduler clocks.
-
-:class:`StructureDigest` memoises per-structure part hashes keyed by a
-cheap *version* (an existing activity counter), so repeated probes cost
-O(structures touched since the last probe), not O(total capacity):
-structures a workload never exercises (an idle loop predictor, a
-drained RAS, Skia structures in a baseline config) are hashed once.
+  hash of the BTB, L1-I, RAS and both SBB halves, payloads included
+  (BTB kinds and targets, SBB payloads and retired bits, L1-I ready
+  times) -- enough that two runs whose counters happen to agree but
+  whose microarchitectural state drifted still produce differing window
+  digests.
+* :func:`probe_digest` -- the fast-forward layer's behavioural hash of
+  every listed structure plus the scheduler clocks and FTQ.  Two probes
+  at the same trace phase with equal probe digests imply the simulator
+  evolves identically (modulo a uniform clock shift) over the next
+  period.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+import marshal
 
-__all__ = ["StructureDigest", "probe_digest", "state_digest"]
+from repro.frontend.caches import relative_time
+
+__all__ = ["probe_digest", "state_digest"]
+
+
+def _encode(value) -> bytes:
+    """Serialise a ``state()`` value for hashing.
+
+    marshal format 2 predates back-references, so its bytes depend only
+    on the values, never on object identity; it is also several times
+    faster than ``repr``.
+    """
+    return marshal.dumps(value, 2)
 
 
 def state_digest(simulator) -> str:
-    """Rolling occupancy hash of the simulator's stateful structures.
+    """Rolling hash of the BTB, L1-I, RAS and SBB contents.
 
-    Covers BTB residency (per-set, in LRU order), L1-I residency, both
-    SBB halves and the RAS contents -- enough that two runs whose
-    counters happen to agree but whose microarchitectural state drifted
-    still produce differing window digests.  Deterministic across
-    processes: only ints and Nones are hashed.
+    Deterministic across processes.
     """
-    btb = simulator.bpu.btb
-    parts: list[object] = []
-    if btb.infinite:
-        parts.append(("btb", tuple(sorted(btb._full))))
-    else:
-        parts.append(("btb", tuple(tuple(s) for s in btb._sets)))
-    l1i = simulator.hierarchy.l1i
-    parts.append(("l1i", tuple(tuple(s) for s in l1i._sets)))
-    ras = simulator.bpu.ras
-    parts.append(("ras", tuple(ras._buffer), ras._top))
-    if simulator.skia is not None:
-        sbb = simulator.skia.sbb
-        parts.append(("usbb", tuple(tuple(s) for s in sbb.usbb._sets)))
-        parts.append(("rsbb", tuple(tuple(s) for s in sbb.rsbb._sets)))
-    return hashlib.sha256(repr(parts).encode("ascii")).hexdigest()[:16]
+    structures = simulator.structures()
+    parts = [(name, structures[name].state(0.0))
+             for name in ("btb", "l1i", "ras", "usbb", "rsbb")
+             if name in structures]
+    return hashlib.sha256(_encode(parts)).hexdigest()[:16]
 
 
-class StructureDigest:
-    """Version-memoised per-structure hash accumulator.
-
-    ``part(key, version, build)`` returns the SHA-256 of
-    ``repr(build())``, recomputing only when ``version`` differs from
-    the memoised one.  Versions are existing activity counters (e.g.
-    ``btb.lookups``): any mutation of the structure is accompanied by a
-    counter bump, so an unchanged version proves unchanged contents.
-    """
-
-    __slots__ = ("_memo",)
-
-    def __init__(self) -> None:
-        self._memo: dict[str, tuple[object, bytes]] = {}
-
-    def part(self, key: str, version: object,
-             build: Callable[[], object]) -> bytes:
-        memo = self._memo.get(key)
-        if memo is not None and memo[0] == version:
-            return memo[1]
-        digest = hashlib.sha256(repr(build()).encode("ascii")).digest()
-        self._memo[key] = (version, digest)
-        return digest
-
-
-def _rel(value: float, base: float):
-    """A timestamp relative to ``base``; the past collapses to one class.
-
-    Ready times / FTQ completions at or before the probe's clock base
-    are behaviourally interchangeable (every consumer takes
-    ``max(value, now)`` with ``now >= base``, or drains them before
-    reading), so they all hash as ``None``.
-    """
-    return value - base if value > base else None
-
-
-def _cache_part(level, base: float):
-    return tuple(
-        tuple((line, _rel(ready, base)) for line, ready in way.items())
-        for way in level._sets)
-
-
-def probe_digest(simulator, state, base: float,
-                 acc: StructureDigest) -> bytes:
+def probe_digest(simulator, state, base: float) -> bytes:
     """Behavioural state hash at a fast-forward probe.
 
     ``state`` carries the engine-scheduler locals (the four clocks, the
@@ -108,77 +59,10 @@ def probe_digest(simulator, state, base: float,
     two phases of the same steady-state orbit hash identically.
     """
     h = hashlib.sha256()
-    ftq = tuple(_rel(done, base) for done in state.ftq_inflight)
+    ftq = tuple(relative_time(done, base) for done in state.ftq_inflight)
     engine_part = (state.fetch_free - base, state.decode_free - base,
                    state.retire_free - base, ftq, state.prev_taken)
-    h.update(repr(engine_part).encode("ascii"))
-
-    bpu = simulator.bpu
-    btb = bpu.btb
-    if btb.infinite:
-        build_btb = lambda: tuple(sorted(  # noqa: E731
-            (tag, e.kind.value, e.target) for tag, e in btb._full.items()))
-    else:
-        build_btb = lambda: tuple(  # noqa: E731
-            tuple((tag, e.kind.value, e.target) for tag, e in way.items())
-            for way in btb._sets)
-    h.update(acc.part("btb", btb.lookups, build_btb))
-
-    hierarchy = simulator.hierarchy
-    for name, level in (("l1i", hierarchy.l1i), ("l2", hierarchy.l2),
-                        ("l3", hierarchy.l3)):
-        # Ready times are base-relative, so the version must carry the
-        # base too -- a probe at a new base always rehashes the caches.
-        h.update(acc.part(name, (level.accesses, base),
-                          lambda lvl=level: _cache_part(lvl, base)))
-
-    tage = bpu.tage
-    h.update(acc.part("tage", tage.predictions, lambda: (
-        tuple(tuple(sorted((idx, e.tag, e.ctr, e.useful)
-                           for idx, e in table.items()))
-              for table in tage.tables),
-        tuple(sorted(tage.bimodal.items())),
-        tage.history,
-        tage._rng.getstate(),
-    )))
-    # The loop predictor only mutates inside the conditional-predict
-    # path, which always bumps tage.predictions first -- so TAGE's
-    # counter doubles as the loop table's version.
-    loop = bpu.loop
-    if loop is not None:
-        h.update(acc.part("loop", tage.predictions, lambda: tuple(
-            (pc, e.trip, e.current, e.confidence)
-            for pc, e in loop._table.items())))
-
-    ittage = bpu.ittage
-    h.update(acc.part("ittage", ittage.predictions, lambda: (
-        tuple(tuple(sorted((idx, e.tag, e.target, e.confidence)
-                           for idx, e in table.items()))
-              for table in ittage.tables),
-        tuple(sorted(ittage.base.items())),
-        ittage.history,
-    )))
-
-    ras = bpu.ras
-    h.update(acc.part("ras", (ras.pushes, ras.pops), lambda: (
-        tuple(ras._buffer), ras._top, ras._occupancy)))
-
-    skia = simulator.skia
-    if skia is not None:
-        for name, half in (("usbb", skia.sbb.usbb), ("rsbb", skia.sbb.rsbb)):
-            h.update(acc.part(
-                name, (half.lookups, half.insertions, half.retired_marks),
-                lambda s=half: tuple(
-                    tuple((tag, e.payload, e.retired)
-                          for tag, e in way.items())
-                    for way in s._sets)))
-        sbd = skia.sbd
-        for name, cache in (("sbd_head", sbd._head_memo),
-                            ("sbd_tail", sbd._tail_memo),
-                            ("sbd_line", sbd._line_cache)):
-            # Memo values are pure functions of their keys; LRU key
-            # order is the behavioural state (eviction order).
-            h.update(acc.part(name, (cache.hits, cache.misses),
-                              lambda c=cache: tuple(c._data)))
-
+    h.update(_encode(engine_part))
+    for name, structure in simulator.structures().items():
+        h.update(_encode((name, structure.state(base))))
     return h.digest()

@@ -9,7 +9,7 @@ turns that into an exact coordinate:
 1. **Window pass** -- run both sides over the same trace with an
    :class:`~repro.obs.intervals.IntervalCollector` cutting windows at
    identical record indices, each boundary also sampling a rolling
-   BTB / SBB / RAS / L1-I occupancy digest (:func:`state_digest`).
+   BTB / SBB / RAS / L1-I state digest (:func:`state_digest`).
    Compare per-window digests (counter delta row + state hash) in
    lockstep and stop at the first mismatch.
 2. **Oracle pass** -- re-run just the divergent window's prefix with

@@ -23,7 +23,7 @@ Two invariants shape the implementation:
 
 The collector accepts an optional ``state_probe`` callable sampled at
 boundaries only; the divergence bisector uses it for rolling
-microarchitectural occupancy hashes.  Probe results never enter the
+microarchitectural state hashes.  Probe results never enter the
 serialized series.
 """
 

@@ -10,7 +10,9 @@ instead of wrong numbers.
 """
 
 import dataclasses
+import enum
 import functools
+import random
 
 import pytest
 
@@ -124,6 +126,150 @@ class TestPeriodDetection:
 # Digests
 # ----------------------------------------------------------------------
 
+#: Per class: instance attributes fixed at construction (geometry,
+#: names, masks, references to sub-structures).  Every other attribute
+#: of a listed structure must be in its ``COUNTERS`` or feed its
+#: ``state(base)``.  Entry records count too: a ``tag`` that only
+#: mirrors the entry's dict key is redundant.
+CONSTANTS = {
+    "BranchTargetBuffer": {"assoc", "tag_bits", "entry_bits", "infinite",
+                           "n_sets", "entries"},
+    "SetAssociativeCache": {"name", "line_size", "assoc", "n_sets"},
+    "CacheHierarchy": {"l1i", "l2", "l3", "l2_latency", "l3_latency",
+                       "memory_latency", "line_size"},
+    "TageLite": {"table_bits", "tag_bits", "history_lengths", "table_mask",
+                 "tag_mask", "_history_masks"},
+    "LoopPredictor": {"entries", "confidence_threshold", "max_trip"},
+    "ITTageLite": {"table_bits", "history_lengths", "table_mask",
+                   "tag_mask", "_history_masks"},
+    "ReturnAddressStack": {"depth"},
+    "SBBStructure": {"name", "use_retired_bit", "assoc", "tag_bits",
+                     "entry_bits", "n_sets", "entries"},
+    "LRUCache": {"maxsize", "on_evict"},
+    "BTBEntry": {"tag"},
+    "SBBEntry": {"tag"},
+}
+
+#: Configs whose structures the coverage test walks: the default config
+#: (which carries the loop predictor), Skia, and the infinite BTB (the
+#: only one whose full-tag table is populated).
+COVERAGE_CONFIGS = {
+    "base": FrontEndConfig(use_loop_predictor=True),
+    "skia": FrontEndConfig(skia=SkiaConfig()),
+    "infinite-btb": FrontEndConfig(btb_infinite=True),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _voter(n_records=400):
+    return build_program("voter", seed=0), build_trace("voter", n_records,
+                                                       seed=0)
+
+
+def _warm(config=CONFIGS["skia"]):
+    """A simulator after a 400-record voter warm-up."""
+    program, records = _voter()
+    simulator = FrontEndSimulator(program, config, seed=0)
+    simulator.run(records, warmup=0)
+    return simulator
+
+
+def _perturbed(value):
+    """A changed copy of ``value``; None when it holds nothing to change."""
+    if isinstance(value, enum.Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if value is None:
+        return 0
+    if isinstance(value, random.Random):
+        rng = random.Random()
+        rng.setstate(value.getstate())
+        rng.random()
+        return rng
+    if isinstance(value, dict):
+        if not value:
+            return None
+        changed = dict(value)
+        changed.pop(next(reversed(changed)))
+        return changed
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            changed = _perturbed(item)
+            if changed is not None:
+                return value[:index] + [changed] + value[index + 1:]
+        return None
+    raise TypeError(f"no perturbation for {type(value).__name__}")
+
+
+def _first_entry(value):
+    """The first entry record in a dict or a list of dicts, if any."""
+    for way in (value if isinstance(value, list) else [value]):
+        if isinstance(way, dict):
+            for entry in way.values():
+                if hasattr(entry, "__slots__"):
+                    return entry
+    return None
+
+
+def _first_ready(level):
+    """``(set, line)`` of the first resident line of a cache level."""
+    return next((way, line) for way in level._sets for line in way)
+
+
+def _probe(simulator, base):
+    state = fastforward.ProbeState(base, base, base, base, [], True, 0, 0, 0)
+    return digests.probe_digest(simulator, state, base)
+
+
+def _retarget_btb(simulator, base):
+    entry = _first_entry(simulator.bpu.btb._sets)
+    entry.target = (entry.target or 0) + 4
+
+
+def _bump_tage_ctr(simulator, base):
+    entry = next(e for table in simulator.bpu.tage.tables
+                 for e in table.values())
+    entry.ctr = entry.ctr + 1 if entry.ctr < 3 else entry.ctr - 1
+
+
+def _flip_retired(simulator, base):
+    sbb = simulator.skia.sbb
+    entry = next(e for half in (sbb.usbb, sbb.rsbb)
+                 for way in half._sets for e in way.values())
+    entry.retired = not entry.retired
+
+
+def _set_l2_ready(delta):
+    def change(simulator, base):
+        way, line = _first_ready(simulator.hierarchy.l2)
+        way[line] = base + delta
+    return change
+
+
+def _reorder_sbd_memo(simulator, base):
+    data = simulator.skia.sbd.memos()["head_memo"]._data
+    assert len(data) > 1
+    first = next(iter(data))
+    data[first] = data.pop(first)
+
+
+#: One change per structure after warm-up:
+#: ``name -> (change, moves probe_digest, moves state_digest)``.
+DIGEST_CHANGES = {
+    "btb target": (_retarget_btb, True, True),
+    "tage ctr": (_bump_tage_ctr, True, False),
+    "tage rng": (lambda sim, base: sim.bpu.tage._rng.random(), True, False),
+    "sbb retired bit": (_flip_retired, True, True),
+    "future l2 ready time": (_set_l2_ready(7), True, False),
+    "sbd memo key order": (_reorder_sbd_memo, True, False),
+    "past l2 ready time": (_set_l2_ready(-3), False, False),
+}
+
+
 class TestDigests:
     def test_divergence_reexports_the_same_state_digest(self):
         # The promotion to obs.digests must not change a single hash:
@@ -145,11 +291,69 @@ class TestDigests:
             simulator.run(records[:n_records], warmup=0)
             state = fastforward.ProbeState(
                 0.0, 0.0, 0.0, 0.0, [], True, 0, 0, 0)
-            return digests.probe_digest(simulator, state, 0.0,
-                                        digests.StructureDigest())
+            return digests.probe_digest(simulator, state, 0.0)
 
         assert probe(400) == probe(400)
         assert probe(400) != probe(401)
+
+        # The probe base sits at an L2 line's ready time, so that line
+        # is "past" and every later-dated timestamp is "future".
+        reference = _warm()
+        way, line = _first_ready(reference.hierarchy.l2)
+        base = way[line]
+        for name, (change, probe_moves, state_moves) in \
+                DIGEST_CHANGES.items():
+            simulator = _warm()
+            assert _probe(simulator, base) == _probe(reference, base)
+            change(simulator, base)
+            assert (_probe(simulator, base)
+                    != _probe(reference, base)) == probe_moves, name
+            assert (digests.state_digest(simulator)
+                    != digests.state_digest(reference)) == state_moves, name
+
+    def test_every_field_is_counted_constant_or_digested(self):
+        # Structural coverage: perturbing any attribute outside COUNTERS
+        # and CONSTANTS -- of a structure or of one of its entry records
+        # -- after warm-up must change state(base).  An attribute empty
+        # in one config must be verified in another.
+        failures, verified, empty = [], set(), set()
+
+        def check(owner, attr, structure, before):
+            key = (type(owner).__name__, attr)
+            value = getattr(owner, attr)
+            changed = _perturbed(value)
+            if changed is None:
+                empty.add(key)
+                return
+            setattr(owner, attr, changed)
+            try:
+                moved = structure.state(0.0) != before
+            finally:
+                setattr(owner, attr, value)
+            if moved:
+                verified.add(key)
+            else:
+                failures.append(key)
+
+        for config in COVERAGE_CONFIGS.values():
+            for structure in _warm(config).structures().values():
+                before = structure.state(0.0)
+                constants = CONSTANTS[type(structure).__name__]
+                for name in structure.COUNTERS:
+                    assert isinstance(getattr(structure, name), int), name
+                for attr in vars(structure):
+                    if attr in structure.COUNTERS or attr in constants:
+                        continue
+                    check(structure, attr, structure, before)
+                    entry = _first_entry(getattr(structure, attr))
+                    if entry is None:
+                        continue
+                    for slot in entry.__slots__:
+                        if slot not in CONSTANTS.get(type(entry).__name__,
+                                                     ()):
+                            check(entry, slot, structure, before)
+        assert failures == [], f"fields missing from state(): {failures}"
+        assert empty <= verified, f"never exercised: {empty - verified}"
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +481,7 @@ class TestFallbacks:
                    "compiled", monkeypatch, False)
         counter = iter(range(10 ** 9))
 
-        def unique_digest(simulator, state, base, acc):
+        def unique_digest(simulator, state, base):
             return next(counter).to_bytes(8, "little")
 
         monkeypatch.setattr(fastforward, "probe_digest", unique_digest)
