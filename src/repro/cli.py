@@ -24,8 +24,8 @@ Commands
                   (``bench compare``).
 ``runs``       -- the run ledger: list recorded harness runs
                   (``runs list``) or inspect one (``runs show``) --
-                  per-cell lifecycle, span/profiler conservation
-                  checks, merged Perfetto trace export; both take
+                  per-cell lifecycle, the cell-conservation check,
+                  merged Perfetto trace export; both take
                   ``--json`` for machine-readable output.
 ``metrics``    -- export saved metric snapshots in Prometheus text
                   exposition format (``metrics export``).
@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show.add_argument("--cells", action="store_true",
                            help="print the per-cell lifecycle table")
     runs_show.add_argument("--check", action="store_true",
-                           help="verify span<->profiler and span<->cell "
-                                "conservation over the run artifacts")
+                           help="verify cell conservation: harness.cell "
+                                "spans cover exactly the cells the "
+                                "manifest records")
     runs_show.add_argument("--perfetto", metavar="OUT", default=None,
                            help="merge spans + pipeline timelines into "
                                 "one Perfetto-loadable trace file")
@@ -558,7 +559,6 @@ def _run_stats_run(args) -> int:
                            applicable_invariants, check_snapshot,
                            render_snapshot, save_snapshot)
     from repro.obs import ledger as ledger_mod
-    from repro.obs import spans as spans_mod
     from repro.workloads.cache import build_compiled_trace
 
     scale = SCALES[args.scale] if args.scale else current_scale()
@@ -570,7 +570,7 @@ def _run_stats_run(args) -> int:
         ledger.grid(cells=1, submitted=1, jobs=1)
         ledger.cell(cell_id, "queued")
         ledger.cell(cell_id, "store_probe", hit=False, store=False)
-        spans_mod.set_cell(cell_id)
+        PROFILER.set_cell(cell_id)
     started = time.monotonic()
     try:
         with PROFILER.section("harness.cell"):
@@ -600,7 +600,7 @@ def _run_stats_run(args) -> int:
             ledger.cell(cell_id, "error", error=repr(error))
         raise
     finally:
-        spans_mod.set_cell(None)
+        PROFILER.set_cell(None)
     if ledger is not None:
         ledger.group([cell_id], mode="stats")
 
@@ -947,24 +947,6 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _load_run_profiles(run_dir):
-    """``{pid: profiler snapshot delta}`` from ``profile-<pid>.json``."""
-    import json
-
-    profiles = {}
-    for path in sorted(run_dir.glob("profile-*.json")):
-        stem = path.stem  # profile-<pid>
-        try:
-            pid = int(stem.rsplit("-", 1)[1])
-        except (IndexError, ValueError):
-            continue
-        try:
-            profiles[pid] = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError:
-            continue
-    return profiles
-
-
 def _print_run_summary(summary) -> None:
     results = summary.results()
     outcome = (", ".join(f"{count} {label}" for label, count
@@ -1076,23 +1058,19 @@ def _run_runs(args) -> int:
                   f"{wall_text}{flag}")
 
     if args.check:
-        from repro.obs import (check_cell_conservation,
-                               check_span_conservation, read_spans)
+        from repro.obs import check_cell_conservation, read_spans
         from repro.obs.ledger import read_manifest
 
         records = read_manifest(summary.run_dir / "manifest.jsonl")
         spans = read_spans(summary.run_dir / "spans.jsonl")
-        profiles = _load_run_profiles(summary.run_dir)
-        violations = (check_span_conservation(spans, profiles)
-                      + check_cell_conservation(records, spans))
+        violations = check_cell_conservation(records, spans)
         if violations:
             _print_violations(violations, run_id)
             failures += len(violations)
         else:
-            sections = sum(len(profile) for profile in profiles.values())
-            print(f"\n  conservation: {len(spans)} spans == profiler "
-                  f"totals over {sections} sections x "
-                  f"{len(profiles)} processes; cell coverage exact")
+            print(f"\n  conservation: {summary.groups} harness.cell "
+                  f"spans == group records; cell coverage exact "
+                  f"({len(spans)} spans)")
 
     if args.perfetto:
         from repro.obs import merge_run_trace

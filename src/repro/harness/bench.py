@@ -4,7 +4,8 @@
 schema-versioned ``BENCH_<YYYYMMDD>.json`` at the repository root:
 simulation throughput (records and simulated cycles per host second),
 per-figure runtime, decode-cache and result-store hit rates, and the
-host-side profiler sections (:mod:`repro.obs.profiler`).  ``repro bench
+per-section rollup of the host-side profiler spans
+(:mod:`repro.obs.profiler`).  ``repro bench
 compare`` diffs two such files against configurable thresholds and exits
 non-zero on regression -- CI gates on it, and the checked-in
 ``benchmarks/baseline_smoke.json`` is the blessed reference point.
@@ -41,7 +42,8 @@ from repro.harness.parallel import Cell
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.harness.store import ResultStore
-from repro.obs.profiler import PROFILER
+from repro.obs.profiler import PROFILER, span_row
+from repro.obs.spans import span_rollup
 from repro.workloads.cache import WorkloadCache
 from repro.workloads.compiled import batch_enabled, fastforward_enabled
 
@@ -171,22 +173,15 @@ def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
               ) -> tuple[dict, Path]:
     """Run the bench grid at ``scale``; write and return the payload."""
     from repro.frontend.plan import reason_counts
-    from repro.obs import ledger as ledger_mod
 
     figures = bench_grid(workloads)
     all_cells = [cell for cells in figures.values() for cell in cells]
 
-    ledger = ledger_mod.active_ledger()
     was_enabled = PROFILER.enabled
-    if ledger is None:
-        # Exclusive profiler ownership: reset so payload sections cover
-        # exactly this bench run.  Under a run ledger the profiler is
-        # already recording spans whose conservation check compares
-        # against the run-start baseline -- resetting would corrupt it,
-        # so the payload uses the baselined delta instead (equivalent:
-        # the ledger opened right before the bench started).
-        PROFILER.reset()
     PROFILER.enabled = True
+    # The payload's profiler block rolls up the spans from here on,
+    # whether or not a run ledger is also writing them to its file.
+    first_span = len(PROFILER.spans)
     fallbacks_before = reason_counts("kernel")
     try:
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
@@ -317,8 +312,8 @@ def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
             # the layer (CI gates this cell at >= 5x).
             fastforward_out = _bench_fastforward(scale)
     finally:
-        profiler_snapshot = (ledger_mod.profile_delta() if ledger is not None
-                             else PROFILER.snapshot())
+        profiler_sections = span_rollup(
+            map(span_row, PROFILER.spans[first_span:]))
         PROFILER.enabled = was_enabled
 
     # Kernel fallbacks this bench run caused, keyed by reason (delta
@@ -379,7 +374,7 @@ def run_bench(scale: Scale, workloads: Sequence[str] | None = None,
             "compiled_trace_hits": compiled_stats.hits,
             "compiled_trace_misses": compiled_stats.misses,
         },
-        "profiler": profiler_snapshot,
+        "profiler": profiler_sections,
     }
 
     if out is None:

@@ -46,7 +46,6 @@ from repro.harness.store import (
     result_key,
 )
 from repro.obs import ledger as ledger_mod
-from repro.obs import spans as spans_mod
 from repro.obs.profiler import PROFILER
 
 
@@ -139,22 +138,16 @@ def _worker_telemetry(run_dir: str) -> "ledger_mod.RunLedger":
 
     Opens the worker's own manifest/span descriptors on the shared run
     directory (``O_APPEND`` writes interleave safely with every other
-    process of the run), installs the span recorder as the profiler
-    sink, and re-baselines the profiler so this worker's profile delta
-    covers only its own sections -- a forked worker inherits the
-    parent's accumulated sections, whose spans the *parent* already
-    recorded under its pid.
+    process of the run).  Attaching the profiler drops the spans and
+    open sections a forked worker inherits: the *parent* writes those
+    under its own pid.
     """
     key = (os.getpid(), run_dir)
     ledger = _WORKER_TELEMETRY.get(key)
     if ledger is None:
         ledger = ledger_mod.RunLedger.attach(run_dir)
-        recorder = spans_mod.SpanRecorder(ledger.spans_path)
         ledger_mod.set_active(ledger)
-        spans_mod.set_active_recorder(recorder)
-        ledger_mod.set_profile_baseline(PROFILER.snapshot())
-        PROFILER.enabled = True
-        PROFILER.sink = recorder.on_section
+        PROFILER.attach(ledger.spans_path)
         _WORKER_TELEMETRY[key] = ledger
     return ledger
 
@@ -196,7 +189,7 @@ def simulate_cell(workload: str, config: FrontEndConfig, seed: int,
     cell_id = None
     if ledger is not None:
         cell_id = ledger_mod.cell_id_for(workload, config, seed, bolted)
-        spans_mod.set_cell(cell_id)
+        PROFILER.set_cell(cell_id)
     started = time.monotonic()
     try:
         stats, outcome = _simulate_cell_body(
@@ -206,20 +199,19 @@ def simulate_cell(workload: str, config: FrontEndConfig, seed: int,
         if ledger is not None:
             ledger.cell(cell_id, "error",
                         error=f"{type(exc).__name__}: {exc}")
-            ledger_mod.checkpoint_telemetry(ledger)
+            PROFILER.flush()
         raise
     finally:
         if ledger is not None:
-            spans_mod.set_cell(None)
+            PROFILER.set_cell(None)
     if ledger is not None:
         ledger.group([cell_id], mode="worker")
         ledger.cell(cell_id, "done", spanned=True,
                     wall_s=round(time.monotonic() - started, 6), **outcome)
         ledger.heartbeat(cell=cell_id)
-        # Flush spans + persist this pid's profile delta after every
-        # cell, so a crashed worker leaves conservation-consistent
-        # telemetry behind (the parent only checkpoints at run end).
-        ledger_mod.checkpoint_telemetry(ledger)
+        # Flush spans after every cell, so a crashed worker leaves its
+        # finished cells' spans behind (the parent flushes at run end).
+        PROFILER.flush()
     return stats
 
 
@@ -397,13 +389,6 @@ class ParallelRunner:
                                                 progress_enabled)
             if progress_enabled():
                 progress = ProgressReporter(len(ordered), ledger=ledger)
-            # Forked workers inherit the parent's span recorder; flush
-            # it first so its buffer is empty at fork time and every
-            # buffered parent span is written exactly once, by the
-            # parent.
-            recorder = spans_mod.active_recorder()
-            if recorder is not None:
-                recorder.flush()
 
         packed = [(cell.workload, cell.config, cell.seed, cell.bolted,
                    self.scale, self._store_root, self.record_attribution,
@@ -419,8 +404,8 @@ class ParallelRunner:
                     progress.update(1)
         else:
             # Workers profile into their own PROFILER (discarded unless
-            # a run is active, in which case each worker persists its
-            # own delta); this section times the dispatch + result
+            # a run is active, in which case each worker writes its own
+            # spans); this section times the dispatch + result
             # collection layer.
             chunksize = max(1, len(packed) // (workers * 4))
             with PROFILER.section("harness.parallel_batch"):

@@ -34,7 +34,6 @@ from repro.harness.progress import ProgressReporter, progress_enabled
 from repro.harness.scale import Scale, current_scale
 from repro.harness.store import ResultStore, config_key, default_store
 from repro.obs import ledger as ledger_mod
-from repro.obs import spans as spans_mod
 from repro.obs.invariants import check_snapshot
 from repro.obs.profiler import PROFILER
 from repro.workloads.cache import GLOBAL_CACHE, WorkloadCache
@@ -227,7 +226,7 @@ class ExperimentRunner:
             cell_id = ledger_mod.cell_id_for(workload, config, seed, bolted)
             if queued:
                 ledger.cell(cell_id, "queued")
-            spans_mod.set_cell(cell_id)
+            PROFILER.set_cell(cell_id)
         started = time.monotonic()
         try:
             stats, metrics, outcome = self._simulate_one(
@@ -242,7 +241,7 @@ class ExperimentRunner:
                 # The harness.cell section popped (with the cell stamp)
                 # when _simulate_one returned; clear the stamp so later
                 # sections are not mis-attributed.
-                spans_mod.set_cell(None)
+                PROFILER.set_cell(None)
         if ledger is not None:
             # One group record per harness.cell span opened above.
             ledger.group([cell_id], mode="serial")
@@ -466,7 +465,7 @@ class ExperimentRunner:
                 continue
             group_started = time.monotonic()
             if ledger is not None:
-                spans_mod.set_cell(
+                PROFILER.set_cell(
                     f"group:{workload}:s{seed}"
                     + ("+bolt" if bolted else ""))
             finished: list = []
@@ -544,7 +543,7 @@ class ExperimentRunner:
                 raise
             finally:
                 if ledger is not None:
-                    spans_mod.set_cell(None)
+                    PROFILER.set_cell(None)
             if ledger is not None:
                 group_wall = round(time.monotonic() - group_started, 6)
                 for cell, cell_id, simulator, stats, plan in finished:

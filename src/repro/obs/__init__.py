@@ -35,15 +35,16 @@ subsystem:
   divergent window, then the first divergent record under the object
   oracle with a full event trace and a state diff.
 * :mod:`repro.obs.profiler` -- a host-side section profiler
-  (``perf_counter_ns``, nesting, exclusive time) threaded through the
-  harness so ``repro bench`` can report where wall-clock goes.
+  (``perf_counter_ns``, nesting, self time) threaded through the
+  harness; each timed section becomes one span, the only host-timing
+  record, and ``repro bench`` reports per-section rollups of them.
 * :mod:`repro.obs.ledger` -- the run ledger: every ledgered harness
   invocation gets a run id and an append-only JSONL manifest under
   ``.repro_cache/runs/<run_id>/`` with a lifecycle record per cell,
   diagnosable even for crashed runs; ``repro runs list/show``.
-* :mod:`repro.obs.spans` -- profiler sections as run-scoped spans with
-  cell identity, conserved exactly against profiler totals and merged
-  with pipeline timelines into one Perfetto-loadable trace.
+* :mod:`repro.obs.spans` -- reading a run's ``spans.jsonl``: per-section
+  rollups, the cell-conservation check against the manifest, and the
+  merge with pipeline timelines into one Perfetto-loadable trace.
 
 Nothing here is on the simulation hot path unless enabled: gauges are
 sampled lazily at snapshot time from counters the components already
@@ -100,11 +101,9 @@ from repro.obs.registry import (
     save_snapshot,
     snapshot_to_prometheus,
 )
-from repro.obs.profiler import PROFILER, SectionProfiler, profile
+from repro.obs.profiler import PROFILER, SectionProfiler
 from repro.obs.spans import (
-    SpanRecorder,
     check_cell_conservation,
-    check_span_conservation,
     merge_run_trace,
     read_spans,
     span_rollup,
@@ -138,14 +137,12 @@ __all__ = [
     "RunLedger",
     "Scope",
     "SectionProfiler",
-    "SpanRecorder",
     "TimelineRecorder",
     "Violation",
     "active_ledger",
     "applicable_invariants",
     "check_cell_conservation",
     "check_snapshot",
-    "check_span_conservation",
     "chrome_from_jsonl",
     "chrome_from_trace_events",
     "diff_snapshots",
@@ -156,7 +153,6 @@ __all__ = [
     "merge_run_trace",
     "merge_snapshots",
     "probe_digest",
-    "profile",
     "read_manifest",
     "read_spans",
     "render_snapshot",

@@ -15,9 +15,9 @@ holding:
   one ``os.write`` each on an ``O_APPEND`` descriptor, so parallel
   workers share the file safely and a crashed run is diagnosable from
   its partial manifest (every line already written is complete).
-* ``spans.jsonl`` -- harness spans (:mod:`repro.obs.spans`).
-* ``profile-<pid>.json`` -- per-process profiler snapshot deltas, the
-  reference side of the span-conservation invariants.
+* ``spans.jsonl`` -- harness spans, one per profiler section popped in
+  any process of the run, the only host-timing record
+  (:mod:`repro.obs.profiler`, read by :mod:`repro.obs.spans`).
 * ``timeline-<cell>.json`` -- optional pipeline timelines, merged with
   the spans by ``repro runs show --perfetto``.
 
@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.obs import spans as _spans
 from repro.obs.profiler import PROFILER
 
 #: Bump when the manifest record shape changes; readers refuse nothing
@@ -155,9 +154,6 @@ class RunLedger:
     def spans_path(self) -> Path:
         return self.run_dir / "spans.jsonl"
 
-    def profile_path(self, pid: int | None = None) -> Path:
-        return self.run_dir / f"profile-{pid or os.getpid()}.json"
-
     def timeline_path(self, cell_id: str) -> Path:
         safe = "".join(ch if ch.isalnum() or ch in "+-_." else "_"
                        for ch in cell_id)
@@ -201,15 +197,6 @@ class RunLedger:
         self._last_heartbeat[pid] = now
         self.record("heartbeat", **fields)
 
-    def write_profile(self, snapshot: Mapping[str, Mapping[str, int]],
-                      pid: int | None = None) -> None:
-        """Persist this process's profiler snapshot delta (atomic)."""
-        path = self.profile_path(pid)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(dict(snapshot), sort_keys=True) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, path)
-
     def finish(self, status: str = "complete", **fields) -> None:
         self.record("finish", status=status, **fields)
 
@@ -225,16 +212,15 @@ class RunLedger:
 
 _ACTIVE: RunLedger | None = None
 _ACTIVE_PID: int | None = None
-_PROFILE_BASELINE: dict[str, dict[str, int]] = {}
 
 
 def active_ledger() -> RunLedger | None:
     """The process's active ledger, or ``None``.
 
     Pid-guarded: a forked pool worker inherits the parent's module
-    state, but its spans and profile deltas must be attributed to its
-    *own* pid -- so the inherited active ledger reads as ``None`` and
-    the worker attaches its own telemetry to the shared run directory.
+    state, but its spans must be attributed to its *own* pid -- so the
+    inherited active ledger reads as ``None`` and the worker attaches
+    its own telemetry to the shared run directory.
     """
     if _ACTIVE is None or _ACTIVE_PID != os.getpid():
         return None
@@ -247,51 +233,14 @@ def set_active(ledger: RunLedger | None) -> None:
     _ACTIVE_PID = None if ledger is None else os.getpid()
 
 
-def profile_delta() -> dict[str, dict[str, int]]:
-    """This process's profiler snapshot, baselined at run start."""
-    delta: dict[str, dict[str, int]] = {}
-    for name, stats in PROFILER.snapshot().items():
-        base = _PROFILE_BASELINE.get(name)
-        if base is None:
-            delta[name] = stats
-            continue
-        calls = stats["calls"] - base["calls"]
-        total = stats["total_ns"] - base["total_ns"]
-        if calls or total:
-            delta[name] = {"calls": calls, "total_ns": total,
-                           "exclusive_ns": (stats["exclusive_ns"]
-                                            - base["exclusive_ns"])}
-    return delta
-
-
-def set_profile_baseline(snapshot: Mapping[str, Mapping[str, int]]) -> None:
-    _PROFILE_BASELINE.clear()
-    _PROFILE_BASELINE.update({name: dict(stats)
-                              for name, stats in snapshot.items()})
-
-
-def checkpoint_telemetry(ledger: RunLedger) -> None:
-    """Flush spans + persist this process's profiler delta.
-
-    Called after each cell on worker paths and at run finish on the
-    serial path, in this order (spans first), so ``spans.jsonl`` and
-    ``profile-<pid>.json`` always describe the same popped-section
-    population -- the precondition of the span conservation check.
-    """
-    recorder = _spans.active_recorder()
-    if recorder is not None:
-        recorder.flush()
-    ledger.write_profile(profile_delta())
-
-
 @contextmanager
 def start_run(command: str, root: str | os.PathLike | None = None,
               meta: Mapping[str, object] | None = None,
               enable: bool = True):
     """Open a ledgered run for the duration of the ``with`` block.
 
-    Creates the run directory, installs the span recorder as the
-    profiler sink, enables the profiler (spans need sections), and
+    Creates the run directory, attaches the profiler to the run's
+    ``spans.jsonl`` (which enables it: spans need sections), and
     exposes the ledger via :func:`active_ledger` for the harness to
     emit cell lifecycle records.  Yields ``None`` -- and changes
     nothing -- when disabled (``enable=False`` / ``REPRO_LEDGER=0``)
@@ -302,13 +251,8 @@ def start_run(command: str, root: str | os.PathLike | None = None,
         yield None
         return
     ledger = RunLedger.create(command, root=root, meta=meta)
-    recorder = _spans.SpanRecorder(ledger.spans_path)
     previous_enabled = PROFILER.enabled
-    previous_sink = PROFILER.sink
-    set_profile_baseline(PROFILER.snapshot())
-    PROFILER.enabled = True
-    PROFILER.sink = recorder.on_section
-    _spans.set_active_recorder(recorder)
+    PROFILER.attach(ledger.spans_path)
     set_active(ledger)
     started = time.monotonic()
     status = "complete"
@@ -322,13 +266,10 @@ def start_run(command: str, root: str | os.PathLike | None = None,
             flag_stragglers(ledger)
             ledger.finish(status=status,
                           wall_s=round(time.monotonic() - started, 6))
-            checkpoint_telemetry(ledger)
         finally:
             set_active(None)
-            _spans.set_active_recorder(None)
-            PROFILER.sink = previous_sink
+            PROFILER.detach()
             PROFILER.enabled = previous_enabled
-            recorder.close()
             ledger.close()
 
 

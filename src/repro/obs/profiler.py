@@ -3,8 +3,13 @@
 The simulator's own metrics (:mod:`repro.obs.registry`) count *simulated*
 events; this module times the *host* Python code that produces them --
 the experiment runner, the persistent store, the shadow-decode memo
-misses -- so ``repro bench`` can report where a cell's wall-clock is
-actually spent.
+misses -- so ``repro bench`` and the run ledger can report where a
+cell's wall-clock is actually spent.
+
+Every timed section becomes one **span**, the only host-timing record:
+``(name, start_ns, dur_ns, self_ns, cell, pid)`` in :data:`SPAN_FIELDS`
+order.  Per-section totals are not stored; they are a rollup view over
+spans (:func:`repro.obs.spans.span_rollup`).
 
 Design constraints mirror the rest of ``repro.obs``:
 
@@ -13,44 +18,35 @@ Design constraints mirror the rest of ``repro.obs``:
   sites pay one attribute check and an empty ``with`` block.  Hot-path
   call sites (the SBD) only open sections on memo *misses*, which are
   bounded by the number of distinct decode boundaries.
-* **Nesting-aware.**  Sections stack; each section accumulates both
-  *total* (inclusive) and *exclusive* (total minus time spent in child
-  sections) nanoseconds, so ``harness.simulate`` minus ``sbd.*`` is the
-  engine's own share.  Re-entering a section that is already on the
-  stack counts each invocation's elapsed time, so recursive totals can
-  exceed wall-clock; exclusive time stays disjoint.
+* **Nesting-aware.**  Sections stack; each span carries both its
+  duration and its *self* time (duration minus child sections), so
+  ``harness.simulate`` minus ``sbd.*`` is the engine's own share.
+  Re-entering a section that is already on the stack records each
+  invocation, so recursive rollup totals can exceed wall-clock; self
+  time stays disjoint.
 * **Process-local.**  The module-level :data:`PROFILER` is what the
-  harness threads through; worker processes of a parallel run keep their
-  own (discarded) instances, so profiles of ``jobs=1`` runs are exact
-  and parallel runs profile the dispatch layer.
-
-Enable globally with ``REPRO_PROFILE=1`` or programmatically via
-``PROFILER.enabled = True``.
+  harness threads through.  It records only while enabled: the run
+  ledger (:func:`repro.obs.ledger.start_run`) attaches it to the run's
+  ``spans.jsonl``, each pool worker attaches its own copy to the same
+  file, and ``repro bench run`` enables it for the bench's duration.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
-from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
+#: Field order of a recorded span tuple and the keys of a
+#: ``spans.jsonl`` row.
+SPAN_FIELDS = ("name", "start_ns", "dur_ns", "self_ns", "cell", "pid")
 
-@dataclass
-class SectionStats:
-    """Accumulated timings of one named section."""
 
-    calls: int = 0
-    total_ns: int = 0
-    child_ns: int = 0
-
-    @property
-    def exclusive_ns(self) -> int:
-        return self.total_ns - self.child_ns
-
-    def as_dict(self) -> dict[str, int]:
-        return {"calls": self.calls, "total_ns": self.total_ns,
-                "exclusive_ns": self.exclusive_ns}
+def span_row(span: tuple) -> dict:
+    """One span tuple as its ``spans.jsonl`` row."""
+    return dict(zip(SPAN_FIELDS, span))
 
 
 class _NullSection:
@@ -89,25 +85,30 @@ class SectionProfiler:
     """Nesting context-manager section timer over ``perf_counter_ns``.
 
     ``clock`` is injectable (a zero-argument callable returning integer
-    nanoseconds) so the exclusive-time arithmetic is testable without
+    nanoseconds) so the self-time arithmetic is testable without
     sleeping.
+
+    ``attach(path)`` makes the profiler write its spans to ``path``:
+    ``flush`` appends the spans popped since the last flush in one
+    ``os.write`` on an ``O_APPEND`` descriptor, so concurrent writers
+    (pool workers sharing one ``spans.jsonl``) never interleave
+    mid-line, and a crashed process loses at most the spans popped
+    since its last flush.
     """
 
     def __init__(self, enabled: bool = False,
                  clock: Callable[[], int] = time.perf_counter_ns):
         self.enabled = enabled
         self._clock = clock
-        self._sections: dict[str, SectionStats] = {}
+        #: Recorded spans in pop order (tuples in SPAN_FIELDS order).
+        self.spans: list[tuple] = []
+        #: The span file this profiler flushes to (``None``: memory only).
+        self.path: Path | None = None
         # Stack frames: [name, start_ns, child_ns_accumulated].
         self._stack: list[list] = []
-        #: Optional live observer called as ``sink(name, start_ns,
-        #: elapsed_ns)`` on every section pop.  This is how the span
-        #: recorder (:mod:`repro.obs.spans`) sees sections with the
-        #: *exact* nanoseconds the profiler accumulates, making
-        #: span-vs-profiler conservation an identity rather than an
-        #: approximation.  ``None`` (the default) costs one attribute
-        #: check per pop -- and pops only happen while enabled.
-        self.sink: Callable[[str, int, int], None] | None = None
+        self._cell: str | None = None
+        self._fd: int | None = None
+        self._flushed = 0
 
     # -- the instrumentation surface ------------------------------------
 
@@ -123,73 +124,72 @@ class SectionProfiler:
     def _pop(self) -> None:
         name, start, child_ns = self._stack.pop()
         elapsed = self._clock() - start
-        stats = self._sections.get(name)
-        if stats is None:
-            stats = self._sections[name] = SectionStats()
-        stats.calls += 1
-        stats.total_ns += elapsed
-        stats.child_ns += child_ns
+        self.spans.append((name, start, elapsed, elapsed - child_ns,
+                           self._cell, os.getpid()))
         if self._stack:
             self._stack[-1][2] += elapsed
-        if self.sink is not None:
-            self.sink(name, start, elapsed)
 
-    # -- reporting -------------------------------------------------------
+    def set_cell(self, cell_id: str | None) -> None:
+        """Stamp subsequently *popped* sections with ``cell_id``.
 
-    def stats(self) -> dict[str, SectionStats]:
-        """Accumulated per-section stats (live references)."""
-        return dict(self._sections)
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        """JSON-safe ``{section: {calls, total_ns, exclusive_ns}}``."""
-        return {name: stats.as_dict()
-                for name, stats in sorted(self._sections.items())}
-
-    def reset(self) -> None:
-        """Drop all accumulated sections (open sections keep running)."""
-        self._sections.clear()
-
-    def render(self, title: str | None = None) -> str:
-        """ASCII table sorted by exclusive time, biggest first.
-
-        Alongside the raw nanoseconds each row shows human-readable
-        seconds and the section's share of the total exclusive time, so
-        a ``REPRO_PROFILE`` report answers "where did the wall-clock
-        go?" without mental unit conversion.
+        The harness sets it around each cell's lifecycle, so
+        ``store.get`` or ``harness.simulate`` spans attribute to the
+        cell they served.
         """
-        lines = [title] if title else []
-        ordered = sorted(self._sections.items(),
-                         key=lambda item: -item[1].exclusive_ns)
-        if not ordered:
-            lines.append("(no sections recorded)")
-            return "\n".join(lines)
-        exclusive_sum = sum(stats.exclusive_ns for _, stats in ordered)
-        width = max(len(name) for name, _ in ordered)
-        lines.append(f"{'section'.ljust(width)}  {'calls':>8} "
-                     f"{'total_s':>9} {'excl_s':>9} {'excl%':>6} "
-                     f"{'total_ns':>14} {'excl_ns':>14}")
-        for name, stats in ordered:
-            share = (100.0 * stats.exclusive_ns / exclusive_sum
-                     if exclusive_sum else 0.0)
-            lines.append(
-                f"{name.ljust(width)}  {stats.calls:>8} "
-                f"{stats.total_ns / 1e9:>9.3f} "
-                f"{stats.exclusive_ns / 1e9:>9.3f} "
-                f"{share:>5.1f}% "
-                f"{stats.total_ns:>14} "
-                f"{stats.exclusive_ns:>14}")
-        return "\n".join(lines)
+        self._cell = cell_id
 
+    # -- the span file ---------------------------------------------------
 
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_PROFILE", "").lower() in (
-        "1", "true", "yes", "on")
+    def attach(self, path: str | os.PathLike) -> None:
+        """Enable and write spans to ``path`` from now on.
+
+        Drops every recorded span and the open-section stack first: a
+        forked pool worker inherits the parent's, which the parent
+        writes under its own pid, so each span is written exactly once.
+        Call it with no section of this process open.
+        """
+        if self._fd is not None:
+            os.close(self._fd)  # a forked worker's copy of the parent's
+        self.spans.clear()
+        self._stack.clear()
+        self._cell = None
+        self._fd = None
+        self._flushed = 0
+        self.path = Path(path)
+        self.enabled = True
+
+    def flush(self) -> int:
+        """Append the spans popped since the last flush to :attr:`path`.
+
+        Returns the number of spans written (0 when detached).
+        """
+        if self.path is None or self._flushed == len(self.spans):
+            return 0
+        if self._fd is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(
+                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        pending = self.spans[self._flushed:]
+        payload = "".join(json.dumps(span_row(span), sort_keys=True) + "\n"
+                          for span in pending)
+        os.write(self._fd, payload.encode("utf-8"))
+        self._flushed += len(pending)
+        return len(pending)
+
+    def detach(self) -> None:
+        """Flush, close the span file and drop the recorded spans.
+
+        After a run its spans live in its ``spans.jsonl``, not in
+        memory.  ``enabled`` is left as it is.
+        """
+        self.flush()
+        if self._fd is not None:
+            os.close(self._fd)
+        self.spans.clear()
+        self._fd = None
+        self._flushed = 0
+        self.path = None
 
 
 #: The process-wide profiler the harness and hot paths thread through.
-PROFILER = SectionProfiler(enabled=_env_enabled())
-
-
-def profile(name: str):
-    """Shorthand: a section on the module-level :data:`PROFILER`."""
-    return PROFILER.section(name)
+PROFILER = SectionProfiler()

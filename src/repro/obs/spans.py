@@ -1,29 +1,20 @@
-"""Harness span tracing: profiler sections as run-scoped spans.
+"""Harness spans: reading, rollups, cell conservation, trace merge.
 
-The section profiler (:mod:`repro.obs.profiler`) answers "where did the
-wall-clock go?" as per-process totals; this module keeps the individual
-section *instances* -- one span per push/pop pair, stamped with the
-active run/cell identity and the recording pid -- and serialises them
-next to the run ledger (:mod:`repro.obs.ledger`) as append-only JSONL.
-Spans from every process of a run (the serial harness, each pool
+The section profiler (:mod:`repro.obs.profiler`) records one span per
+timed section -- stamped with the active cell and the recording pid --
+and, inside a run (:func:`repro.obs.ledger.start_run`), flushes them
+next to the run ledger as append-only JSONL.  Spans are the only
+host-timing record: per-section totals are :func:`span_rollup` over
+them.  Spans from every process of a run (the serial harness, each pool
 worker) land in one ``spans.jsonl``, so a grid run's harness-level
 timeline can be merged with the per-cycle pipeline timelines
 (:mod:`repro.obs.timeline`) into a single Perfetto-loadable trace:
 harness spans and simulated-cycle tracks open in one viewer.
 
-Exactness contract: the recorder is installed as the profiler's *sink*,
-so every span carries the same integer nanoseconds the profiler
-accumulates into its section totals.  Span rollups therefore equal
-profiler section totals **by construction**, and
-:func:`check_span_conservation` / :func:`check_cell_conservation` turn
-that identity (plus "every covered cell is accounted to exactly one
-``harness.cell`` span") into checkable invariants, mirroring the
-counter-conservation style of :mod:`repro.obs.invariants`.
-
-Nothing here is active unless a run is started
-(:func:`repro.obs.ledger.start_run`): the profiler's sink is ``None``
-by default and costs one attribute check per section pop, which itself
-only happens while the profiler is enabled.
+:func:`check_cell_conservation` checks the spans against independent
+data, the run manifest: every covered cell is accounted to exactly one
+``harness.cell`` span, in the counter-conservation style of
+:mod:`repro.obs.invariants`.
 """
 
 from __future__ import annotations
@@ -35,98 +26,15 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.obs.invariants import Violation
+from repro.obs.timeline import metadata_events, write_chrome
 
 #: Bump when the span record shape changes.
-SPANS_SCHEMA_VERSION = 1
+SPANS_SCHEMA_VERSION = 2
 
 #: Chrome trace-event process id of the harness span track (the pipeline
 #: timeline uses pid 1, the converted event trace pid 2).
 HARNESS_PID = 3
 HARNESS_PROCESS = "repro-harness"
-
-
-class SpanRecorder:
-    """Buffers profiler sections as spans; flushes append-only JSONL.
-
-    Install with ``profiler.sink = recorder.on_section``.  ``set_cell``
-    stamps subsequently *popped* sections with a cell id (the harness
-    sets it around each cell's lifecycle, so ``store.get`` or
-    ``harness.simulate`` sections attribute to the cell they served).
-
-    ``flush`` appends the buffered spans to ``path`` in one ``os.write``
-    on an ``O_APPEND`` descriptor, so concurrent writers (pool workers
-    sharing one ``spans.jsonl``) never interleave mid-line.  A crashed
-    process loses at most the spans buffered since its last flush --
-    the file itself is always well-formed JSONL.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = Path(path)
-        self._fd: int | None = None
-        self._buffer: list[dict] = []
-        self._cell: str | None = None
-        #: Spans recorded (including already-flushed ones).
-        self.recorded = 0
-
-    # -- recording -------------------------------------------------------
-
-    def on_section(self, name: str, start_ns: int, elapsed_ns: int) -> None:
-        """Profiler sink: one popped section becomes one span."""
-        self._buffer.append({
-            "name": name, "start_ns": start_ns, "dur_ns": elapsed_ns,
-            "cell": self._cell, "pid": os.getpid(),
-        })
-        self.recorded += 1
-
-    def set_cell(self, cell_id: str | None) -> None:
-        """Stamp subsequently popped sections with ``cell_id``."""
-        self._cell = cell_id
-
-    # -- persistence -----------------------------------------------------
-
-    def flush(self) -> int:
-        """Append buffered spans to :attr:`path`; returns spans written."""
-        if not self._buffer:
-            return 0
-        if self._fd is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        payload = "".join(json.dumps(span, sort_keys=True) + "\n"
-                          for span in self._buffer)
-        os.write(self._fd, payload.encode("utf-8"))
-        written = len(self._buffer)
-        self._buffer.clear()
-        return written
-
-    def close(self) -> None:
-        self.flush()
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-
-# ----------------------------------------------------------------------
-# The process-wide active recorder (installed by ledger.start_run and by
-# pool workers attaching to a run).
-# ----------------------------------------------------------------------
-
-_ACTIVE: SpanRecorder | None = None
-
-
-def active_recorder() -> SpanRecorder | None:
-    return _ACTIVE
-
-
-def set_active_recorder(recorder: SpanRecorder | None) -> None:
-    global _ACTIVE
-    _ACTIVE = recorder
-
-
-def set_cell(cell_id: str | None) -> None:
-    """Stamp the active recorder's context; no-op when none is active."""
-    if _ACTIVE is not None:
-        _ACTIVE.set_cell(cell_id)
 
 
 # ----------------------------------------------------------------------
@@ -153,58 +61,22 @@ def read_spans(path: str | os.PathLike) -> list[dict]:
     return spans
 
 
-def span_rollup(spans: Iterable[Mapping]
-                ) -> dict[tuple[int, str], tuple[int, int]]:
-    """``{(pid, section): (count, total_ns)}`` over a span stream."""
-    counts: dict[tuple[int, str], list[int]] = defaultdict(lambda: [0, 0])
+def span_rollup(spans: Iterable[Mapping]) -> dict[str, dict[str, int]]:
+    """Per-section totals over span rows, sorted by section name.
+
+    ``{section: {calls, total_ns, exclusive_ns}}``: the span count, the
+    summed durations and the summed self times.  This is the only
+    profiler "totals" view; pass the rows of one pid for one process.
+    """
+    totals: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
     for span in spans:
-        entry = counts[(int(span.get("pid", 0)), str(span["name"]))]
+        entry = totals[str(span["name"])]
         entry[0] += 1
         entry[1] += int(span["dur_ns"])
-    return {key: (count, total) for key, (count, total) in counts.items()}
-
-
-def check_span_conservation(
-        spans: Iterable[Mapping],
-        profiles: Mapping[int, Mapping[str, Mapping[str, int]]],
-) -> list[Violation]:
-    """Span rollups must equal profiler section totals, per process.
-
-    ``profiles`` maps pid -> profiler snapshot delta (the
-    ``{section: {calls, total_ns, ...}}`` shape of
-    :meth:`repro.obs.profiler.SectionProfiler.snapshot`, baselined at
-    run start).  For every pid that recorded a profile, each section's
-    span count must equal its call count and the span nanoseconds must
-    sum exactly to the section's ``total_ns`` -- any drift means spans
-    were dropped, duplicated or mis-stamped.
-    """
-    violations: list[Violation] = []
-    rollup = span_rollup(spans)
-    for pid, sections in profiles.items():
-        pid = int(pid)
-        for name, stats in sections.items():
-            count, total = rollup.get((pid, name), (0, 0))
-            calls = int(stats.get("calls", 0))
-            total_ns = int(stats.get("total_ns", 0))
-            if count != calls:
-                violations.append(Violation(
-                    "span_profiler_conservation",
-                    f"pid {pid} section {name}: {count} spans but "
-                    f"{calls} profiler calls"))
-            elif total != total_ns:
-                violations.append(Violation(
-                    "span_profiler_conservation",
-                    f"pid {pid} section {name}: span total {total}ns "
-                    f"but profiler total {total_ns}ns"))
-        # Spans for sections absent from the profile mean the profile
-        # snapshot missed pops (flush-ordering bug).
-        for (span_pid, name), (count, _) in rollup.items():
-            if span_pid == pid and name not in sections:
-                violations.append(Violation(
-                    "span_profiler_conservation",
-                    f"pid {pid}: {count} spans for section {name} "
-                    f"missing from the profiler snapshot"))
-    return violations
+        entry[2] += int(span["self_ns"])
+    return {name: {"calls": calls, "total_ns": total,
+                   "exclusive_ns": exclusive}
+            for name, (calls, total, exclusive) in sorted(totals.items())}
 
 
 def check_cell_conservation(ledger_records: Iterable[Mapping],
@@ -273,15 +145,8 @@ def spans_to_chrome(spans: Iterable[Mapping]) -> list[dict]:
         if pid not in starts or start < starts[pid]:
             starts[pid] = start
     tids = {pid: index + 1 for index, pid in enumerate(sorted(starts))}
-    out = [{"ph": "M", "pid": HARNESS_PID, "name": "process_name",
-            "args": {"name": HARNESS_PROCESS}}]
-    for pid, tid in tids.items():
-        out.append({"ph": "M", "pid": HARNESS_PID, "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": f"pid {pid}"}})
-        out.append({"ph": "M", "pid": HARNESS_PID, "tid": tid,
-                    "name": "thread_sort_index",
-                    "args": {"sort_index": tid}})
+    out = metadata_events(HARNESS_PID, HARNESS_PROCESS,
+                          {f"pid {pid}": tid for pid, tid in tids.items()})
     timed = []
     for span in spans:
         pid = int(span.get("pid", 0))
@@ -319,18 +184,11 @@ def merge_run_trace(run_dir: str | os.PathLike,
             continue
         events.extend(payload.get("traceEvents", []))
         sources.append(timeline_path.name)
-    out_path = Path(out_path)
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "metadata": {
-            "tool": "repro.obs.spans",
-            "run_dir": str(run_dir),
-            "sources": sources,
-            "time_unit": ("harness pid 3: 1 trace us == 1 host us; "
-                          "pipeline pid 1: 1 trace us == 1 simulated "
-                          "cycle"),
-        },
-    }
-    out_path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    return out_path
+    return write_chrome(out_path, events, {
+        "tool": "repro.obs.spans",
+        "run_dir": str(run_dir),
+        "sources": sources,
+        "time_unit": ("harness pid 3: 1 trace us == 1 host us; "
+                      "pipeline pid 1: 1 trace us == 1 simulated "
+                      "cycle"),
+    })

@@ -49,7 +49,7 @@ EVENT_TRACE_PROCESS = "repro-event-trace"
 EVENT_TRACE_TRACKS = {"btb": 1, "sbb": 2, "sbd": 3, "resteer": 4}
 
 
-def _metadata_events(pid: int, process: str,
+def metadata_events(pid: int, process: str,
                      tracks: dict[str, int]) -> list[dict]:
     """Chrome ``M`` events naming the process and its tracks."""
     events = [{"ph": "M", "pid": pid, "name": "process_name",
@@ -61,6 +61,20 @@ def _metadata_events(pid: int, process: str,
                        "name": "thread_sort_index",
                        "args": {"sort_index": tid}})
     return events
+
+
+def write_chrome(path: str | Path, events: list[dict],
+                 metadata: dict) -> Path:
+    """Write one Chrome trace-event JSON file (every Perfetto export).
+
+    Shared by the pipeline timeline, the event-trace conversion and the
+    run-trace merge of :mod:`repro.obs.spans`.
+    """
+    path = Path(path)
+    payload = {"traceEvents": events, "displayTimeUnit": "ms",
+               "metadata": metadata}
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    return path
 
 
 class TimelineRecorder:
@@ -117,7 +131,7 @@ class TimelineRecorder:
         per-track clocks interleave (the SBD track follows prefetch
         completion, which is not globally ordered).
         """
-        out = _metadata_events(PIPELINE_PID, PIPELINE_PROCESS, TRACKS)
+        out = metadata_events(PIPELINE_PID, PIPELINE_PROCESS, TRACKS)
         timed = []
         for phase, track, name, ts, dur, args in self._events:
             event = {"ph": phase, "pid": PIPELINE_PID,
@@ -135,19 +149,12 @@ class TimelineRecorder:
 
     def to_chrome(self, path: str | Path) -> Path:
         """Write a self-contained Chrome trace-event JSON file."""
-        path = Path(path)
-        payload = {
-            "traceEvents": self.chrome_events(),
-            "displayTimeUnit": "ms",
-            "metadata": {
-                "tool": "repro.obs.timeline",
-                "time_unit": "1 trace us == 1 simulated cycle",
-                "emitted": self.emitted,
-                "dropped": self.dropped,
-            },
-        }
-        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-        return path
+        return write_chrome(path, self.chrome_events(), {
+            "tool": "repro.obs.timeline",
+            "time_unit": "1 trace us == 1 simulated cycle",
+            "emitted": self.emitted,
+            "dropped": self.dropped,
+        })
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +201,7 @@ def chrome_from_trace_events(events: Iterable[dict]) -> list[dict]:
             chrome["args"] = args
         timed.append(chrome)
     timed.sort(key=lambda event: event["ts"])
-    out.extend(_metadata_events(EVENT_TRACE_PID, EVENT_TRACE_PROCESS,
+    out.extend(metadata_events(EVENT_TRACE_PID, EVENT_TRACE_PROCESS,
                                 tracks))
     out.extend(timed)
     return out
@@ -225,12 +232,7 @@ def chrome_from_jsonl(in_path: str | Path, out_path: str | Path) -> Path:
                 f"dropped events; the converted timeline is truncated "
                 f"(re-dump with a larger trace capacity)",
                 DroppedEventsWarning, stacklevel=2)
-    payload = {
-        "traceEvents": chrome_from_trace_events(events),
-        "displayTimeUnit": "ms",
-        "metadata": {"tool": "repro.obs.timeline",
-                     "source": str(in_path),
-                     "time_unit": "1 trace us == 1 trace sequence number"},
-    }
-    out_path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-    return out_path
+    return write_chrome(out_path, chrome_from_trace_events(events), {
+        "tool": "repro.obs.timeline",
+        "source": str(in_path),
+        "time_unit": "1 trace us == 1 trace sequence number"})

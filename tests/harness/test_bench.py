@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -17,14 +18,25 @@ from repro.harness.bench import (
     run_bench,
 )
 from repro.harness.scale import Scale
+from repro.obs import ledger as ledger_mod
+from repro.obs.profiler import PROFILER, span_row
+from repro.obs.spans import read_spans, span_rollup
 
 TINY = Scale("tiny", records=3_000, warmup=800)
 
 
 @pytest.fixture(scope="module")
-def bench_run(tmp_path_factory):
+def bench_recorded(tmp_path_factory):
+    """An unledgered bench run plus the spans it left in memory."""
     out = tmp_path_factory.mktemp("bench") / "BENCH_test.json"
+    first = len(PROFILER.spans)
     payload, path = run_bench(TINY, workloads=("noop",), out=out)
+    return payload, path, [span_row(span) for span in PROFILER.spans[first:]]
+
+
+@pytest.fixture(scope="module")
+def bench_run(bench_recorded):
+    payload, path, _ = bench_recorded
     return payload, path
 
 
@@ -106,6 +118,27 @@ class TestRun:
         payload, path = bench_run
         assert load_bench(path) == json.loads(json.dumps(payload))
         assert not path.with_name(path.name + ".tmp").exists()
+
+    def test_profiler_block_is_rollup_of_memory_spans(self, bench_recorded):
+        # REPRO_LEDGER=0 (the suite default): the block rolls up the
+        # in-memory spans the bench recorded, the only timing record.
+        payload, _, rows = bench_recorded
+        assert rows
+        assert payload["profiler"] == span_rollup(rows)
+
+    def test_profiler_block_is_rollup_of_ledger_spans(self, tmp_path,
+                                                      monkeypatch):
+        # Under a run ledger the same block rolls up the run's
+        # spans.jsonl rows for this process.
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_NO_PROGRESS", "1")
+        with ledger_mod.start_run("bench run", root=tmp_path) as ledger:
+            payload, _ = run_bench(TINY, workloads=("noop",),
+                                   out=tmp_path / "BENCH_ledger.json")
+        rows = [span for span in read_spans(ledger.spans_path)
+                if span["pid"] == os.getpid()]
+        assert payload["profiler"] == span_rollup(rows)
+        assert payload["profiler"]["trace.compile"]["calls"] == 2
 
     def test_profiler_restored_after_run(self, bench_run):
         from repro.obs.profiler import PROFILER

@@ -8,14 +8,16 @@ layer:
 * serial and parallel manifests are **semantically identical** once
   normalised (ordering and host-specific fields aside): same cell ids,
   same lifecycle phases, same outcomes;
-* span rollups equal profiler section totals and the ``harness.cell``
-  span population covers exactly the spanned terminal cells, in both
-  modes (the conservation invariants of :mod:`repro.obs.spans`).
+* ``spans.jsonl`` holds every span the profiler recorded exactly once,
+  under the pid that timed it, and the ``harness.cell`` span population
+  covers exactly the spanned terminal cells, in both modes (the
+  cell-conservation invariant of :mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
 
-import json
+import os
+from collections import Counter
 
 import pytest
 
@@ -24,8 +26,8 @@ from repro.harness.parallel import Cell
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.obs import ledger as ledger_mod
-from repro.obs.spans import (check_cell_conservation,
-                             check_span_conservation, read_spans)
+from repro.obs.profiler import PROFILER, span_row
+from repro.obs.spans import check_cell_conservation, read_spans
 from repro.workloads.cache import WorkloadCache
 
 TINY = Scale("test", records=6_000, warmup=2_000)
@@ -51,7 +53,9 @@ def _ledgered_run(tmp_path, monkeypatch, jobs: int):
                                   store=None)
         stats = runner.run_cells(GRID, jobs=jobs)
         run_dir = ledger.run_dir
-    return stats, run_dir
+        # This process's spans, before the run's end flushes them.
+        parent_spans = [span_row(span) for span in PROFILER.spans]
+    return stats, run_dir, parent_spans
 
 
 @pytest.fixture(scope="module")
@@ -79,18 +83,10 @@ def _normalised_cells(run_dir):
     return out
 
 
-def _profiles(run_dir):
-    profiles = {}
-    for path in run_dir.glob("profile-*.json"):
-        pid = int(path.stem.rsplit("-", 1)[1])
-        profiles[pid] = json.loads(path.read_text(encoding="utf-8"))
-    return profiles
-
-
 class TestCompleteness:
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_every_cell_terminal(self, ledgered_runs, mode):
-        _, run_dir = ledgered_runs[mode]
+        _, run_dir, _ = ledgered_runs[mode]
         summary = _summary(run_dir)
         assert len(summary.cells) == len(GRID)
         assert summary.incomplete == []
@@ -98,30 +94,30 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_all_cells_simulated(self, ledgered_runs, mode):
-        _, run_dir = ledgered_runs[mode]
+        _, run_dir, _ = ledgered_runs[mode]
         assert _summary(run_dir).results() == {"simulated": len(GRID)}
 
     def test_parallel_run_heartbeats(self, ledgered_runs):
-        _, run_dir = ledgered_runs["parallel"]
+        _, run_dir, _ = ledgered_runs["parallel"]
         assert _summary(run_dir).heartbeat_pids
 
 
 class TestSerialParallelAgreement:
     def test_stats_bit_identical(self, ledgered_runs):
-        serial_stats, _ = ledgered_runs["serial"]
-        parallel_stats, _ = ledgered_runs["parallel"]
+        serial_stats, _, _ = ledgered_runs["serial"]
+        parallel_stats, _, _ = ledgered_runs["parallel"]
         assert serial_stats == parallel_stats
 
     def test_manifests_semantically_identical(self, ledgered_runs):
-        _, serial_dir = ledgered_runs["serial"]
-        _, parallel_dir = ledgered_runs["parallel"]
+        _, serial_dir, _ = ledgered_runs["serial"]
+        _, parallel_dir, _ = ledgered_runs["parallel"]
         assert (_normalised_cells(serial_dir)
                 == _normalised_cells(parallel_dir))
 
     def test_grid_shape_recorded_identically(self, ledgered_runs):
         shapes = []
         for mode in ("serial", "parallel"):
-            _, run_dir = ledgered_runs[mode]
+            _, run_dir, _ = ledgered_runs[mode]
             summary = _summary(run_dir)
             shapes.append((summary.grid_cells, summary.group_cells))
         assert shapes[0][0] == shapes[1][0] == len(GRID)
@@ -133,20 +129,34 @@ class TestSerialParallelAgreement:
 class TestConservation:
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_span_profiler_conservation(self, ledgered_runs, mode):
-        _, run_dir = ledgered_runs[mode]
+        # The run's file holds exactly what this process's profiler
+        # recorded: nothing dropped, duplicated or re-stamped.
+        _, run_dir, parent_spans = ledgered_runs[mode]
         spans = read_spans(run_dir / "spans.jsonl")
-        profiles = _profiles(run_dir)
-        assert spans and profiles
-        assert check_span_conservation(spans, profiles) == []
+        assert parent_spans
+        assert [span for span in spans
+                if span["pid"] == os.getpid()] == parent_spans
+
+    @pytest.mark.parametrize("mode", ["serial", "parallel"])
+    def test_spans_written_once(self, ledgered_runs, mode):
+        # Forked workers inherit the parent's unflushed spans; only the
+        # parent may write them, so no (pid, name, start) repeats.
+        _, run_dir, _ = ledgered_runs[mode]
+        spans = read_spans(run_dir / "spans.jsonl")
+        records = ledger_mod.read_manifest(run_dir / "manifest.jsonl")
+        repeats = Counter((span["pid"], span["name"], span["start_ns"])
+                          for span in spans)
+        assert max(repeats.values()) == 1
+        assert check_cell_conservation(records, spans) == []
 
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_span_cell_conservation(self, ledgered_runs, mode):
-        _, run_dir = ledgered_runs[mode]
+        _, run_dir, _ = ledgered_runs[mode]
         records = ledger_mod.read_manifest(run_dir / "manifest.jsonl")
         spans = read_spans(run_dir / "spans.jsonl")
         assert check_cell_conservation(records, spans) == []
 
     def test_parallel_spans_from_multiple_processes(self, ledgered_runs):
-        _, run_dir = ledgered_runs["parallel"]
+        _, run_dir, _ = ledgered_runs["parallel"]
         spans = read_spans(run_dir / "spans.jsonl")
         assert len({span["pid"] for span in spans}) >= 2

@@ -7,14 +7,13 @@ Covers the contract points of :mod:`repro.obs.ledger`:
 * ``summarize`` folds lifecycle records into per-cell states with exact
   terminal/incomplete detection;
 * ``start_run`` installs and fully restores the process telemetry
-  (active ledger, span sink, profiler enablement), and is inert when
-  disabled;
+  (active ledger, the profiler's span file, profiler enablement), and
+  is inert when disabled;
 * straggler flagging is pure median arithmetic over ledger walls.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -119,15 +118,6 @@ class TestManifest:
         path = ledger.timeline_path("voter+bolt:s0:ab/..cd")
         assert path.name == "timeline-voter+bolt_s0_ab_..cd.json"
 
-    def test_write_profile_is_loadable(self, tmp_path):
-        ledger = RunLedger.create("x", root=tmp_path)
-        snapshot = {"harness.cell": {"calls": 2, "total_ns": 10,
-                                     "exclusive_ns": 4}}
-        ledger.write_profile(snapshot)
-        ledger.close()
-        loaded = json.loads(ledger.profile_path().read_text())
-        assert loaded == snapshot
-
 
 class TestCellIdentity:
     def test_stable_across_equal_configs(self):
@@ -229,22 +219,22 @@ class TestStartRun:
         with start_run("t", root=tmp_path) as ledger:
             assert active_ledger() is ledger
             assert PROFILER.enabled is True
-            assert PROFILER.sink is not None
-            assert spans_mod.active_recorder() is not None
+            assert PROFILER.path == ledger.spans_path
             with PROFILER.section("t.section"):
                 pass
         assert active_ledger() is None
-        assert spans_mod.active_recorder() is None
-        assert PROFILER.sink is None
+        assert PROFILER.path is None
+        assert PROFILER.spans == []
         assert PROFILER.enabled is previous_enabled
         records = read_manifest(ledger.manifest_path)
         assert records[-1]["kind"] == "finish"
         assert records[-1]["status"] == "complete"
-        # checkpoint_telemetry ran: the section is on disk in both forms.
+        # The run's end flushed the section to its span file, the only
+        # artifact besides the manifest.
         spans = spans_mod.read_spans(ledger.spans_path)
-        assert any(s["name"] == "t.section" for s in spans)
-        profile = json.loads(ledger.profile_path().read_text())
-        assert profile["t.section"]["calls"] == 1
+        assert [s["name"] for s in spans] == ["t.section"]
+        assert sorted(p.name for p in ledger.run_dir.iterdir()) == [
+            "manifest.jsonl", "spans.jsonl"]
 
     def test_disabled_by_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", "0")
@@ -277,9 +267,10 @@ class TestStartRun:
                                 os.getpid() + 1)
             assert active_ledger() is None
 
-    def test_profile_delta_is_baselined(self, tmp_path, enabled_ledger):
-        # Sections accumulated *before* the run must not leak into the
-        # run's profile delta (fork inheritance / prior CLI commands).
+    def test_run_spans_exclude_earlier_sections(self, tmp_path,
+                                                enabled_ledger):
+        # Sections recorded *before* the run must not leak into the
+        # run's span file (fork inheritance / prior CLI commands).
         previous_enabled = PROFILER.enabled
         PROFILER.enabled = True
         try:
@@ -290,9 +281,8 @@ class TestStartRun:
                     pass
         finally:
             PROFILER.enabled = previous_enabled
-        profile = json.loads(ledger.profile_path().read_text())
-        assert "t.during" in profile
-        assert "t.before" not in profile
+        names = [s["name"] for s in spans_mod.read_spans(ledger.spans_path)]
+        assert names == ["t.during"]
 
 
 class TestFlagStragglers:

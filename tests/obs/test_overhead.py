@@ -1,7 +1,8 @@
 """Instrumentation overhead guard.
 
 Prevents accidental always-on instrumentation: a default-config run must
-attach no trace, timeline or profiler sections (the structural guard),
+attach no trace or timeline and record no profiler spans (the
+structural guard),
 and fully-enabled instrumentation must stay within a small factor of the
 untraced run (the cost guard).  If timeline/trace emission ever stops
 being gated behind the ``None`` checks, the structural assertions fail
@@ -13,7 +14,7 @@ import time
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.obs import EventTrace, TimelineRecorder
-from repro.obs.profiler import PROFILER
+from repro.obs.profiler import _NULL, PROFILER
 
 #: Enabled instrumentation may cost at most this factor over untraced.
 MAX_OVERHEAD_FACTOR = 4.0
@@ -50,12 +51,14 @@ class TestStructuralGuard:
     def test_default_run_records_no_profiler_sections(self, micro_program,
                                                       micro_trace):
         # The module-level profiler is threaded through the SBD memo
-        # misses; with REPRO_PROFILE unset it must collect nothing.
+        # misses; outside a run ledger or bench it must record nothing,
+        # and every section is the one shared no-op.
         assert PROFILER.enabled is False
-        before = dict(PROFILER.stats())
+        assert PROFILER.section("sbd.head_decode") is _NULL
+        before = list(PROFILER.spans)
         simulator = FrontEndSimulator(micro_program, _config())
         simulator.run(micro_trace[:2_000], warmup=500)
-        assert PROFILER.stats() == before
+        assert PROFILER.spans == before
 
     def test_record_timeline_flag_defaults_off(self):
         assert FrontEndConfig().record_timeline is False
@@ -64,16 +67,13 @@ class TestStructuralGuard:
         assert FrontEndConfig().interval_size == 0
 
     def test_default_run_has_no_ledger_telemetry(self):
-        # Telemetry-off is structural: no active ledger, no span sink.
-        # The harness consults active_ledger() once per *cell* and the
-        # profiler sink once per section pop (itself gated on
-        # PROFILER.enabled), so nothing rides the per-record hot path.
-        from repro.obs import spans as spans_mod
+        # Telemetry-off is structural: no active ledger and no span
+        # file.  The harness consults active_ledger() once per *cell*,
+        # so nothing rides the per-record hot path.
         from repro.obs.ledger import active_ledger
 
         assert active_ledger() is None
-        assert spans_mod.active_recorder() is None
-        assert PROFILER.sink is None
+        assert PROFILER.path is None
 
 
 class TestCostGuard:

@@ -1,8 +1,10 @@
-"""Section profiler: nesting, exclusive-time math, disabled path."""
+"""Section profiler: nesting, self-time math, disabled path, span file."""
 
 import json
+import os
 
-from repro.obs.profiler import PROFILER, SectionProfiler, profile
+from repro.obs.profiler import PROFILER, SectionProfiler, span_row
+from repro.obs.spans import read_spans, span_rollup
 
 
 class FakeClock:
@@ -23,15 +25,23 @@ def make() -> tuple[SectionProfiler, FakeClock]:
     return SectionProfiler(enabled=True, clock=clock), clock
 
 
+def rollup(profiler: SectionProfiler) -> dict:
+    return span_rollup(map(span_row, profiler.spans))
+
+
+def self_ns(profiler: SectionProfiler, name: str) -> list[int]:
+    return [span_row(span)["self_ns"] for span in profiler.spans
+            if span[0] == name]
+
+
 class TestNesting:
     def test_flat_section(self):
         profiler, clock = make()
         with profiler.section("a"):
             clock.advance(100)
-        stats = profiler.stats()["a"]
-        assert stats.calls == 1
-        assert stats.total_ns == 100
-        assert stats.exclusive_ns == 100
+        assert profiler.spans == [("a", 0, 100, 100, None, os.getpid())]
+        assert rollup(profiler)["a"] == {"calls": 1, "total_ns": 100,
+                                         "exclusive_ns": 100}
 
     def test_child_time_is_excluded_from_parent(self):
         profiler, clock = make()
@@ -40,12 +50,13 @@ class TestNesting:
             with profiler.section("child"):
                 clock.advance(70)
             clock.advance(20)
-        parent = profiler.stats()["parent"]
-        child = profiler.stats()["child"]
-        assert parent.total_ns == 100
-        assert parent.exclusive_ns == 30
-        assert child.total_ns == 70
-        assert child.exclusive_ns == 70
+        assert self_ns(profiler, "parent") == [30]
+        assert self_ns(profiler, "child") == [70]
+        totals = rollup(profiler)
+        assert totals["parent"]["total_ns"] == 100
+        assert totals["parent"]["exclusive_ns"] == 30
+        assert totals["child"]["total_ns"] == 70
+        assert totals["child"]["exclusive_ns"] == 70
 
     def test_siblings_both_subtract(self):
         profiler, clock = make()
@@ -55,7 +66,8 @@ class TestNesting:
             with profiler.section("b"):
                 clock.advance(50)
             clock.advance(10)
-        assert profiler.stats()["p"].exclusive_ns == 10
+        assert self_ns(profiler, "p") == [10]
+        assert rollup(profiler)["p"]["exclusive_ns"] == 10
 
     def test_exclusive_times_sum_to_wall_clock(self):
         profiler, clock = make()
@@ -64,8 +76,10 @@ class TestNesting:
             for _ in range(3):
                 with profiler.section("inner"):
                     clock.advance(11)
-        total_exclusive = sum(stats.exclusive_ns
-                              for stats in profiler.stats().values())
+        assert sum(span_row(span)["self_ns"]
+                   for span in profiler.spans) == clock.now
+        total_exclusive = sum(stats["exclusive_ns"]
+                              for stats in rollup(profiler).values())
         assert total_exclusive == clock.now
 
     def test_calls_accumulate(self):
@@ -73,8 +87,8 @@ class TestNesting:
         for _ in range(5):
             with profiler.section("s"):
                 clock.advance(1)
-        assert profiler.stats()["s"].calls == 5
-        assert profiler.stats()["s"].total_ns == 5
+        assert rollup(profiler)["s"]["calls"] == 5
+        assert rollup(profiler)["s"]["total_ns"] == 5
 
 
 class TestDisabled:
@@ -82,19 +96,16 @@ class TestDisabled:
         profiler = SectionProfiler(enabled=False)
         with profiler.section("x"):
             pass
-        assert profiler.stats() == {}
+        assert profiler.spans == []
 
     def test_disabled_returns_shared_noop(self):
         profiler = SectionProfiler(enabled=False)
         assert profiler.section("a") is profiler.section("b")
 
     def test_module_profiler_disabled_by_default(self):
-        # REPRO_PROFILE is not set in the test environment; the global
-        # instrumentation in the SBD/store/runner must be inert.
+        # Only the run ledger and bench_run turn the global profiler on;
+        # the instrumentation in the SBD/store/runner must be inert.
         assert PROFILER.enabled is False
-
-    def test_profile_shorthand_targets_module_profiler(self):
-        assert profile("anything") is PROFILER.section("anything")
 
 
 class TestReporting:
@@ -104,28 +115,43 @@ class TestReporting:
             clock.advance(2)
         with profiler.section("a"):
             clock.advance(1)
-        snapshot = profiler.snapshot()
-        assert list(snapshot) == ["a", "b"]
-        assert json.loads(json.dumps(snapshot)) == snapshot
-        assert snapshot["b"] == {"calls": 1, "total_ns": 2,
-                                 "exclusive_ns": 2}
+        totals = rollup(profiler)
+        assert list(totals) == ["a", "b"]
+        assert json.loads(json.dumps(totals)) == totals
+        assert totals["b"] == {"calls": 1, "total_ns": 2,
+                               "exclusive_ns": 2}
 
-    def test_render_sorted_by_exclusive(self):
+    def test_reset(self, tmp_path):
+        # Detaching ends a run: its spans live in the file, not memory.
         profiler, clock = make()
-        with profiler.section("small"):
-            clock.advance(10)
-        with profiler.section("big"):
-            clock.advance(1000)
-        text = profiler.render(title="profile")
-        assert text.index("big") < text.index("small")
-        assert "profile" in text and "calls" in text
-
-    def test_render_empty(self):
-        assert "no sections" in SectionProfiler(enabled=True).render()
-
-    def test_reset(self):
-        profiler, clock = make()
+        profiler.attach(tmp_path / "spans.jsonl")
         with profiler.section("x"):
             clock.advance(1)
-        profiler.reset()
-        assert profiler.stats() == {}
+        profiler.detach()
+        assert profiler.spans == []
+        assert profiler.path is None
+        assert [row["name"] for row in read_spans(tmp_path / "spans.jsonl")
+                ] == ["x"]
+
+
+class TestAttach:
+    def test_worker_attach_drops_inherited_spans(self, tmp_path):
+        # A forked pool worker inherits the parent's recorded spans and
+        # its still-open sections; attaching must drop both, so every
+        # span is written once, by the process that timed it.
+        profiler, clock = make()
+        with profiler.section("parent.done"):
+            clock.advance(3)
+        outer = profiler.section("parent.open")
+        outer.__enter__()
+        clock.advance(5)
+        profiler.set_cell("parent-cell")
+        profiler.attach(tmp_path / "spans.jsonl")
+        assert profiler.spans == []
+        assert profiler._stack == []
+        with profiler.section("worker"):
+            clock.advance(7)
+        assert profiler.spans == [("worker", 8, 7, 7, None, os.getpid())]
+        assert profiler.flush() == 1
+        assert [row["name"] for row in read_spans(tmp_path / "spans.jsonl")
+                ] == ["worker"]
