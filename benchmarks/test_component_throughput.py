@@ -17,6 +17,7 @@ from repro.frontend.predictor import ITTageLite, TageLite
 from repro.isa.decoder import Decoder, decode_at
 from repro.isa.encoder import Encoder
 from repro.workloads.codegen import ProgramGenerator
+from repro.workloads.profiles import get_profile
 from repro.workloads.trace import TraceGenerator
 from tests.conftest import MICRO_PROFILE
 
@@ -79,6 +80,16 @@ def test_encoder_throughput(benchmark):
                 encoder.filler(rng, length)
 
     benchmark(encode_batch)
+
+
+def test_program_generation_throughput(benchmark):
+    """One full-size program (voter, about 160k filler instructions):
+    filler encoding, CFG construction and layout, as a cold set-up pays
+    them once per workload."""
+    profile = get_profile("voter")
+    program = benchmark.pedantic(
+        lambda: ProgramGenerator(profile).generate(), rounds=2, iterations=1)
+    assert program.size > 0
 
 
 def test_tage_throughput(benchmark):

@@ -18,6 +18,7 @@ addresses are known.
 from __future__ import annotations
 
 import random
+from typing import Callable, Sequence
 
 from repro.isa.branch import BranchKind
 from repro.isa.instruction import Instruction
@@ -38,27 +39,77 @@ def _modrm(mod: int, reg: int, rm: int) -> int:
     return ((mod & 3) << 6) | ((reg & 7) << 3) | (rm & 7)
 
 
-def _rand_reg(rng: random.Random) -> int:
-    return rng.randrange(8)
+# ----------------------------------------------------------------------
+# Draws.  Every helper takes ``g = rng.getrandbits`` and consumes the
+# Mersenne-Twister stream exactly as the ``random.Random`` method it
+# stands for (CPython's ``_randbelow_with_getrandbits``: draw
+# ``n.bit_length()`` bits, redraw until below ``n``), so programs are
+# the same bytes either way; only the wrapper frames of ``randrange``,
+# ``choice`` and ``_randbelow`` are gone.  The fixed-range helpers
+# inline that loop with their constant bit count.
+# ----------------------------------------------------------------------
+
+def randbelow(g: Callable[[int], int], n: int) -> int:
+    """``rng.randrange(n)``; ``n`` must be positive.
+
+    ``randbelow(g, 256)`` is a 9-bit draw with rejection, and
+    ``randbelow(g, 1)`` redraws one bit until it is 0, as in CPython.
+    """
+    k = n.bit_length()
+    r = g(k)
+    while r >= n:
+        r = g(k)
+    return r
 
 
-def _rand_rm_not4(rng: random.Random) -> int:
-    """An rm field that selects no SIB byte (anything but 4)."""
-    rm = rng.randrange(7)
-    return rm if rm < 4 else rm + 1
+def choice(g: Callable[[int], int], options: Sequence):
+    """``rng.choice(options)`` for a non-empty ``options``."""
+    return options[randbelow(g, len(options))]
 
 
-def _rand_imm(rng: random.Random, width: int) -> bytes:
-    return bytes(rng.randrange(256) for _ in range(width))
+def _reg(g: Callable[[int], int]) -> int:
+    """``rng.randrange(8)``: a 4-bit draw, redrawn while >= 8."""
+    r = g(4)
+    while r >= 8:
+        r = g(4)
+    return r
 
 
-def _rand_sib(rng: random.Random, allow_base5: bool = False) -> int:
-    """A random SIB byte; with ``allow_base5`` False the base!=5 so the
-    mod==0 disp32 special case is not triggered."""
-    while True:
-        sib = rng.randrange(256)
-        if allow_base5 or (sib & 0x7) != 5:
-            return sib
+def _rm_not4(g: Callable[[int], int]) -> int:
+    """An rm field that selects no SIB byte (anything but 4): from
+    ``rng.randrange(7)``, a 3-bit draw redrawn while 7."""
+    r = g(3)
+    while r == 7:
+        r = g(3)
+    return r if r < 4 else r + 1
+
+
+def _byte(g: Callable[[int], int]) -> int:
+    """``rng.randrange(256)``: a 9-bit draw, redrawn while >= 256."""
+    r = g(9)
+    while r >= 256:
+        r = g(9)
+    return r
+
+
+def _imm(g: Callable[[int], int], width: int) -> bytearray:
+    """``width`` bytes of ``rng.randrange(256)``."""
+    out = bytearray(width)
+    for i in range(width):
+        r = g(9)
+        while r >= 256:
+            r = g(9)
+        out[i] = r
+    return out
+
+
+def _sib(g: Callable[[int], int]) -> int:
+    """A SIB byte with base != 5, so the mod==0 disp32 special case is
+    not triggered: ``rng.randrange(256)`` redrawn while base == 5."""
+    r = g(9)
+    while r >= 256 or (r & 0x7) == 5:
+        r = g(9)
+    return r
 
 
 class Encoder:
@@ -69,25 +120,20 @@ class Encoder:
     # ------------------------------------------------------------------
 
     def filler(self, rng: random.Random, length: int) -> Instruction:
-        """A non-branch instruction of exactly ``length`` bytes."""
+        """A non-branch instruction of exactly ``length`` bytes: the
+        longest base encoding that fits, padded with prefixes."""
         if not 1 <= length <= MAX_INSTRUCTION_LENGTH:
             raise ValueError(f"filler length {length} outside 1..{MAX_INSTRUCTION_LENGTH}")
-        body = self._filler_body(rng, length)
-        prefix_count = length - len(body)
-        prefixes = bytes(rng.choice(_SAFE_PREFIXES) for _ in range(prefix_count))
-        encoding = bytearray(prefixes + body)
-        assert len(encoding) == length
-        return Instruction(encoding=encoding, mnemonic=f"filler{length}")
-
-    def _filler_body(self, rng: random.Random, length: int) -> bytes:
-        """Pick a base encoding whose length is <= ``length`` and as close
-        to it as possible (the remainder becomes prefixes)."""
-        builders = _BODY_BUILDERS_BY_LENGTH
-        for body_len in range(min(length, _MAX_BODY_LEN), 0, -1):
-            options = builders.get(body_len)
-            if options:
-                return rng.choice(options)(rng)
-        raise AssertionError("length 1 builder always exists")
+        g = rng.getrandbits
+        encoding = choice(g, _FILLER_BODIES[length])(g)
+        if len(encoding) < length:
+            encoding = bytearray([choice(g, _SAFE_PREFIXES)
+                                  for _ in range(length - len(encoding))]
+                                 ) + encoding
+        # Positional: keyword matching is a measurable share of the
+        # cost of one filler.
+        return Instruction(encoding, BranchKind.NOT_BRANCH, None, 0, 0,
+                           _FILLER_MNEMONICS[length])
 
     # ------------------------------------------------------------------
     # Direct branches
@@ -96,7 +142,7 @@ class Encoder:
     def cond_branch(self, rng: random.Random, target_label: int,
                     wide: bool = False) -> Instruction:
         """``jcc rel8`` (2B) or ``0x0F jcc rel32`` (6B)."""
-        cc = rng.randrange(16)
+        cc = randbelow(rng.getrandbits, 16)
         if wide:
             encoding = bytearray([0x0F, 0x80 + cc, 0, 0, 0, 0])
             rel_offset, rel_width = 2, 4
@@ -130,7 +176,7 @@ class Encoder:
     def ret(self, rng: random.Random, with_imm: bool = False) -> Instruction:
         """``ret`` (1B) or ``ret imm16`` (3B)."""
         if with_imm:
-            encoding = bytearray([0xC2]) + bytearray(_rand_imm(rng, 2))
+            encoding = bytearray([0xC2]) + _imm(rng.getrandbits, 2)
         else:
             encoding = bytearray([0xC3])
         return Instruction(encoding=encoding, kind=BranchKind.RETURN,
@@ -150,121 +196,134 @@ class Encoder:
 
     def _ff_group(self, rng: random.Random, reg: int, memory: bool,
                   kind: BranchKind, mnemonic: str) -> Instruction:
+        g = rng.getrandbits
         if memory:
             # mod=2 rm!=4: FF /reg [reg+disp32] -> 6 bytes.
-            modrm = _modrm(2, reg, _rand_rm_not4(rng))
-            encoding = bytearray([0xFF, modrm]) + bytearray(_rand_imm(rng, 4))
+            modrm = _modrm(2, reg, _rm_not4(g))
+            encoding = bytearray([0xFF, modrm]) + _imm(g, 4)
         else:
-            modrm = _modrm(3, reg, _rand_reg(rng))
+            modrm = _modrm(3, reg, _reg(g))
             encoding = bytearray([0xFF, modrm])
         return Instruction(encoding=encoding, kind=kind, mnemonic=mnemonic)
 
 
 # ----------------------------------------------------------------------
-# Filler body builders, grouped by exact encoded length.
+# Filler body builders, grouped by exact encoded length.  Each takes
+# ``g = rng.getrandbits``; draws happen in argument order.
 # ----------------------------------------------------------------------
 
-def _body_1(rng: random.Random) -> bytes:
-    return bytes([rng.choice(_ONE_BYTE_OPS)])
+_IMM8_OPS = (0x04, 0x0C, 0x24, 0x2C, 0x34, 0x3C, 0xA8, 0x6A, 0xB0, 0xB3, 0xB7)
+_ESCAPE_OPS = (0xB6, 0xB7, 0xBE, 0xBF, 0xAF, 0x1F)
+_MOFFS_OPS = (0xA0, 0xA1, 0xA2, 0xA3)
 
 
-def _body_2_imm8(rng: random.Random) -> bytes:
-    op = rng.choice((0x04, 0x0C, 0x24, 0x2C, 0x34, 0x3C, 0xA8, 0x6A,
-                     0xB0, 0xB3, 0xB7))
-    return bytes([op]) + _rand_imm(rng, 1)
+def _body_1(g) -> bytearray:
+    return bytearray([choice(g, _ONE_BYTE_OPS)])
 
 
-def _body_2_modrm_reg(rng: random.Random) -> bytes:
-    op = rng.choice(_MODRM_OPS)
-    return bytes([op, _modrm(3, _rand_reg(rng), _rand_reg(rng))])
+def _body_2_imm8(g) -> bytearray:
+    return bytearray([choice(g, _IMM8_OPS), _byte(g)])
 
 
-def _body_3_modrm_disp8(rng: random.Random) -> bytes:
-    op = rng.choice(_MODRM_OPS)
-    return bytes([op, _modrm(1, _rand_reg(rng), _rand_rm_not4(rng))]) + _rand_imm(rng, 1)
+def _body_2_modrm_reg(g) -> bytearray:
+    return bytearray([choice(g, _MODRM_OPS), _modrm(3, _reg(g), _reg(g))])
 
 
-def _body_3_grp1_imm8(rng: random.Random) -> bytes:
-    return bytes([0x83, _modrm(3, rng.randrange(8), _rand_reg(rng))]) + _rand_imm(rng, 1)
+def _body_3_modrm_disp8(g) -> bytearray:
+    return bytearray([choice(g, _MODRM_OPS), _modrm(1, _reg(g), _rm_not4(g)),
+                      _byte(g)])
 
 
-def _body_3_escape_modrm(rng: random.Random) -> bytes:
-    op = rng.choice((0xB6, 0xB7, 0xBE, 0xBF, 0xAF, 0x1F))
-    return bytes([0x0F, op, _modrm(3, _rand_reg(rng), _rand_reg(rng))])
+def _body_3_grp1_imm8(g) -> bytearray:
+    return bytearray([0x83, _modrm(3, _reg(g), _reg(g)), _byte(g)])
 
 
-def _body_4_modrm_sib_disp8(rng: random.Random) -> bytes:
-    op = rng.choice(_MODRM_OPS)
-    return bytes([op, _modrm(1, _rand_reg(rng), 4), _rand_sib(rng)]) + _rand_imm(rng, 1)
+def _body_3_escape_modrm(g) -> bytearray:
+    return bytearray([0x0F, choice(g, _ESCAPE_OPS),
+                      _modrm(3, _reg(g), _reg(g))])
 
 
-def _body_4_escape_disp8(rng: random.Random) -> bytes:
-    op = rng.choice((0xB6, 0xB7, 0xBE, 0xBF, 0xAF, 0x1F))
-    return bytes([0x0F, op, _modrm(1, _rand_reg(rng), _rand_rm_not4(rng))]) + _rand_imm(rng, 1)
+def _body_4_modrm_sib_disp8(g) -> bytearray:
+    return bytearray([choice(g, _MODRM_OPS), _modrm(1, _reg(g), 4), _sib(g),
+                      _byte(g)])
 
 
-def _body_5_mov_imm32(rng: random.Random) -> bytes:
-    return bytes([0xB8 + _rand_reg(rng)]) + _rand_imm(rng, 4)
+def _body_4_escape_disp8(g) -> bytearray:
+    return bytearray([0x0F, choice(g, _ESCAPE_OPS),
+                      _modrm(1, _reg(g), _rm_not4(g)), _byte(g)])
 
 
-def _body_5_push_imm32(rng: random.Random) -> bytes:
-    return bytes([0x68]) + _rand_imm(rng, 4)
+def _body_5_mov_imm32(g) -> bytearray:
+    return bytearray([0xB8 + _reg(g)]) + _imm(g, 4)
 
 
-def _body_5_escape_sib_disp8(rng: random.Random) -> bytes:
-    op = rng.choice((0xB6, 0xB7, 0xBE, 0xBF, 0xAF, 0x1F))
-    return bytes([0x0F, op, _modrm(1, _rand_reg(rng), 4), _rand_sib(rng)]) + _rand_imm(rng, 1)
+def _body_5_push_imm32(g) -> bytearray:
+    return bytearray(b"\x68") + _imm(g, 4)
 
 
-def _body_6_grp1_imm32(rng: random.Random) -> bytes:
-    return bytes([0x81, _modrm(3, rng.randrange(8), _rand_reg(rng))]) + _rand_imm(rng, 4)
+def _body_5_escape_sib_disp8(g) -> bytearray:
+    return bytearray([0x0F, choice(g, _ESCAPE_OPS), _modrm(1, _reg(g), 4),
+                      _sib(g), _byte(g)])
 
 
-def _body_6_modrm_disp32(rng: random.Random) -> bytes:
-    op = rng.choice(_MODRM_OPS)
-    return bytes([op, _modrm(2, _rand_reg(rng), _rand_rm_not4(rng))]) + _rand_imm(rng, 4)
+def _body_6_grp1_imm32(g) -> bytearray:
+    return bytearray([0x81, _modrm(3, _reg(g), _reg(g))]) + _imm(g, 4)
 
 
-def _body_7_modrm_sib_disp32(rng: random.Random) -> bytes:
-    op = rng.choice(_MODRM_OPS)
-    return bytes([op, _modrm(2, _rand_reg(rng), 4), _rand_sib(rng)]) + _rand_imm(rng, 4)
+def _body_6_modrm_disp32(g) -> bytearray:
+    return (bytearray([choice(g, _MODRM_OPS),
+                       _modrm(2, _reg(g), _rm_not4(g))])
+            + _imm(g, 4))
 
 
-def _body_7_grp1_disp8_imm32(rng: random.Random) -> bytes:
-    return (bytes([0x81, _modrm(1, rng.randrange(8), _rand_rm_not4(rng))])
-            + _rand_imm(rng, 1) + _rand_imm(rng, 4))
+def _body_7_modrm_sib_disp32(g) -> bytearray:
+    return (bytearray([choice(g, _MODRM_OPS), _modrm(2, _reg(g), 4), _sib(g)])
+            + _imm(g, 4))
 
 
-def _body_8_grp1_sib_disp8_imm32(rng: random.Random) -> bytes:
-    return (bytes([0x81, _modrm(1, rng.randrange(8), 4), _rand_sib(rng)])
-            + _rand_imm(rng, 1) + _rand_imm(rng, 4))
+def _body_7_grp1_disp8_imm32(g) -> bytearray:
+    return (bytearray([0x81, _modrm(1, _reg(g), _rm_not4(g)), _byte(g)])
+            + _imm(g, 4))
 
 
-def _body_9_moffs(rng: random.Random) -> bytes:
-    return bytes([rng.choice((0xA0, 0xA1, 0xA2, 0xA3))]) + _rand_imm(rng, 8)
+def _body_8_grp1_sib_disp8_imm32(g) -> bytearray:
+    return (bytearray([0x81, _modrm(1, _reg(g), 4), _sib(g), _byte(g)])
+            + _imm(g, 4))
 
 
-def _body_10_grp1_disp32_imm32(rng: random.Random) -> bytes:
-    return (bytes([0x81, _modrm(2, rng.randrange(8), _rand_rm_not4(rng))])
-            + _rand_imm(rng, 4) + _rand_imm(rng, 4))
+def _body_9_moffs(g) -> bytearray:
+    return bytearray([choice(g, _MOFFS_OPS)]) + _imm(g, 8)
 
 
-def _body_11_grp1_sib_disp32_imm32(rng: random.Random) -> bytes:
-    return (bytes([0x81, _modrm(2, rng.randrange(8), 4), _rand_sib(rng)])
-            + _rand_imm(rng, 4) + _rand_imm(rng, 4))
+def _body_10_grp1_disp32_imm32(g) -> bytearray:
+    return (bytearray([0x81, _modrm(2, _reg(g), _rm_not4(g))])
+            + _imm(g, 4) + _imm(g, 4))
 
 
-_BODY_BUILDERS_BY_LENGTH: dict[int, list] = {
-    1: [_body_1],
-    2: [_body_2_imm8, _body_2_modrm_reg],
-    3: [_body_3_modrm_disp8, _body_3_grp1_imm8, _body_3_escape_modrm],
-    4: [_body_4_modrm_sib_disp8, _body_4_escape_disp8],
-    5: [_body_5_mov_imm32, _body_5_push_imm32, _body_5_escape_sib_disp8],
-    6: [_body_6_grp1_imm32, _body_6_modrm_disp32],
-    7: [_body_7_modrm_sib_disp32, _body_7_grp1_disp8_imm32],
-    8: [_body_8_grp1_sib_disp8_imm32],
-    9: [_body_9_moffs],
-    10: [_body_10_grp1_disp32_imm32],
-    11: [_body_11_grp1_sib_disp32_imm32],
-}
-_MAX_BODY_LEN = max(_BODY_BUILDERS_BY_LENGTH)
+def _body_11_grp1_sib_disp32_imm32(g) -> bytearray:
+    return (bytearray([0x81, _modrm(2, _reg(g), 4), _sib(g)])
+            + _imm(g, 4) + _imm(g, 4))
+
+
+#: Builders indexed by the exact body length they encode.
+_BODY_BUILDERS: tuple[tuple, ...] = (
+    (),
+    (_body_1,),
+    (_body_2_imm8, _body_2_modrm_reg),
+    (_body_3_modrm_disp8, _body_3_grp1_imm8, _body_3_escape_modrm),
+    (_body_4_modrm_sib_disp8, _body_4_escape_disp8),
+    (_body_5_mov_imm32, _body_5_push_imm32, _body_5_escape_sib_disp8),
+    (_body_6_grp1_imm32, _body_6_modrm_disp32),
+    (_body_7_modrm_sib_disp32, _body_7_grp1_disp8_imm32),
+    (_body_8_grp1_sib_disp8_imm32,),
+    (_body_9_moffs,),
+    (_body_10_grp1_disp32_imm32,),
+    (_body_11_grp1_sib_disp32_imm32,),
+)
+#: Builders for a filler of each length (index 0 unused): the longest
+#: bodies that fit, with the rest of the length made up by prefixes.
+_FILLER_BODIES = tuple(_BODY_BUILDERS[min(length, len(_BODY_BUILDERS) - 1)]
+                       for length in range(MAX_INSTRUCTION_LENGTH + 1))
+
+_FILLER_MNEMONICS = tuple(f"filler{length}"
+                          for length in range(MAX_INSTRUCTION_LENGTH + 1))

@@ -47,12 +47,13 @@ class DecodedInstruction:
         return self.kind.is_branch
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """An encoder-side instruction: bytes plus ground-truth metadata.
 
     ``target_label`` names a basic block whose final address is patched
-    into the relative immediate once layout is complete.
+    into the relative immediate once layout is complete.  Slotted: one
+    generated workload program holds 70-90k of them.
     """
 
     encoding: bytearray

@@ -26,15 +26,41 @@ overflows, repeat until fixpoint.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
+from bisect import bisect
+from itertools import accumulate
+from typing import Callable, Sequence
 
 from repro.isa.branch import BranchKind
-from repro.isa.encoder import Encoder
+from repro.isa.encoder import Encoder, randbelow
 from repro.isa.instruction import Instruction
 from repro.workloads.layout import lay_out
 from repro.workloads.program import BasicBlock, Function, Program
 from repro.workloads.profiles import WorkloadProfile
+
+
+def weighted_choice(rng: random.Random, population: Sequence,
+                    weights: Sequence[float]) -> Callable[[], object]:
+    """A draw equal to ``rng.choices(population, weights)[0]``.
+
+    The cumulative weights are summed once, with ``itertools.accumulate``
+    as ``random.choices`` sums them on every call; each draw is then one
+    ``rng.random()`` and the same bisect, so it consumes the stream and
+    returns the value exactly as ``choices`` does.
+    """
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    if len(cum) != len(population) or not 0.0 < total < math.inf:
+        raise ValueError(f"bad weights {weights!r} for {population!r}")
+    hi = len(cum) - 1
+    uniform = rng.random
+
+    def draw():
+        return population[bisect(cum, uniform() * total, 0, hi)]
+
+    return draw
 
 
 class ProgramGenerator:
@@ -47,6 +73,17 @@ class ProgramGenerator:
         # (PYTHONHASHSEED) and would make generation non-reproducible.
         name_salt = zlib.crc32(profile.name.encode()) & 0xFFFF
         self.rng = random.Random((seed << 16) ^ name_salt)
+        self._draw_length = weighted_choice(
+            self.rng, *profile.instruction_length_mix)
+        kinds = ("cond", "jmp", "call", "indirect_jmp", "ret")
+        branchy = (profile.p_cond_block, profile.p_jmp_block,
+                   profile.p_call_block, profile.p_indirect_jmp_block)
+        self._draw_kind = weighted_choice(
+            self.rng, kinds, branchy + (profile.p_early_ret_block,))
+        self._draw_loop_kind = weighted_choice(
+            self.rng, kinds, branchy + (0.0,))
+        self._draw_cold_kind = weighted_choice(
+            self.rng, kinds, (0.15, 0.30, 0.33, 0.02, 0.20))
         self.encoder = Encoder()
         self.base_address = base_address
         self._next_label = 0
@@ -92,19 +129,17 @@ class ProgramGenerator:
         return label
 
     def _sample(self, bounds: tuple[int, int]) -> int:
+        """``rng.randint(*bounds)``, drawn as it draws."""
         lo, hi = bounds
-        return self.rng.randint(lo, hi)
-
-    def _sample_instruction_length(self) -> int:
-        lengths, weights = self.profile.instruction_length_mix
-        return self.rng.choices(lengths, weights=weights)[0]
+        if hi < lo:
+            raise ValueError(f"empty range {bounds}")
+        return lo + randbelow(self.rng.getrandbits, hi - lo + 1)
 
     def _block_body(self) -> list[Instruction]:
         count = self._sample(self.profile.block_instrs)
-        return [
-            self.encoder.filler(self.rng, self._sample_instruction_length())
-            for _ in range(count)
-        ]
+        filler, rng, draw_length = (
+            self.encoder.filler, self.rng, self._draw_length)
+        return [filler(rng, draw_length()) for _ in range(count)]
 
     def _build_main(self, handler_labels: list[int]) -> Function:
         """The dispatch loop: dispatch block -> indirect call -> loop back.
@@ -195,22 +230,13 @@ class ProgramGenerator:
                 # skip branch; give them the SBB-eligible terminators that
                 # real cold paths have (error handlers end in jumps to
                 # cleanup, calls to slow paths, or returns).
-                weights = (0.15, 0.30, 0.33, 0.02,
-                           0.0 if in_loop_body else 0.20)
+                kind = self._draw_cold_kind()
+            elif in_loop_body:
+                # Early returns inside a loop body would starve the
+                # back-edge; this draw disallows them.
+                kind = self._draw_loop_kind()
             else:
-                weights = (
-                    profile.p_cond_block,
-                    profile.p_jmp_block,
-                    profile.p_call_block,
-                    profile.p_indirect_jmp_block,
-                    # Early returns inside a loop body would starve the
-                    # back-edge; disallow them there.
-                    0.0 if in_loop_body else profile.p_early_ret_block,
-                )
-            kind = rng.choices(
-                ("cond", "jmp", "call", "indirect_jmp", "ret"),
-                weights=weights,
-            )[0]
+                kind = self._draw_kind()
             if kind == "cond":
                 self._terminate_cond(blocks, index)
             elif kind == "jmp":

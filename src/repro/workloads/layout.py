@@ -51,7 +51,7 @@ def _assign_addresses(functions: list[Function], base_address: int,
             block.start_pc = cursor
             for ins in block.instructions:
                 ins.pc = cursor
-                cursor += ins.length
+                cursor += len(ins.encoding)
 
 
 def _patch_all(functions: list[Function],
@@ -86,20 +86,20 @@ def _widen(block: BasicBlock, encoder: Encoder, rng: random.Random) -> None:
 
 def _emit_image(functions: list[Function], base_address: int,
                 align: int) -> bytes:
-    image = bytearray()
+    parts: list[bytes] = []
     cursor = base_address
     for function in functions:
         remainder = cursor % align
         if remainder:
             pad = align - remainder
-            image.extend([PAD_BYTE] * pad)
+            parts.append(bytes([PAD_BYTE]) * pad)
             cursor += pad
         for block in function.blocks:
             if block.start_pc != cursor:
                 raise AssertionError(
                     f"layout drift at {function.name}: "
                     f"{block.start_pc:#x} != {cursor:#x}")
-            for ins in block.instructions:
-                image.extend(ins.encoding)
-                cursor += ins.length
-    return bytes(image)
+            code = b"".join([ins.encoding for ins in block.instructions])
+            parts.append(code)
+            cursor += len(code)
+    return b"".join(parts)

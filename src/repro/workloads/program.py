@@ -119,12 +119,12 @@ class Program:
                 self.function_of_label[block.label] = function
 
         # Ground-truth instruction map, keyed by pc.
-        self.instruction_starts: set[int] = set()
+        self.instruction_starts: set[int] = {
+            ins.pc
+            for function in functions for block in function.blocks
+            for ins in block.instructions
+        }
         self._truth: dict[int, GroundTruthInstruction] = {}
-        for function in functions:
-            for block in function.blocks:
-                for ins in block.instructions:
-                    self.instruction_starts.add(ins.pc)
 
     @property
     def size(self) -> int:
