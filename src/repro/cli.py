@@ -551,60 +551,27 @@ def _print_violations(violations, label: str) -> None:
 
 
 def _run_stats_run(args) -> int:
-    import time
-
-    from repro.frontend.engine import FrontEndSimulator
-    from repro.frontend.plan import run_planned
-    from repro.obs import (PROFILER, EventTrace, TimelineRecorder,
+    from repro.obs import (EventTrace, TimelineRecorder,
                            applicable_invariants, check_snapshot,
                            render_snapshot, save_snapshot)
     from repro.obs import ledger as ledger_mod
-    from repro.workloads.cache import build_compiled_trace
 
     scale = SCALES[args.scale] if args.scale else current_scale()
     config = _stats_config(args.config)
-    ledger = ledger_mod.active_ledger()
-    cell_id = None
-    if ledger is not None:
-        cell_id = ledger_mod.cell_id_for(args.workload, config, 0, False)
-        ledger.grid(cells=1, submitted=1, jobs=1)
-        ledger.cell(cell_id, "queued")
-        ledger.cell(cell_id, "store_probe", hit=False, store=False)
-        PROFILER.set_cell(cell_id)
-    started = time.monotonic()
-    try:
-        with PROFILER.section("harness.cell"):
-            with PROFILER.section("harness.workload"):
-                program = build_program(args.workload)
-                compiled = build_compiled_trace(args.workload,
-                                                scale.records)
-            if ledger is not None:
-                ledger.cell(cell_id, "prepare", source="compile")
-            simulator = FrontEndSimulator(program, config)
-            trace = None
-            if args.trace_out:
-                trace = EventTrace(capacity=args.trace_capacity)
-                simulator.attach_trace(trace)
-            timeline = None
-            if args.timeline_out:
-                timeline = TimelineRecorder()
-                simulator.attach_timeline(timeline)
-            with PROFILER.section("harness.simulate"):
-                _, plan = run_planned(simulator, compiled,
-                                      warmup=scale.warmup)
-            if ledger is not None:
-                ledger.cell(cell_id, "simulate",
-                            **plan.ledger_fields(simulator))
-    except Exception as error:
-        if ledger is not None:
-            ledger.cell(cell_id, "error", error=repr(error))
-        raise
-    finally:
-        PROFILER.set_cell(None)
-    if ledger is not None:
-        ledger.group([cell_id], mode="stats")
+    trace = (EventTrace(capacity=args.trace_capacity) if args.trace_out
+             else None)
+    timeline = TimelineRecorder() if args.timeline_out else None
 
-    snapshot = simulator.metrics_snapshot()
+    def attach(simulator) -> None:
+        if trace is not None:
+            simulator.attach_trace(trace)
+        if timeline is not None:
+            simulator.attach_timeline(timeline)
+
+    # Storeless, so the cell always simulates and the attachments fill.
+    runner = ExperimentRunner(scale=scale, store=None)
+    _, snapshot = runner.run_with_metrics(args.workload, config,
+                                          setup=attach)
     print(render_snapshot(
         snapshot,
         title=f"{args.workload} [{args.config}] @ {scale.name} scale"))
@@ -619,21 +586,17 @@ def _run_stats_run(args) -> int:
               f"dropped -> {args.trace_out}")
     if timeline is not None:
         timeline.to_chrome(args.timeline_out)
+        ledger = ledger_mod.active_ledger()
         if ledger is not None:
             # Also file the chrome export with the run, so `repro runs
             # show --perfetto` merges it with the harness spans.
-            timeline.to_chrome(ledger.timeline_path(cell_id))
+            timeline.to_chrome(ledger.timeline_path(
+                ledger_mod.cell_id_for(args.workload, config, 0, False)))
         print(f"timeline: {timeline.emitted} events emitted, "
               f"{timeline.dropped} dropped -> {args.timeline_out} "
               f"(load in Perfetto / chrome://tracing)")
 
     violations = check_snapshot(snapshot)
-    if ledger is not None:
-        ledger.cell(cell_id, "invariants",
-                    violations=[v.invariant for v in violations])
-        ledger.cell(cell_id, "done", spanned=True,
-                    wall_s=round(time.monotonic() - started, 6),
-                    **plan.outcome(simulator))
     if violations:
         _print_violations(violations, f"{args.workload}/{args.config}")
         return 1

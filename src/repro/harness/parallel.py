@@ -7,10 +7,12 @@ cells by their canonical identity (the same key the serial runner memos
 on), fans the distinct cells out over a ``ProcessPoolExecutor``, and
 returns ``SimStats`` in input order.
 
-Determinism: a worker runs exactly the code the serial path runs -- same
-program generation, same trace, same simulator seed -- so ``jobs>1``
-results are bit-identical to ``jobs=1``.  Serial execution stays the
-default (``jobs=1`` never spawns a pool).
+Determinism: a worker runs each cell through the serial path's own cell
+body (:meth:`~repro.harness.runner.ExperimentRunner.run_group`) -- same
+store probe, program generation, trace, simulator seed, persisted
+artifacts and ledger lifecycle -- so ``jobs>1`` results are
+bit-identical to ``jobs=1``.  Serial execution stays the default
+(``jobs=1`` never spawns a pool).
 
 Worker count comes from ``REPRO_JOBS`` (``0`` or unset means the CPUs
 *available to this process* -- ``os.process_cpu_count()`` semantics, not
@@ -31,7 +33,6 @@ exactly once per host instead of once per worker.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,12 +40,7 @@ from typing import Sequence
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.stats import SimStats
 from repro.harness.scale import Scale, current_scale
-from repro.harness.store import (
-    ResultStore,
-    config_key,
-    default_store,
-    result_key,
-)
+from repro.harness.store import ResultStore, config_key, default_store
 from repro.obs import ledger as ledger_mod
 from repro.obs.profiler import PROFILER
 
@@ -68,9 +64,15 @@ class Cell:
         return Cell(self.workload, self.config, default_seed, self.bolted)
 
     def identity(self, scale: Scale) -> tuple:
-        """The dedup/memo key; matches ``ExperimentRunner``'s memo key."""
+        """The dedup/memo key; ``ExperimentRunner``'s memo key."""
         return (self.workload, self.bolted, scale.name, self.seed,
                 config_key(self.config))
+
+    @property
+    def cell_id(self) -> str:
+        """The run ledger's id for this (resolved) cell."""
+        return ledger_mod.cell_id_for(self.workload, self.config,
+                                      self.seed, self.bolted)
 
 
 def available_cpus() -> int:
@@ -158,134 +160,56 @@ def simulate_cell(workload: str, config: FrontEndConfig, seed: int,
                   record_attribution: bool = False,
                   trace_ref: tuple[str, str] | None = None,
                   run_dir: str | None = None) -> SimStats:
-    """Run one cell exactly as the serial runner would.
+    """Run one cell in a pool worker through the runner's cell body.
 
-    Module-level so it pickles into pool workers.  Consults/fills the
-    persistent store when ``store_root`` is given; uses the per-process
-    workload cache so cells sharing a (workload, seed) reuse programs and
-    traces within a worker.
+    Module-level so it pickles into pool workers.  The cell runs as a
+    one-cell group of :meth:`ExperimentRunner.run_group
+    <repro.harness.runner.ExperimentRunner.run_group>` -- the same
+    store probe, simulation, persistence and ledger lifecycle as a
+    serial run, so results and artifacts are bit-identical -- against
+    the store at ``store_root`` (if any) and the per-process workload
+    cache, so cells sharing a (workload, seed) reuse programs and traces
+    within a worker.
 
-    ``trace_ref`` is the parent's published compiled trace (see
-    :meth:`~repro.workloads.compiled.CompiledTrace.shared_ref`): when
-    given, the worker attaches the shared columns -- zero-copy, memoised
-    per worker -- instead of re-generating the trace.  Without a ref the
-    worker compiles locally; both paths are bit-identical.
-
-    With ``record_attribution`` the per-branch/per-line attribution
-    artifact is persisted alongside the stats; a store hit whose entry
-    lacks attribution is *backfilled* (re-simulated and overwritten) so
-    requesting attribution always produces it.  The aggregation is the
-    same in-order event fold serial runs perform, so serial and parallel
-    artifacts are byte-identical.
-
+    What stays here is worker-side only.  ``trace_ref`` is the parent's
+    published compiled trace (see
+    :meth:`~repro.workloads.compiled.CompiledTrace.shared_ref`): the
+    worker attaches the shared columns -- zero-copy, memoised per
+    worker -- instead of re-generating the trace, and compiles locally
+    when the ref is absent or gone; both are bit-identical.
     ``run_dir`` carries the parent's active run directory: the worker
-    attaches its own ledger/span telemetry to it (memoised per process)
-    and emits the same cell lifecycle the serial runner does -- minus
-    ``queued``, which the pool parent already recorded.
+    attaches its own ledger/span telemetry to it (memoised per process),
+    and after the cell sends a heartbeat and flushes its spans.  The
+    pool parent already recorded the cell's ``queued``.
     """
+    from repro.harness.runner import ExperimentRunner
+
     ledger = ledger_mod.active_ledger()
     if ledger is None and run_dir is not None:
         ledger = _worker_telemetry(run_dir)
-    cell_id = None
-    if ledger is not None:
-        cell_id = ledger_mod.cell_id_for(workload, config, seed, bolted)
-        PROFILER.set_cell(cell_id)
-    started = time.monotonic()
+    compiled = None
+    if trace_ref is not None:
+        try:
+            compiled = _attached_trace(trace_ref)
+        except (FileNotFoundError, OSError, ValueError):
+            # The parent's segment/spill vanished (e.g. evicted
+            # mid-batch); the body compiles locally instead.
+            pass
+    runner = ExperimentRunner(
+        scale=scale, seed=seed,
+        store=ResultStore(store_root) if store_root else None,
+        record_attribution=record_attribution)
+    cell = Cell(workload, config, seed, bolted)
     try:
-        stats, outcome = _simulate_cell_body(
-            workload, config, seed, bolted, scale, store_root,
-            record_attribution, trace_ref, ledger, cell_id)
-    except Exception as exc:
-        if ledger is not None:
-            ledger.cell(cell_id, "error",
-                        error=f"{type(exc).__name__}: {exc}")
-            PROFILER.flush()
-        raise
+        [stats] = runner.run_group([cell], compiled=compiled)
     finally:
         if ledger is not None:
-            PROFILER.set_cell(None)
-    if ledger is not None:
-        ledger.group([cell_id], mode="worker")
-        ledger.cell(cell_id, "done", spanned=True,
-                    wall_s=round(time.monotonic() - started, 6), **outcome)
-        ledger.heartbeat(cell=cell_id)
-        # Flush spans after every cell, so a crashed worker leaves its
-        # finished cells' spans behind (the parent flushes at run end).
-        PROFILER.flush()
+            ledger.heartbeat(cell=cell.cell_id)
+            # Flush spans after every cell, so a crashed worker leaves
+            # its finished cells' spans behind (the parent flushes at
+            # run end).
+            PROFILER.flush()
     return stats
-
-
-def _simulate_cell_body(workload: str, config: FrontEndConfig, seed: int,
-                        bolted: bool, scale: Scale,
-                        store_root: str | None,
-                        record_attribution: bool,
-                        trace_ref: tuple[str, str] | None,
-                        ledger, cell_id: str | None
-                        ) -> tuple[SimStats, dict]:
-    from repro.frontend.engine import FrontEndSimulator
-    from repro.frontend.plan import run_planned
-    from repro.obs.invariants import check_snapshot
-    from repro.workloads.cache import GLOBAL_CACHE
-
-    with PROFILER.section("harness.cell"):
-        store = ResultStore(store_root) if store_root else None
-        key = None
-        if store is not None:
-            key = result_key(workload, config, seed, scale, bolted=bolted)
-            cached = store.get(key)
-            if ledger is not None:
-                ledger.cell(cell_id, "store_probe", hit=cached is not None)
-            if cached is not None and not (
-                    record_attribution
-                    and store.get_attribution(key) is None) and not (
-                    config.interval_size > 0
-                    and store.get_intervals(key) is None):
-                return cached, {"result": "store_hit"}
-        elif ledger is not None:
-            ledger.cell(cell_id, "store_probe", hit=False, store=False)
-        compiled = None
-        with PROFILER.section("harness.workload"):
-            program = GLOBAL_CACHE.program(workload, seed=seed,
-                                           bolted=bolted)
-            if trace_ref is not None:
-                try:
-                    compiled = _attached_trace(trace_ref)
-                except (FileNotFoundError, OSError, ValueError):
-                    # The parent's segment/spill vanished (e.g. evicted
-                    # mid-batch); fall back to compiling locally.
-                    pass
-            attached = compiled is not None
-            if not attached:
-                compiled = GLOBAL_CACHE.compiled(
-                    workload, scale.records, seed=seed, bolted=bolted)
-        if ledger is not None:
-            ledger.cell(cell_id, "prepare",
-                        source="attach" if attached else "compile")
-        with PROFILER.section("harness.simulate"):
-            simulator = FrontEndSimulator(program, config, seed=seed)
-            if record_attribution:
-                simulator.attach_attribution()
-            stats, plan = run_planned(simulator, compiled,
-                                      warmup=scale.warmup)
-        metrics = (simulator.metrics_snapshot()
-                   if store is not None or ledger is not None else None)
-        if ledger is not None:
-            ledger.cell(cell_id, "simulate", **plan.ledger_fields(simulator))
-            ledger.cell(cell_id, "invariants",
-                        violations=[v.invariant for v in
-                                    check_snapshot(metrics)])
-        if store is not None:
-            # Persist the metric snapshot next to the result so serial and
-            # parallel runs surface identical per-component counters.
-            attribution = (simulator.attribution.to_jsonable()
-                           if record_attribution else None)
-            intervals = (simulator.intervals.series().to_jsonable()
-                         if simulator.intervals is not None else None)
-            store.put(key, stats, metrics=metrics,
-                      attribution=attribution, intervals=intervals)
-            if ledger is not None:
-                ledger.cell(cell_id, "store_write", stored=True)
-    return stats, plan.outcome(simulator)
 
 
 def _simulate_packed(packed: tuple) -> SimStats:
@@ -320,9 +244,10 @@ class ParallelRunner:
 
         Returns ``{(workload, seed, bolted): shared_ref}`` for every
         trace at least one pool worker will actually replay.  Groups
-        whose cells are all already in the persistent store are skipped
-        (workers short-circuit on the store before touching the trace),
-        as is the whole step for in-process execution -- the worker path
+        whose cells are all complete in the persistent store are skipped:
+        :meth:`ResultStore.get_complete` is the rule workers probe with,
+        so those workers never simulate.  So is the whole step for
+        in-process execution -- the worker path
         then reads the process-local cache directly.  Segments are owned
         by the global workload cache, so their lifetime follows normal
         LRU eviction rather than this batch.
@@ -336,14 +261,11 @@ class ParallelRunner:
             group = (cell.workload, cell.seed, cell.bolted)
             if group in needed:
                 continue
-            if self.store is not None:
-                key = result_key(cell.workload, cell.config, cell.seed,
-                                 self.scale, bolted=cell.bolted)
-                if (self.store.contains(key)
-                        and not self.record_attribution
-                        and not (cell.config.interval_size > 0
-                                 and self.store.get_intervals(key) is None)):
-                    continue
+            if self.store is not None and self.store.get_complete(
+                    self.store.key(cell.workload, cell.config, cell.seed,
+                                   self.scale, bolted=cell.bolted),
+                    cell.config, self.record_attribution) is not None:
+                continue
             needed[group] = cell
         refs: dict[tuple, tuple[str, str]] = {}
         for group, cell in needed.items():
@@ -379,12 +301,8 @@ class ParallelRunner:
         run_dir = None
         if ledger is not None and ordered:
             run_dir = str(ledger.run_dir)
-            ledger.grid(cells=len(ordered), submitted=len(resolved),
-                        jobs=max(workers, 1))
-            for _, cell in ordered:
-                ledger.cell(ledger_mod.cell_id_for(
-                    cell.workload, cell.config, cell.seed, cell.bolted),
-                    "queued")
+            ledger.submit([cell.cell_id for _, cell in ordered],
+                          submitted=len(resolved), jobs=max(workers, 1))
             from repro.harness.progress import (ProgressReporter,
                                                 progress_enabled)
             if progress_enabled():

@@ -5,6 +5,14 @@ the 8K-BTB baseline appears in Figures 1, 6, 14, 15, 16 and 18.  The
 runner hashes a canonical key for each cell and runs each distinct cell
 once per process.
 
+Every cell runs through one body, :meth:`ExperimentRunner.run_group`:
+``run`` hands it a one-cell group, ``run_cells(jobs=1)`` each
+(workload, seed, bolted) group of its missing cells, pool workers
+(:func:`repro.harness.parallel.simulate_cell`) a one-cell group, and
+``repro stats run`` a one-cell group with its trace/timeline set-up.
+So the store probe, the backfill rule, the persisted artifacts and the
+run-ledger lifecycle are the same on every path.
+
 Two layers sit under the in-memory memo:
 
 * the **persistent result store** (:mod:`repro.harness.store`): finished
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.frontend.batch import BatchedFrontEndSimulator
 from repro.frontend.config import FrontEndConfig
@@ -37,9 +45,13 @@ from repro.obs import ledger as ledger_mod
 from repro.obs.invariants import check_snapshot
 from repro.obs.profiler import PROFILER
 from repro.workloads.cache import GLOBAL_CACHE, WorkloadCache
-from repro.workloads.compiled import batch_enabled
+from repro.workloads.compiled import CompiledTrace
 
 __all__ = ["ExperimentRunner", "config_key"]
+
+
+def _unrecorded(*args, **fields) -> None:
+    """Stand-in for ``RunLedger.cell`` when no run is active."""
 
 
 class ExperimentRunner:
@@ -61,7 +73,7 @@ class ExperimentRunner:
         self.cache = cache or GLOBAL_CACHE
         self.store = default_store() if store == "default" else store
         self.jobs = jobs
-        #: When set, every uncached cell runs with an attribution
+        #: When set, every simulated cell runs with an attribution
         #: aggregator attached and persists the per-branch/per-line
         #: artifact alongside its stats; a store hit lacking attribution
         #: is re-simulated (backfilled) so the artifact always exists.
@@ -72,8 +84,8 @@ class ExperimentRunner:
         self._intervals: dict[tuple, dict] = {}
 
     def _memo_key(self, workload: str, config: FrontEndConfig,
-                  bolted: bool, seed: int) -> tuple:
-        return (workload, bolted, self.scale.name, seed, config_key(config))
+                  bolted: bool) -> tuple:
+        return Cell(workload, config, self.seed, bolted).identity(self.scale)
 
     def run(self, workload: str, config: FrontEndConfig,
             bolted: bool = False) -> SimStats:
@@ -81,35 +93,43 @@ class ExperimentRunner:
 
     def run_with_metrics(
             self, workload: str, config: FrontEndConfig,
-            bolted: bool = False) -> tuple[SimStats, dict[str, float] | None]:
+            bolted: bool = False,
+            setup: Callable[[FrontEndSimulator], None] | None = None
+    ) -> tuple[SimStats, dict[str, float] | None]:
         """Like :meth:`run`, but also returns the metric snapshot.
 
         The snapshot is ``None`` only for results loaded from a store
-        entry written before snapshots were persisted.
+        entry written before snapshots were persisted.  ``setup`` is
+        applied to the simulator when the cell is simulated (see
+        :meth:`run_group`).
         """
-        key = self._memo_key(workload, config, bolted, self.seed)
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached, self.metrics_for(workload, config, bolted=bolted)
-        stats, metrics = self._run_uncached(workload, config, bolted,
-                                            self.seed)
-        self._results[key] = stats
-        if metrics is not None:
-            self._metrics[key] = metrics
-        return stats, metrics
+        cell = Cell(workload, config, self.seed, bolted)
+        stats = self._results.get(cell.identity(self.scale))
+        if stats is None:
+            ledger = ledger_mod.active_ledger()
+            if ledger is not None:
+                ledger.submit([cell.cell_id], submitted=1, jobs=1)
+            [stats] = self.run_group([cell], setup=setup)
+        return stats, self.metrics_for(workload, config, bolted=bolted)
+
+    def _artifact(self, memo: dict, read, workload: str,
+                  config: FrontEndConfig, bolted: bool):
+        """A cell's artifact from ``memo``, else from the store through
+        ``read`` (an unbound ``ResultStore`` getter)."""
+        key = self._memo_key(workload, config, bolted)
+        value = memo.get(key)
+        if value is None and self.store is not None:
+            value = read(self.store, self.store.key(
+                workload, config, self.seed, self.scale, bolted=bolted))
+            if value is not None:
+                memo[key] = value
+        return value
 
     def metrics_for(self, workload: str, config: FrontEndConfig,
                     bolted: bool = False) -> dict[str, float] | None:
         """The metric snapshot of an already-run cell (memo, then store)."""
-        key = self._memo_key(workload, config, bolted, self.seed)
-        metrics = self._metrics.get(key)
-        if metrics is None and self.store is not None:
-            store_key = self.store.key(workload, config, self.seed,
-                                       self.scale, bolted=bolted)
-            metrics = self.store.get_metrics(store_key)
-            if metrics is not None:
-                self._metrics[key] = metrics
-        return metrics
+        return self._artifact(self._metrics, ResultStore.get_metrics,
+                              workload, config, bolted)
 
     def attribution_for(self, workload: str, config: FrontEndConfig,
                         bolted: bool = False) -> dict | None:
@@ -119,15 +139,33 @@ class ExperimentRunner:
         cell ran without attribution recording (use
         :meth:`run_with_attribution` to force one into existence).
         """
-        key = self._memo_key(workload, config, bolted, self.seed)
-        attribution = self._attribution.get(key)
-        if attribution is None and self.store is not None:
-            store_key = self.store.key(workload, config, self.seed,
-                                       self.scale, bolted=bolted)
-            attribution = self.store.get_attribution(store_key)
-            if attribution is not None:
-                self._attribution[key] = attribution
-        return attribution
+        return self._artifact(self._attribution, ResultStore.get_attribution,
+                              workload, config, bolted)
+
+    def intervals_for(self, workload: str, config: FrontEndConfig,
+                      bolted: bool = False) -> dict | None:
+        """The interval series of an already-run cell (memo, then store).
+
+        Returns the JSON-able series payload, or ``None`` when the cell
+        ran without interval telemetry (``config.interval_size == 0``,
+        or a store entry that predates the series artifact -- use
+        :meth:`run_with_intervals` to force one into existence).
+        """
+        return self._artifact(self._intervals, ResultStore.get_intervals,
+                              workload, config, bolted)
+
+    def _run_for_artifact(self, artifact_for, workload: str,
+                          config: FrontEndConfig, bolted: bool):
+        """Run one cell and return ``(stats, payload)`` of
+        ``artifact_for``; a memoised result lacking the artifact is
+        evicted and re-run once (the store probe then backfills it)."""
+        stats = self.run(workload, config, bolted=bolted)
+        payload = artifact_for(workload, config, bolted=bolted)
+        if payload is None:
+            self._results.pop(self._memo_key(workload, config, bolted), None)
+            stats = self.run(workload, config, bolted=bolted)
+            payload = artifact_for(workload, config, bolted=bolted)
+        return stats, payload
 
     def run_with_attribution(self, workload: str, config: FrontEndConfig,
                              bolted: bool = False):
@@ -142,41 +180,11 @@ class ExperimentRunner:
         previous = self.record_attribution
         self.record_attribution = True
         try:
-            stats = self.run(workload, config, bolted=bolted)
-            payload = self.attribution_for(workload, config, bolted=bolted)
-            if payload is None:
-                # Memoised earlier without attribution; drop and re-run.
-                key = self._memo_key(workload, config, bolted, self.seed)
-                self._results.pop(key, None)
-                stats = self.run(workload, config, bolted=bolted)
-                payload = self.attribution_for(workload, config,
-                                               bolted=bolted)
+            stats, payload = self._run_for_artifact(
+                self.attribution_for, workload, config, bolted)
         finally:
             self.record_attribution = previous
-        if payload is None:  # pragma: no cover - store-less parallel only
-            raise RuntimeError(
-                "attribution artifact unavailable; parallel runs need a "
-                "result store to hand artifacts back")
         return stats, AttributionAggregator.from_jsonable(payload)
-
-    def intervals_for(self, workload: str, config: FrontEndConfig,
-                      bolted: bool = False) -> dict | None:
-        """The interval series of an already-run cell (memo, then store).
-
-        Returns the JSON-able series payload, or ``None`` when the cell
-        ran without interval telemetry (``config.interval_size == 0``,
-        or a store entry that predates the series artifact -- use
-        :meth:`run_with_intervals` to force one into existence).
-        """
-        key = self._memo_key(workload, config, bolted, self.seed)
-        intervals = self._intervals.get(key)
-        if intervals is None and self.store is not None:
-            store_key = self.store.key(workload, config, self.seed,
-                                       self.scale, bolted=bolted)
-            intervals = self.store.get_intervals(store_key)
-            if intervals is not None:
-                self._intervals[key] = intervals
-        return intervals
 
     def run_with_intervals(self, workload: str, config: FrontEndConfig,
                            bolted: bool = False, window: int | None = None):
@@ -195,141 +203,174 @@ class ExperimentRunner:
                     "interval telemetry disabled: set config.interval_size "
                     "or pass window=")
             config = dataclasses.replace(config, interval_size=window)
-        stats = self.run(workload, config, bolted=bolted)
-        payload = self.intervals_for(workload, config, bolted=bolted)
-        if payload is None:
-            # Memoised earlier without the artifact; drop and re-run.
-            key = self._memo_key(workload, config, bolted, self.seed)
-            self._results.pop(key, None)
-            stats = self.run(workload, config, bolted=bolted)
-            payload = self.intervals_for(workload, config, bolted=bolted)
-        if payload is None:  # pragma: no cover - store-less parallel only
-            raise RuntimeError(
-                "interval series unavailable; parallel runs need a result "
-                "store to hand artifacts back")
+        stats, payload = self._run_for_artifact(
+            self.intervals_for, workload, config, bolted)
         return stats, IntervalSeries.from_jsonable(payload)
 
-    def _run_uncached(
-            self, workload: str, config: FrontEndConfig, bolted: bool,
-            seed: int, queued: bool = True
-    ) -> tuple[SimStats, dict[str, float] | None]:
-        """One cell, end to end, with full run-ledger lifecycle.
+    def _remember(self, key: tuple, stats: SimStats, attribution,
+                  intervals, metrics: dict[str, float] | None) -> None:
+        """Memoise one finished cell and whichever artifacts it has."""
+        self._results[key] = stats
+        for memo, value in ((self._metrics, metrics),
+                            (self._attribution, attribution),
+                            (self._intervals, intervals)):
+            if value is not None:
+                memo[key] = value
 
-        ``queued`` is False when a batch entry point (``run_cells`` or
-        the pool parent) already emitted the cell's ``queued`` record;
-        standalone :meth:`run` calls emit it here.  With no active
-        ledger the added cost is a handful of ``is None`` checks.
+    # ------------------------------------------------------------------
+    # The cell body
+    # ------------------------------------------------------------------
+
+    def run_group(self, cells: Sequence[Cell],
+                  setup: Callable[[FrontEndSimulator], None] | None = None,
+                  compiled: CompiledTrace | None = None,
+                  progress: ProgressReporter | None = None
+                  ) -> list[SimStats]:
+        """Run distinct resolved cells sharing one (workload, seed,
+        bolted); returns their stats in order.
+
+        Every cell of every path runs here, in these steps:
+
+        1. Probe the store with :meth:`ResultStore.get_complete` (stats,
+           attribution when recorded, intervals when
+           ``interval_size > 0``).  A complete hit is terminal and
+           unspanned (``done`` with ``spanned=False``) and writes
+           nothing else; an incomplete entry re-simulates and the
+           rewrite backfills the missing artifact.
+        2. Open one ``harness.cell`` span (one ``group`` ledger record)
+           over the misses and prepare the program and trace --
+           ``compiled`` when the caller attached one (a pool worker),
+           else the workload cache's.
+        3. Build each simulator, attach attribution when recorded, then
+           apply ``setup``.  :func:`plan_engine` puts it on a lane of
+           one shared kernel batch, or it runs on ``run_planned`` right
+           away: those cells are built, run, persisted and released one
+           at a time, so only kernel lanes are alive together.
+        4. Snapshot metrics, export the attribution and interval
+           artifacts, ``store.put`` them, and record
+           ``prepare -> simulate -> invariants -> store_write -> done``.
+           ``done`` carries the cell's own wall; kernel lanes of a
+           multi-lane batch share one (``shared_wall=True``).
+
+        Callers record ``queued`` (``RunLedger.submit``) beforehand.
         """
         ledger = ledger_mod.active_ledger()
-        cell_id = None
-        if ledger is not None:
-            cell_id = ledger_mod.cell_id_for(workload, config, seed, bolted)
-            if queued:
-                ledger.cell(cell_id, "queued")
+        record = _unrecorded if ledger is None else ledger.cell
+        keys = [cell.identity(self.scale) for cell in cells]
+        pending: list[tuple[Cell, tuple, str | None, str | None]] = []
+        for cell, key in zip(cells, keys):
+            cell_id = None if ledger is None else cell.cell_id
             PROFILER.set_cell(cell_id)
-        started = time.monotonic()
-        try:
-            stats, metrics, outcome = self._simulate_one(
-                workload, config, bolted, seed, ledger, cell_id)
-        except Exception as exc:
-            if ledger is not None:
-                ledger.cell(cell_id, "error",
-                            error=f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            if ledger is not None:
-                # The harness.cell section popped (with the cell stamp)
-                # when _simulate_one returned; clear the stamp so later
-                # sections are not mis-attributed.
-                PROFILER.set_cell(None)
-        if ledger is not None:
-            # One group record per harness.cell span opened above.
-            ledger.group([cell_id], mode="serial")
-            ledger.cell(cell_id, "done", spanned=True,
-                        wall_s=round(time.monotonic() - started, 6),
-                        **outcome)
-        return stats, metrics
-
-    def _simulate_one(
-            self, workload: str, config: FrontEndConfig, bolted: bool,
-            seed: int, ledger, cell_id: str | None
-    ) -> tuple[SimStats, dict[str, float] | None, dict]:
-        """The cell body: store probe, prepare, simulate, store-write.
-
-        Returns ``(stats, metrics, outcome_fields)``; the caller folds
-        ``outcome_fields`` into the terminal ledger record.
-        """
-        with PROFILER.section("harness.cell"):
             store_key = None
-            if self.store is not None:
-                store_key = self.store.key(workload, config, seed,
-                                           self.scale, bolted=bolted)
-                stored = self.store.get(store_key)
-                if ledger is not None:
-                    ledger.cell(cell_id, "store_probe",
-                                hit=stored is not None)
-                if stored is not None:
-                    # A hit only short-circuits when every artifact this
-                    # run needs is present; an entry predating one falls
-                    # through and re-simulates to backfill it.
-                    backfill = None
-                    if self.record_attribution:
-                        attribution = self.store.get_attribution(store_key)
-                        if attribution is None:
-                            backfill = "attribution"
-                        else:
-                            self._attribution[self._memo_key(
-                                workload, config, bolted, seed)] = attribution
-                    if backfill is None and config.interval_size > 0:
-                        intervals = self.store.get_intervals(store_key)
-                        if intervals is None:
-                            backfill = "intervals"
-                        else:
-                            self._intervals[self._memo_key(
-                                workload, config, bolted, seed)] = intervals
-                    if backfill is None:
-                        return (stored, self.store.get_metrics(store_key),
-                                {"result": "store_hit"})
-            elif ledger is not None:
-                ledger.cell(cell_id, "store_probe", hit=False, store=False)
-            with PROFILER.section("harness.workload"):
-                program = self.cache.program(workload, seed=seed,
-                                             bolted=bolted)
-                compiled = self.cache.compiled(
-                    workload, self.scale.records, seed=seed,
-                    bolted=bolted)
-            if ledger is not None:
-                ledger.cell(cell_id, "prepare", source="compile")
-            with PROFILER.section("harness.simulate"):
-                simulator = FrontEndSimulator(program, config, seed=seed)
-                if self.record_attribution:
-                    simulator.attach_attribution()
-                stats, plan = run_planned(simulator, compiled,
-                                          warmup=self.scale.warmup)
-                metrics = simulator.metrics_snapshot()
-            outcome = plan.outcome(simulator)
-            if ledger is not None:
-                ledger.cell(cell_id, "simulate",
-                            **plan.ledger_fields(simulator))
-                violations = check_snapshot(metrics)
-                ledger.cell(cell_id, "invariants",
-                            violations=[v.invariant for v in violations])
-            attribution = None
-            if self.record_attribution:
+            if self.store is None:
+                record(cell_id, "store_probe", hit=False, store=False)
+            else:
+                store_key = self.store.key(cell.workload, cell.config,
+                                           cell.seed, self.scale,
+                                           bolted=cell.bolted)
+                hit = self.store.get_complete(store_key, cell.config,
+                                              self.record_attribution)
+                record(cell_id, "store_probe", hit=hit is not None)
+                if hit is not None:
+                    self._remember(key, *hit,
+                                   metrics=self.store.get_metrics(store_key))
+                    record(cell_id, "done", result="store_hit",
+                           spanned=False)
+                    if progress is not None:
+                        progress.update(1)
+                    continue
+            pending.append((cell, key, cell_id, store_key))
+        PROFILER.set_cell(None)
+        if pending:
+            self._simulate_group(pending, setup, compiled, progress, ledger,
+                                 record)
+        return [self._results[key] for key in keys]
+
+    def _simulate_group(self, pending, setup, compiled, progress, ledger,
+                        record) -> None:
+        """Steps 2-4 of :meth:`run_group`, for the cells the store lacks."""
+        first = pending[0][0]
+        workload, seed, bolted = first.workload, first.seed, first.bolted
+        warmup = self.scale.warmup
+        label = pending[0][2]
+        if len(pending) > 1 and ledger is not None:
+            label = f"group:{workload}:s{seed}" + ("+bolt" if bolted else "")
+        PROFILER.set_cell(label)
+        mark = time.monotonic()
+
+        def finish(entry, simulator, stats, plan, shared=False) -> None:
+            _, key, cell_id, store_key = entry
+            metrics = simulator.metrics_snapshot()
+            attribution = intervals = None
+            if simulator.attribution is not None:
                 attribution = simulator.attribution.to_jsonable()
-                self._attribution[self._memo_key(
-                    workload, config, bolted, seed)] = attribution
-            intervals = None
             if simulator.intervals is not None:
                 intervals = simulator.intervals.series().to_jsonable()
-                self._intervals[self._memo_key(
-                    workload, config, bolted, seed)] = intervals
+            record(cell_id, "simulate", **plan.ledger_fields(simulator))
+            if ledger is not None:
+                record(cell_id, "invariants", violations=[
+                    v.invariant for v in check_snapshot(metrics)])
             if self.store is not None:
                 self.store.put(store_key, stats, metrics=metrics,
                                attribution=attribution, intervals=intervals)
+                record(cell_id, "store_write", stored=True)
+            wall_s = round(time.monotonic() - mark, 6)
+            record(cell_id, "done", spanned=True, wall_s=wall_s,
+                   shared_wall=shared, **plan.outcome(simulator))
+            if progress is not None:
+                progress.update(1, cell_id=None if shared else cell_id,
+                                wall_s=wall_s)
+            self._remember(key, stats, attribution, intervals, metrics)
+
+        lanes = []
+        try:
+            with PROFILER.section("harness.cell"):
                 if ledger is not None:
-                    ledger.cell(cell_id, "store_write", stored=True)
-        return stats, metrics, outcome
+                    ledger.group([entry[2] for entry in pending])
+                source = "compile" if compiled is None else "attach"
+                with PROFILER.section("harness.workload"):
+                    program = self.cache.program(workload, seed=seed,
+                                                 bolted=bolted)
+                    if compiled is None:
+                        compiled = self.cache.compiled(
+                            workload, self.scale.records, seed=seed,
+                            bolted=bolted)
+                batch = BatchedFrontEndSimulator()
+                for entry in pending:
+                    record(entry[2], "prepare", source=source)
+                    simulator = FrontEndSimulator(program, entry[0].config,
+                                                  seed=seed)
+                    if self.record_attribution:
+                        simulator.attach_attribution()
+                    if setup is not None:
+                        setup(simulator)
+                    plan = plan_engine(simulator)
+                    if plan.engine == "batched":
+                        batch.add_lane(simulator, compiled, warmup=warmup)
+                        lanes.append((entry, simulator, plan))
+                        continue
+                    with PROFILER.section("harness.simulate"):
+                        stats, plan = run_planned(simulator, compiled,
+                                                  warmup=warmup)
+                    finish(entry, simulator, stats, plan)
+                    # Released before the next cell's simulator is built.
+                    del simulator
+                    mark = time.monotonic()
+                if lanes:
+                    with PROFILER.section("harness.simulate"):
+                        results = batch.run()
+                    for (entry, simulator, plan), stats in zip(lanes,
+                                                               results):
+                        finish(entry, simulator, stats, plan,
+                               shared=len(lanes) > 1)
+        except Exception as exc:
+            for _, key, cell_id, _ in pending:
+                if key not in self._results:
+                    record(cell_id, "error",
+                           error=f"{type(exc).__name__}: {exc}")
+            raise
+        finally:
+            PROFILER.set_cell(None)
 
     # ------------------------------------------------------------------
     # Batch execution
@@ -341,217 +382,38 @@ class ExperimentRunner:
 
         Results merge into the in-memory memo, so subsequent ``run``
         calls for the same cells are hits.  ``jobs`` falls back to the
-        runner's default, then to serial.
+        runner's default, then to serial.  Serially, each (workload,
+        seed, bolted) group of missing cells is one :meth:`run_group`,
+        so its kernel-eligible cells share one lane batch.
         """
         jobs = jobs if jobs is not None else (self.jobs or 1)
         resolved = [cell.resolved(self.seed) for cell in cells]
-        missing = [cell for cell in resolved
-                   if cell.identity(self.scale) not in self._results]
-        if missing:
+        keys = [cell.identity(self.scale) for cell in resolved]
+        missing = {key: cell for key, cell in zip(keys, resolved)
+                   if key not in self._results}
+        if missing and jobs == 1:
             ledger = ledger_mod.active_ledger()
             progress = None
-            if jobs == 1:
-                if ledger is not None:
-                    unique: dict[tuple, Cell] = {}
-                    for cell in missing:
-                        unique.setdefault(cell.identity(self.scale), cell)
-                    ledger.grid(cells=len(unique), submitted=len(resolved),
-                                jobs=1)
-                    for cell in unique.values():
-                        ledger.cell(ledger_mod.cell_id_for(
-                            cell.workload, cell.config, cell.seed,
-                            cell.bolted), "queued")
-                    if progress_enabled():
-                        progress = ProgressReporter(len(unique),
-                                                    ledger=ledger)
-                if batch_enabled() and not self.record_attribution:
-                    self._run_missing_batched(missing, progress=progress)
-                else:
-                    for cell in missing:
-                        key = cell.identity(self.scale)
-                        if key not in self._results:
-                            started = time.monotonic()
-                            stats, metrics = self._run_uncached(
-                                cell.workload, cell.config, cell.bolted,
-                                cell.seed, queued=False)
-                            self._results[key] = stats
-                            if metrics is not None:
-                                self._metrics[key] = metrics
-                            if progress is not None:
-                                progress.update(
-                                    1,
-                                    cell_id=ledger_mod.cell_id_for(
-                                        cell.workload, cell.config,
-                                        cell.seed, cell.bolted),
-                                    wall_s=time.monotonic() - started)
-                if progress is not None:
-                    progress.finish()
-            else:
-                parallel = ParallelRunner(
-                    scale=self.scale, jobs=jobs, store=self.store,
-                    record_attribution=self.record_attribution)
-                for cell, stats in zip(missing,
-                                       parallel.run_batch(missing)):
-                    self._results.setdefault(cell.identity(self.scale),
-                                             stats)
-        return [self._results[cell.identity(self.scale)]
-                for cell in resolved]
-
-    def _run_missing_batched(self, missing: Sequence[Cell],
-                             progress: ProgressReporter | None = None
-                             ) -> None:
-        """Serial batch path: multi-lane kernel per shared trace.
-
-        Groups uncached cells by (workload, seed, bolted) so every lane
-        of a group replays one shared decode table in chunked lockstep
-        -- the table rows and the process-wide shadow-decode tables stay
-        hot across lanes instead of being streamed N times.  Store hits
-        short-circuit exactly as :meth:`_run_uncached` does; the
-        produced stats and metric snapshots are bit-identical to
-        ``run_compiled``.
-
-        Ledger semantics: each multi-lane group opens *one*
-        ``harness.cell`` section, so it logs one ``group`` record
-        covering its lanes; lane ``done`` records carry the shared group
-        wall (``shared_wall=True``, excluded from straggler medians).
-        Store hits short-circuit *before* the section and are therefore
-        terminal with ``spanned=False``.
-        """
-        ledger = ledger_mod.active_ledger()
-        groups: dict[tuple, list[Cell]] = {}
-        seen: set[tuple] = set()
-        for cell in missing:
-            key = cell.identity(self.scale)
-            if key in self._results or key in seen:
-                continue
-            seen.add(key)
-            groups.setdefault(
-                (cell.workload, cell.seed, cell.bolted), []).append(cell)
-        for (workload, seed, bolted), cells in groups.items():
-            pending: list[tuple[Cell, str | None]] = []
-            for cell in cells:
-                key = cell.identity(self.scale)
-                cell_id = (ledger_mod.cell_id_for(workload, cell.config,
-                                                  seed, bolted)
-                           if ledger is not None else None)
-                if self.store is not None:
-                    store_key = self.store.key(workload, cell.config, seed,
-                                               self.scale, bolted=bolted)
-                    stored = self.store.get(store_key)
-                    if (stored is not None and cell.config.interval_size > 0
-                            and self.store.get_intervals(store_key) is None):
-                        # Entry predates interval telemetry: treat as a
-                        # miss and re-simulate to backfill the series.
-                        stored = None
-                    if ledger is not None:
-                        ledger.cell(cell_id, "store_probe",
-                                    hit=stored is not None)
-                    if stored is not None:
-                        self._results[key] = stored
-                        metrics = self.store.get_metrics(store_key)
-                        if metrics is not None:
-                            self._metrics[key] = metrics
-                        if ledger is not None:
-                            ledger.cell(cell_id, "done", result="store_hit",
-                                        spanned=False)
-                        if progress is not None:
-                            progress.update(1)
-                        continue
-                elif ledger is not None:
-                    ledger.cell(cell_id, "store_probe", hit=False,
-                                store=False)
-                pending.append((cell, cell_id))
-            if not pending:
-                continue
-            group_started = time.monotonic()
             if ledger is not None:
-                PROFILER.set_cell(
-                    f"group:{workload}:s{seed}"
-                    + ("+bolt" if bolted else ""))
-            finished: list = []
-            try:
-                with PROFILER.section("harness.cell"):
-                    if ledger is not None:
-                        ledger.group([cell_id for _, cell_id in pending],
-                                     mode="batched-group")
-                    with PROFILER.section("harness.workload"):
-                        program = self.cache.program(workload, seed=seed,
-                                                     bolted=bolted)
-                        compiled = self.cache.compiled(
-                            workload, self.scale.records, seed=seed,
-                            bolted=bolted)
-                    batch = BatchedFrontEndSimulator()
-                    lanes = []
-                    others = []
-                    for cell, cell_id in pending:
-                        if ledger is not None:
-                            ledger.cell(cell_id, "prepare",
-                                        source="compile")
-                        simulator = FrontEndSimulator(program, cell.config,
-                                                      seed=seed)
-                        plan = plan_engine(simulator)
-                        if plan.engine == "batched":
-                            batch.add_lane(simulator, compiled,
-                                           warmup=self.scale.warmup)
-                            lanes.append((cell, cell_id, simulator, plan))
-                        else:
-                            # e.g. config.record_timeline attaches a
-                            # recorder at init, which only run_compiled
-                            # drives.
-                            others.append((cell, cell_id, simulator))
-                    with PROFILER.section("harness.simulate"):
-                        finished = [
-                            (cell, cell_id, simulator, stats, plan)
-                            for (cell, cell_id, simulator, plan), stats
-                            in zip(lanes, batch.run())]
-                        finished += [
-                            (cell, cell_id, simulator,
-                             *run_planned(simulator, compiled,
-                                          warmup=self.scale.warmup))
-                            for cell, cell_id, simulator in others]
-                    for cell, cell_id, simulator, stats, plan in finished:
-                        metrics = simulator.metrics_snapshot()
-                        self._results[cell.identity(self.scale)] = stats
-                        self._metrics[cell.identity(self.scale)] = metrics
-                        intervals = None
-                        if simulator.intervals is not None:
-                            intervals = (
-                                simulator.intervals.series().to_jsonable())
-                            self._intervals[
-                                cell.identity(self.scale)] = intervals
-                        if ledger is not None:
-                            ledger.cell(cell_id, "simulate",
-                                        **plan.ledger_fields(simulator))
-                            ledger.cell(cell_id, "invariants",
-                                        violations=[v.invariant for v in
-                                                    check_snapshot(metrics)])
-                        if self.store is not None:
-                            store_key = self.store.key(
-                                workload, cell.config, seed, self.scale,
-                                bolted=bolted)
-                            self.store.put(store_key, stats,
-                                           metrics=metrics,
-                                           intervals=intervals)
-                            if ledger is not None:
-                                ledger.cell(cell_id, "store_write",
-                                            stored=True)
-            except Exception as exc:
-                if ledger is not None:
-                    for cell, cell_id in pending:
-                        ledger.cell(cell_id, "error",
-                                    error=f"{type(exc).__name__}: {exc}")
-                raise
-            finally:
-                if ledger is not None:
-                    PROFILER.set_cell(None)
-            if ledger is not None:
-                group_wall = round(time.monotonic() - group_started, 6)
-                for cell, cell_id, simulator, stats, plan in finished:
-                    ledger.cell(cell_id, "done", spanned=True,
-                                wall_s=group_wall, shared_wall=True,
-                                **plan.outcome(simulator))
+                ledger.submit([cell.cell_id for cell in missing.values()],
+                              submitted=len(resolved), jobs=1)
+                if progress_enabled():
+                    progress = ProgressReporter(len(missing), ledger=ledger)
+            groups: dict[tuple, list[Cell]] = {}
+            for cell in missing.values():
+                groups.setdefault((cell.workload, cell.seed, cell.bolted),
+                                  []).append(cell)
+            for group in groups.values():
+                self.run_group(group, progress=progress)
             if progress is not None:
-                progress.update(len(pending))
+                progress.finish()
+        elif missing:
+            parallel = ParallelRunner(
+                scale=self.scale, jobs=jobs, store=self.store,
+                record_attribution=self.record_attribution)
+            self._results.update(zip(
+                missing, parallel.run_batch(list(missing.values()))))
+        return [self._results[key] for key in keys]
 
     def run_many(self, workloads: list[str], config: FrontEndConfig,
                  bolted: bool = False,

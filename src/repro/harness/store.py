@@ -182,15 +182,6 @@ class ResultStore:
         return result_key(workload, config, seed, scale, bolted=bolted,
                           version=version)
 
-    def contains(self, key: str) -> bool:
-        """Cheap existence probe (no parse, no hit/miss accounting).
-
-        Used by the batch dispatcher to decide whether a workload's
-        compiled trace must be published to workers at all; ``get`` is
-        still the authority on readability.
-        """
-        return self._path(key).is_file()
-
     def get(self, key: str) -> SimStats | None:
         path = self._path(key)
         with PROFILER.section("store.get"):
@@ -258,6 +249,30 @@ class ResultStore:
         if not isinstance(intervals, dict):
             return None
         return intervals
+
+    def get_complete(self, key: str, config, attribution: bool = False
+                     ) -> tuple[SimStats, dict | None, dict | None] | None:
+        """``(stats, attribution, intervals)`` of a complete entry, else
+        ``None``.
+
+        The one completeness rule of a cell: its stats are present, the
+        attribution artifact too when ``attribution`` is asked for, and
+        the interval series when ``config.interval_size > 0``.  An entry
+        missing any of them is a miss, so the cell re-simulates and the
+        rewrite backfills the artifact.
+        """
+        stats = self.get(key)
+        if stats is None:
+            return None
+        payload = self.get_attribution(key) if attribution else None
+        if attribution and payload is None:
+            return None
+        intervals = None
+        if config.interval_size > 0:
+            intervals = self.get_intervals(key)
+            if intervals is None:
+                return None
+        return stats, payload, intervals
 
     def put(self, key: str, stats: SimStats,
             metrics: dict[str, float] | None = None,

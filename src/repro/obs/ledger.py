@@ -178,14 +178,20 @@ class RunLedger:
         """One lifecycle record for ``cell_id``."""
         self.record("cell", cell=cell_id, phase=phase, **fields)
 
-    def group(self, cells: Iterable[str], mode: str) -> None:
+    def group(self, cells: Iterable[str]) -> None:
         """One ``harness.cell`` section opened, covering ``cells``."""
         cells = list(cells)
-        self.record("group", cells=cells, n=len(cells), mode=mode)
+        self.record("group", cells=cells, n=len(cells))
 
-    def grid(self, cells: int, **fields) -> None:
-        """Shape of one submitted batch."""
-        self.record("grid", cells=cells, **fields)
+    def submit(self, cells: Iterable[str], submitted: int,
+               jobs: int) -> None:
+        """One batch handed to the harness: its shape (``grid``), then
+        a ``queued`` record per distinct cell."""
+        cells = list(cells)
+        self.record("grid", cells=len(cells), submitted=submitted,
+                    jobs=jobs)
+        for cell_id in cells:
+            self.cell(cell_id, "queued")
 
     def heartbeat(self, min_interval: float = 5.0, **fields) -> None:
         """A rate-limited per-worker liveness record."""
@@ -441,7 +447,7 @@ def flag_stragglers(ledger: RunLedger,
 
     Reads the run's own manifest (workers already appended their
     ``done`` records with per-cell walls), computes the median over
-    individually-timed cells (shared batched-group walls are excluded:
+    individually-timed cells (shared kernel-batch walls are excluded:
     one wall covers N lanes) and appends a ``straggler`` record per
     offender not already flagged live by the progress reporter.
     """

@@ -73,23 +73,40 @@ class TestRunnerPlumbing:
         with pytest.raises(ValueError):
             runner.run_with_intervals("noop", FrontEndConfig())
 
-    def test_store_hit_without_artifact_backfills(self, tmp_path):
-        """A stats-only store entry is evicted and re-simulated once."""
+    @pytest.mark.parametrize("route", ["run", "serial", "parallel"])
+    @pytest.mark.parametrize("artifact", ["intervals", "attribution"])
+    def test_store_hit_without_artifact_backfills(self, tmp_path, artifact,
+                                                  route):
+        """A stats-only store entry is evicted and re-simulated once, on
+        every route into the cell body; the backfilled artifact equals a
+        fresh run's."""
+        attribution = artifact == "attribution"
         store = ResultStore(tmp_path)
-        config = FrontEndConfig(skia=SkiaConfig(), interval_size=WINDOW)
-        first = ExperimentRunner(scale=SCALE, store=store)
+        config = FrontEndConfig(skia=SkiaConfig(),
+                                interval_size=0 if attribution else WINDOW)
+        first = ExperimentRunner(scale=SCALE, store=store,
+                                 record_attribution=attribution)
         reference = first.run("noop", config)
         key = store.key("noop", config, 0, SCALE)
-        payload = store.get_intervals(key)
+        stored = getattr(store, f"get_{artifact}")
+        payload = stored(key)
         assert payload is not None
         # Strip the artifact, keeping the stats -- simulates an entry
-        # written before interval telemetry existed.
+        # written before the artifact existed.
         store.put(key, reference)
-        assert store.get_intervals(key) is None
-        second = ExperimentRunner(scale=SCALE, store=store)
-        stats, series = second.run_with_intervals("noop", config)
+        assert stored(key) is None
+        second = ExperimentRunner(scale=SCALE, store=store,
+                                  record_attribution=attribution)
+        if route == "run":
+            stats, result = getattr(second, f"run_with_{artifact}")(
+                "noop", config)
+            assert result.to_jsonable() == payload
+        else:
+            [stats] = second.run_cells([Cell("noop", config)],
+                                       jobs=1 if route == "serial" else 2)
         assert dataclasses.asdict(stats) == dataclasses.asdict(reference)
-        assert series.to_jsonable() == payload
+        assert getattr(second, f"{artifact}_for")("noop", config) == payload
+        assert stored(key) == payload
 
     def test_intervals_for_reads_memo_and_store(self, tmp_path):
         store = ResultStore(tmp_path)

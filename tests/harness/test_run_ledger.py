@@ -8,6 +8,8 @@ layer:
 * serial and parallel manifests are **semantically identical** once
   normalised (ordering and host-specific fields aside): same cell ids,
   same lifecycle phases, same outcomes;
+* a second, attributed pass over a warm store records every cell as an
+  unspanned ``store_hit`` with identical lifecycles in both modes;
 * ``spans.jsonl`` holds every span the profiler recorded exactly once,
   under the pid that timed it, and the ``harness.cell`` span population
   covers exactly the spanned terminal cells, in both modes (the
@@ -25,6 +27,7 @@ from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.harness.parallel import Cell
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
+from repro.harness.store import ResultStore
 from repro.obs import ledger as ledger_mod
 from repro.obs.profiler import PROFILER, span_row
 from repro.obs.spans import check_cell_conservation, read_spans
@@ -44,13 +47,15 @@ VARIANT_FIELDS = frozenset({
 })
 
 
-def _ledgered_run(tmp_path, monkeypatch, jobs: int):
+def _ledgered_run(tmp_path, monkeypatch, jobs: int, store=None,
+                  label: str = "", record_attribution: bool = False):
     monkeypatch.setenv("REPRO_LEDGER", "1")
     monkeypatch.setenv("REPRO_NO_PROGRESS", "1")
-    root = tmp_path / f"runs-j{jobs}"
+    root = tmp_path / f"runs-j{jobs}{label}"
     with ledger_mod.start_run(f"test jobs={jobs}", root=root) as ledger:
         runner = ExperimentRunner(scale=TINY, cache=WorkloadCache(),
-                                  store=None)
+                                  store=store,
+                                  record_attribution=record_attribution)
         stats = runner.run_cells(GRID, jobs=jobs)
         run_dir = ledger.run_dir
         # This process's spans, before the run's end flushes them.
@@ -64,7 +69,17 @@ def ledgered_runs(tmp_path_factory):
         tmp_path = tmp_path_factory.mktemp("ledger-agreement")
         serial = _ledgered_run(tmp_path, monkeypatch, jobs=1)
         parallel = _ledgered_run(tmp_path, monkeypatch, jobs=2)
-    return {"serial": serial, "parallel": parallel}
+        # Second pass: attributed grids over a warm store, whose every
+        # cell is a complete hit on both paths.
+        store = ResultStore(tmp_path / "store")
+        ExperimentRunner(scale=TINY, cache=WorkloadCache(), store=store,
+                         record_attribution=True).run_cells(GRID, jobs=1)
+        warm = {mode: _ledgered_run(tmp_path, monkeypatch, jobs=jobs,
+                                    store=store, label="-warm",
+                                    record_attribution=True)
+                for mode, jobs in (("serial", 1), ("parallel", 2))}
+    return {"serial": serial, "parallel": parallel,
+            "serial-warm": warm["serial"], "parallel-warm": warm["parallel"]}
 
 
 def _summary(run_dir):
@@ -160,3 +175,25 @@ class TestConservation:
         _, run_dir, _ = ledgered_runs["parallel"]
         spans = read_spans(run_dir / "spans.jsonl")
         assert len({span["pid"] for span in spans}) >= 2
+
+
+class TestWarmStore:
+    """Store hits are terminal and unspanned on every path."""
+
+    def test_lifecycles_identical(self, ledgered_runs):
+        _, serial_dir, _ = ledgered_runs["serial-warm"]
+        _, parallel_dir, _ = ledgered_runs["parallel-warm"]
+        assert (_normalised_cells(serial_dir)
+                == _normalised_cells(parallel_dir))
+
+    @pytest.mark.parametrize("mode", ["serial-warm", "parallel-warm"])
+    def test_every_cell_an_unspanned_store_hit(self, ledgered_runs, mode):
+        _, run_dir, _ = ledgered_runs[mode]
+        summary = _summary(run_dir)
+        assert summary.incomplete == []
+        assert summary.results() == {"store_hit": len(GRID)}
+        assert all(state.fields["spanned"] is False
+                   for state in summary.cells.values())
+        records = ledger_mod.read_manifest(run_dir / "manifest.jsonl")
+        spans = read_spans(run_dir / "spans.jsonl")
+        assert check_cell_conservation(records, spans) == []

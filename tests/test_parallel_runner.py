@@ -161,6 +161,30 @@ class TestZeroCopyDistribution:
         assert ("noop", 0, False) not in refs
         assert ("voter", 0, False) in refs
 
+    def test_attributed_warm_batch_publishes_nothing(self, tmp_path,
+                                                     monkeypatch):
+        """Publishing uses the cell body's completeness rule: a store
+        already holding every attributed entry needs no trace."""
+        from repro.workloads.compiled import CompiledTrace
+
+        store = ResultStore(tmp_path / "cache")
+        cells = [Cell(workload, config) for workload in ("noop", "voter")
+                 for config in CONFIGS]
+        ExperimentRunner(scale=TINY, cache=WorkloadCache(), store=store,
+                         record_attribution=True).run_cells(cells, jobs=1)
+        published = []
+        shared_ref = CompiledTrace.shared_ref
+
+        def counting_shared_ref(trace, *args, **kwargs):
+            published.append(trace)
+            return shared_ref(trace, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledTrace, "shared_ref", counting_shared_ref)
+        runner = ParallelRunner(scale=TINY, jobs=2, store=store,
+                                record_attribution=True)
+        runner.run_batch(cells)
+        assert published == []
+
     def test_worker_falls_back_when_ref_vanishes(self):
         """A dead ref must not fail the cell -- local compile instead."""
         from repro.harness.parallel import simulate_cell
