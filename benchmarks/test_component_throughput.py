@@ -14,8 +14,14 @@ from repro.core.sbd import ShadowBranchDecoder
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.frontend.predictor import ITTageLite, TageLite
+from repro.harness.experiments import exhibit_cells
+from repro.harness.parallel import Cell
+from repro.harness.runner import ExperimentRunner
+from repro.harness.scale import Scale
+from repro.harness.store import ResultStore
 from repro.isa.decoder import Decoder, decode_at
 from repro.isa.encoder import Encoder
+from repro.workloads.cache import WorkloadCache
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import TraceGenerator
@@ -230,3 +236,30 @@ def test_batched_kernel_speedup_gate(benchmark, program, trace):
         f"batched kernel only {ratio:.2f}x run_compiled "
         f"(oracle {min(oracle_s):.3f}s, batched {min(batched_s):.3f}s); "
         f"the floor is 2x")
+
+
+def test_warm_store_pass_throughput(benchmark, tmp_path):
+    """One fresh-runner pass over a 32-cell grid from a warm store: what
+    re-rendering a figure costs once every cell is persisted.  Each cell
+    is one store address and one entry read; nothing is simulated."""
+    scale = Scale("warm-pass", records=2_000, warmup=500)
+    workloads = ("noop", "voter", "tatp", "kafka")
+    base = FrontEndConfig()
+    cells = exhibit_cells("fig14", workloads=workloads) + [
+        Cell(workload, base.with_btb_entries(entries))
+        for entries in (2048, 4096, 16384, 32768) for workload in workloads]
+    assert len(cells) == 32
+    store = ResultStore(tmp_path / "cache")
+    cache = WorkloadCache()
+    ExperimentRunner(scale=scale, cache=cache, store=store,
+                     jobs=1).run_cells(cells)
+
+    def warm_pass():
+        replayer = ExperimentRunner(scale=scale, cache=cache, store=store,
+                                    jobs=1)
+        replayer.run_cells(cells)
+        for cell in cells:
+            replayer.metrics_for(cell.workload, cell.config)
+
+    benchmark(warm_pass)
+    assert store.writes == len(cells)  # the fill; the passes only read

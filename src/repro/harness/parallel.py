@@ -40,7 +40,7 @@ from typing import Sequence
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.stats import SimStats
 from repro.harness.scale import Scale, current_scale
-from repro.harness.store import ResultStore, config_key, default_store
+from repro.harness.store import ResultStore, default_store
 from repro.obs import ledger as ledger_mod
 from repro.obs.profiler import PROFILER
 
@@ -64,9 +64,14 @@ class Cell:
         return Cell(self.workload, self.config, default_seed, self.bolted)
 
     def identity(self, scale: Scale) -> tuple:
-        """The dedup/memo key; ``ExperimentRunner``'s memo key."""
+        """The dedup/memo key; ``ExperimentRunner``'s memo key.
+
+        Holds the frozen config itself: its equality compares the same
+        field values :func:`~repro.harness.store.config_key` spells out,
+        without building that spelling on every lookup.
+        """
         return (self.workload, self.bolted, scale.name, self.seed,
-                config_key(self.config))
+                self.config)
 
     @property
     def cell_id(self) -> str:

@@ -233,7 +233,8 @@ class ExperimentRunner:
 
         1. Probe the store with :meth:`ResultStore.get_complete` (stats,
            attribution when recorded, intervals when
-           ``interval_size > 0``).  A complete hit is terminal and
+           ``interval_size > 0``, and the metric snapshot, all from one
+           read of the entry).  A complete hit is terminal and
            unspanned (``done`` with ``spanned=False``) and writes
            nothing else; an incomplete entry re-simulates and the
            rewrite backfills the missing artifact.
@@ -272,8 +273,7 @@ class ExperimentRunner:
                                               self.record_attribution)
                 record(cell_id, "store_probe", hit=hit is not None)
                 if hit is not None:
-                    self._remember(key, *hit,
-                                   metrics=self.store.get_metrics(store_key))
+                    self._remember(key, *hit)
                     record(cell_id, "done", result="store_hit",
                            spanned=False)
                     if progress is not None:

@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 from repro import __version__
@@ -47,28 +47,45 @@ DEFAULT_ROOT = ".repro_cache"
 def config_key(config) -> tuple:
     """A hashable, order-stable identity for a configuration.
 
-    Dict fields are flattened in sorted-key order and list fields become
+    The config, its nested dataclasses and dict fields are flattened to
+    ``(name, value)`` pairs in sorted-name order and list fields become
     tuples, so two configs that compare equal produce equal keys no
-    matter how their mappings were built up.
+    matter how their mappings were built up.  Every store address and
+    run-ledger cell id hashes its ``repr``, so the output must not change
+    by a byte (``tests/harness/store_golden.py`` pins it).
     """
-    def flatten(mapping: dict) -> tuple:
-        items = []
-        for key in sorted(mapping):
-            value = mapping[key]
-            if isinstance(value, dict):
-                value = flatten(value)
-            elif isinstance(value, list):
-                value = tuple(value)
-            items.append((key, value))
-        return tuple(items)
+    return _flatten(config)
 
-    return flatten(asdict(config))
+
+#: Value types ``config_key`` keeps as they are, checked first because
+#: nearly every field holds one.
+_ATOMS = frozenset((int, float, str, bool, type(None)))
+
+
+@functools.cache
+def _sorted_field_names(cls: type) -> tuple[str, ...]:
+    return tuple(sorted(field.name for field in fields(cls)))
+
+
+def _flatten(value):
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if isinstance(value, dict):
+        return tuple([(key, _flatten(value[key])) for key in sorted(value)])
+    if isinstance(value, list):
+        return tuple(value)
+    if is_dataclass(cls):
+        return tuple([(name, _flatten(getattr(value, name)))
+                      for name in _sorted_field_names(cls)])
+    return value
 
 
 # ----------------------------------------------------------------------
 # SimStats (de)serialisation
 # ----------------------------------------------------------------------
 
+@functools.cache
 def _kind_fields() -> tuple[str, ...]:
     """SimStats fields holding per-BranchKind counter dicts."""
     probe = SimStats()
@@ -120,6 +137,7 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
+@functools.cache
 def schema_fingerprint(store_version: int = STORE_VERSION) -> str:
     """Identity of the stored value's shape.
 
@@ -158,6 +176,12 @@ def result_key(workload: str, config, seed: int, scale: Scale,
 # The store
 # ----------------------------------------------------------------------
 
+def _part(payload: dict | None, name: str) -> dict | None:
+    """The dict stored under ``name`` in an entry, if any."""
+    value = None if payload is None else payload.get(name)
+    return value if isinstance(value, dict) else None
+
+
 class ResultStore:
     """Content-addressed SimStats storage under one root directory.
 
@@ -182,18 +206,28 @@ class ResultStore:
         return result_key(workload, config, seed, scale, bolted=bolted,
                           version=version)
 
-    def get(self, key: str) -> SimStats | None:
-        path = self._path(key)
-        with PROFILER.section("store.get"):
-            try:
-                with open(path, encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                stats = stats_from_jsonable(payload["stats"])
-            except (OSError, ValueError, KeyError, TypeError):
-                self.misses += 1
-                return None
+    def _read(self, key: str) -> dict | None:
+        """The parsed entry at ``key``; ``None`` when missing or corrupt."""
+        try:
+            with open(self._path(key), encoding="utf-8") as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        return payload if isinstance(payload, dict) else None
+
+    def _stats(self, payload: dict | None) -> SimStats | None:
+        """The entry's stats, counted as a hit or a miss."""
+        try:
+            stats = stats_from_jsonable(payload["stats"])
+        except (ValueError, KeyError, TypeError):
+            self.misses += 1
+            return None
         self.hits += 1
         return stats
+
+    def get(self, key: str) -> SimStats | None:
+        with PROFILER.section("store.get"):
+            return self._stats(self._read(key))
 
     def get_metrics(self, key: str) -> dict[str, float] | None:
         """The metric snapshot stored alongside a result, if any.
@@ -202,16 +236,7 @@ class ResultStore:
         returns ``None`` for entries written before snapshots existed or
         by callers that had none to persist.
         """
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            metrics = payload.get("metrics")
-        except (OSError, ValueError):
-            return None
-        if not isinstance(metrics, dict):
-            return None
-        return metrics
+        return _part(self._read(key), "metrics")
 
     def get_attribution(self, key: str) -> dict | None:
         """The attribution artifact stored alongside a result, if any.
@@ -221,16 +246,7 @@ class ResultStore:
         written without attribution recording.  Uncounted, like
         :meth:`get_metrics`.
         """
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            attribution = payload.get("attribution")
-        except (OSError, ValueError):
-            return None
-        if not isinstance(attribution, dict):
-            return None
-        return attribution
+        return _part(self._read(key), "attribution")
 
     def get_intervals(self, key: str) -> dict | None:
         """The interval series stored alongside a result, if any.
@@ -239,40 +255,37 @@ class ResultStore:
         ``IntervalSeries.from_jsonable``); ``None`` for entries written
         without interval telemetry.  Uncounted, like :meth:`get_metrics`.
         """
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            intervals = payload.get("intervals")
-        except (OSError, ValueError):
-            return None
-        if not isinstance(intervals, dict):
-            return None
-        return intervals
+        return _part(self._read(key), "intervals")
 
     def get_complete(self, key: str, config, attribution: bool = False
-                     ) -> tuple[SimStats, dict | None, dict | None] | None:
-        """``(stats, attribution, intervals)`` of a complete entry, else
-        ``None``.
+                     ) -> tuple[SimStats, dict | None, dict | None,
+                                dict[str, float] | None] | None:
+        """``(stats, attribution, intervals, metrics)`` of a complete
+        entry, else ``None``; one read and one parse of the entry.
 
         The one completeness rule of a cell: its stats are present, the
         attribution artifact too when ``attribution`` is asked for, and
         the interval series when ``config.interval_size > 0``.  An entry
         missing any of them is a miss, so the cell re-simulates and the
-        rewrite backfills the artifact.
+        rewrite backfills the artifact.  The metric snapshot is returned
+        when stored but never required.
         """
-        stats = self.get(key)
+        with PROFILER.section("store.get"):
+            payload = self._read(key)
+            stats = self._stats(payload)
         if stats is None:
             return None
-        payload = self.get_attribution(key) if attribution else None
-        if attribution and payload is None:
-            return None
+        recorded = None
+        if attribution:
+            recorded = _part(payload, "attribution")
+            if recorded is None:
+                return None
         intervals = None
         if config.interval_size > 0:
-            intervals = self.get_intervals(key)
+            intervals = _part(payload, "intervals")
             if intervals is None:
                 return None
-        return stats, payload, intervals
+        return stats, recorded, intervals, _part(payload, "metrics")
 
     def put(self, key: str, stats: SimStats,
             metrics: dict[str, float] | None = None,

@@ -89,8 +89,8 @@ def cell_id_for(workload: str, config, seed: int, bolted: bool) -> str:
     """A stable, human-scannable cell identity.
 
     The config digest hashes the same order-stable
-    :func:`~repro.harness.store.config_key` identity the memo and store
-    use, so serial and parallel runs (and reruns) agree on ids.
+    :func:`~repro.harness.store.config_key` spelling the store address
+    hashes, so serial and parallel runs (and reruns) agree on ids.
     """
     import hashlib
 
