@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core import decode_tables
 from repro.core.sbb import ShadowBranchBuffer
 from repro.core.sbd import ShadowBranchDecoder
 from repro.frontend.config import FrontEndConfig, SkiaConfig
@@ -165,6 +166,30 @@ def test_sbd_tail_decode_throughput(benchmark, program):
             sbd.decode_tail(exit_pc)
 
     benchmark(run)
+
+
+def test_sbd_cold_line_decode_throughput(benchmark, program):
+    """Cold line decodes: each round empties the process-wide decode
+    tables and builds a fresh decoder, so every head and tail decode
+    pays the per-line decode of its line (the head/tail benchmarks
+    above keep the line cache warm and never time it)."""
+    entries = [program.base_address + line * 64 + 23
+               for line in range(0, 40)]
+
+    def run():
+        decode_tables.reset()
+        sbd = ShadowBranchDecoder(program.image, program.base_address,
+                                  SkiaConfig())
+        for entry in entries:
+            sbd.decode_head(entry)
+            sbd.decode_tail(entry)
+        return sbd
+
+    sbd = benchmark(run)
+    decode_tables.reset()
+    stats = sbd.cache_stats()["line_cache"]
+    assert stats.misses == len(entries)  # one cold decode per line
+    print(stats.render("sbd line_cache"))
 
 
 def test_engine_blocks_per_second(benchmark, program, trace):

@@ -35,9 +35,12 @@ Three bounded LRU caches cooperate:
 
 * a **line decode cache** holding, per cache line, the instruction that
   would start at *every* byte offset of the line (decoded against the
-  line-end limit).  Index Computation for any entry offset, the chosen-
-  path walk, and tail sweeps all read from this one vector, so a line
-  entered at several different offsets decodes its bytes exactly once;
+  line-end limit) as a compact ``(length, kind, rel)`` tuple from
+  :func:`repro.isa.decoder.decode_fields` -- ``rel`` is ``target - pc``
+  for direct branches, and an entry's pc is ``line + offset``.  Index
+  Computation for any entry offset, the chosen-path walk, and tail
+  sweeps all read from this one vector, so a line entered at several
+  different offsets decodes its bytes exactly once;
 * the **head memo** per (line, entry offset) and the **tail memo** per
   (line, exit offset), which make repeats of the same boundary free.
 
@@ -64,8 +67,8 @@ from dataclasses import dataclass, field
 
 from repro.caching import CacheStats, LRUCache
 from repro.core.decode_tables import shared_tables
-from repro.isa.branch import BranchKind
-from repro.isa.decoder import decode_at
+from repro.isa.branch import SBB_ELIGIBLE, BranchKind
+from repro.isa.decoder import decode_fields
 from repro.frontend.config import IndexPolicy, SkiaConfig
 from repro.obs.profiler import PROFILER
 
@@ -158,12 +161,13 @@ class ShadowBranchDecoder:
     # ------------------------------------------------------------------
 
     def _line_decodes(self, line: int) -> list:
-        """The instruction starting at every byte offset of ``line``.
+        """``(length, kind, rel)`` of the instruction starting at every
+        byte offset of ``line``.
 
-        Decoded against the line-end limit (clamped to the image), with
-        correct virtual PCs, so entries can be shared between Index
-        Computation, path walks, and tail sweeps.  Offsets outside the
-        image decode to ``None``.
+        Decoded against the line-end limit (clamped to the image), so
+        entries can be shared between Index Computation, path walks, and
+        tail sweeps.  Offsets outside the image, and offsets where no
+        valid instruction starts, hold ``None``.
         """
         cached = self._line_cache.get(line)
         if cached is not None:
@@ -187,13 +191,13 @@ class ShadowBranchDecoder:
         return self._decode_line(line)
 
     def _decode_line(self, line: int) -> list:
+        image = self.image
         image_base = line - self.base_address
-        limit = min(image_base + self.line_size, len(self.image))
-        return [
-            decode_at(self.image, image_base + offset,
-                      pc=line + offset, limit=limit)
-            for offset in range(self.line_size)
-        ]
+        end = min(image_base + self.line_size, len(image))
+        vector = [None] * self.line_size
+        for offset in range(max(image_base, 0), end):
+            vector[offset - image_base] = decode_fields(image, offset, end)
+        return vector
 
     # ------------------------------------------------------------------
     # Tail decoding
@@ -255,11 +259,13 @@ class ShadowBranchDecoder:
             decoded = decodes[position]
             if decoded is None:
                 break
-            result.decoded_pcs.append(decoded.pc)
-            if decoded.kind.sbb_eligible:
+            length, kind, rel = decoded
+            pc = line + position
+            result.decoded_pcs.append(pc)
+            if kind in SBB_ELIGIBLE:
                 result.branches.append(ShadowBranch(
-                    pc=decoded.pc, kind=decoded.kind, target=decoded.target))
-            position += decoded.length
+                    pc, kind, None if rel is None else pc + rel))
+            position += length
         return result
 
     # ------------------------------------------------------------------
@@ -336,11 +342,13 @@ class ShadowBranchDecoder:
             decoded = decodes[offset]
             if decoded is None:  # pragma: no cover - path was validated
                 break
-            result.decoded_pcs.append(decoded.pc)
-            if decoded.kind.sbb_eligible:
+            length, kind, rel = decoded
+            pc = line + offset
+            result.decoded_pcs.append(pc)
+            if kind in SBB_ELIGIBLE:
                 result.branches.append(ShadowBranch(
-                    pc=decoded.pc, kind=decoded.kind, target=decoded.target))
-            offset += decoded.length
+                    pc, kind, None if rel is None else pc + rel))
+            offset += length
         return result
 
     def _index_computation(self, image_base: int,
@@ -355,8 +363,8 @@ class ShadowBranchDecoder:
         lengths = []
         for offset in range(entry_offset):
             decoded = decodes[offset]
-            length = 0 if decoded is None else decoded.length
-            if length and offset + length > entry_offset:
+            length = 0 if decoded is None else decoded[0]
+            if offset + length > entry_offset:
                 length = 0
             lengths.append(length)
         return lengths

@@ -21,15 +21,6 @@ from __future__ import annotations
 import random
 
 
-def _mix(pc: int, history: int, salt: int) -> int:
-    """Cheap avalanche hash for table indexing."""
-    value = (pc * 0x9E3779B97F4A7C15) ^ (history * 0xC2B2AE3D27D4EB4F) ^ salt
-    value ^= value >> 29
-    value *= 0xBF58476D1CE4E5B9
-    value ^= value >> 32
-    return value & 0x7FFFFFFFFFFFFFFF
-
-
 class _TaggedEntry:
     __slots__ = ("tag", "ctr", "useful")
 
@@ -68,8 +59,9 @@ class TageLite:
     def _indices(self, pc: int) -> list[tuple[int, int]]:
         """(index, tag) per tagged table for the current history.
 
-        :func:`_mix` is inlined (this runs once per conditional branch)
-        over precomputed history masks; the arithmetic is identical.
+        A cheap avalanche hash of the pc, the history under the table's
+        mask and a per-table salt.  :meth:`update` hashes the same way,
+        table by table, as its search needs them.
         """
         out = []
         history = self.history
@@ -111,75 +103,108 @@ class TageLite:
         return None
 
     def update(self, pc: int, taken: bool) -> bool:
-        """Predict, train, shift history.  Returns the prediction made."""
-        self.predictions += 1
-        indices = self._indices(pc)
+        """Predict, train, shift history.  Returns the prediction made.
 
-        provider = None
-        alt = None
-        for table_number in range(len(self.tables) - 1, -1, -1):
-            index, tag = indices[table_number]
-            entry = self.tables[table_number].get(index)
-            if entry is not None and entry.tag == tag:
+        One pass from the longest history down: each table's hash is
+        computed as :meth:`_indices` does, and the search stops at the
+        alternate hit below the provider.  Every table above the
+        provider has been hashed by then, which is all allocation reads.
+        """
+        self.predictions += 1
+        tables = self.tables
+        count = len(tables)
+        values = [0] * count
+        history = self.history
+        masks = self._history_masks
+        table_mask = self.table_mask
+        tag_mask = self.tag_mask
+        table_bits = self.table_bits
+        pc_mixed = pc * 0x9E3779B97F4A7C15
+        provider = alt = None
+        provider_number = -1
+        number = count - 1
+        while number >= 0:
+            value = (pc_mixed ^ ((history & masks[number]) * 0xC2B2AE3D27D4EB4F)
+                     ^ (number + 1))
+            value ^= value >> 29
+            value *= 0xBF58476D1CE4E5B9
+            value ^= value >> 32
+            value &= 0x7FFFFFFFFFFFFFFF
+            values[number] = value
+            entry = tables[number].get(value & table_mask)
+            if (entry is not None
+                    and entry.tag == (value >> table_bits) & tag_mask):
                 if provider is None:
-                    provider = (table_number, index, entry)
+                    provider = entry
+                    provider_number = number
                 else:
                     alt = entry
                     break
+            number -= 1
 
+        bimodal = self.bimodal
+        key = pc & 0x3FFFF
         if provider is None:
-            prediction = self._bimodal_predict(pc)
+            counter = bimodal.get(key, 1)  # 2-bit, init weak-T
+            prediction = counter >= 1
         else:
-            entry = provider[2]
-            weak = entry.ctr in (0, -1) and entry.useful == 0
-            if weak:
+            ctr = provider.ctr
+            if (ctr == 0 or ctr == -1) and provider.useful == 0:
                 # Newly-allocated/untrusted entry: defer to the alternate
                 # prediction (standard TAGE use-alt-on-new-alloc).
                 prediction = (alt.ctr >= 0 if alt is not None
-                              else self._bimodal_predict(pc))
+                              else bimodal.get(key, 1) >= 1)
             else:
-                prediction = entry.ctr >= 0
+                prediction = ctr >= 0
         correct = prediction == taken
-        if not correct:
-            self.mispredictions += 1
 
-        # Train the provider (or bimodal).
+        # Train the provider (counter saturating in [-4, 3], usefulness
+        # in [0, 3]) or the 2-bit bimodal counter.
         if provider is not None:
-            _, _, entry = provider
-            entry.ctr = _saturate(entry.ctr + (1 if taken else -1), 3)
-            if correct:
-                entry.useful = min(entry.useful + 1, 3)
-        else:
-            key = pc & 0x3FFFF
-            counter = self.bimodal.get(key, 1)
-            self.bimodal[key] = max(0, min(3, counter + (1 if taken else -1)))
+            if taken:
+                if ctr < 3:
+                    provider.ctr = ctr + 1
+            elif ctr > -4:
+                provider.ctr = ctr - 1
+            if correct and provider.useful < 3:
+                provider.useful += 1
+        elif taken:
+            if counter < 3:
+                bimodal[key] = counter + 1
+        elif counter > 0:
+            bimodal[key] = counter - 1
 
         # Allocate a longer-history entry on a mispredict.
         if not correct:
-            start = provider[0] + 1 if provider is not None else 0
-            self._allocate(indices, start, taken)
+            self.mispredictions += 1
+            self._allocate(values, provider_number + 1, taken)
 
-        self.history = ((self.history << 1) | int(taken)) & ((1 << 256) - 1)
+        self.history = ((history << 1) | int(taken)) & ((1 << 256) - 1)
         return prediction
 
-    def _allocate(self, indices: list[tuple[int, int]], start: int,
+    def _allocate(self, values: list[int], start: int,
                   taken: bool) -> None:
+        """Allocate from the per-table hashes ``update`` computed."""
         candidates = []
-        for table_number in range(start, len(self.tables)):
-            index, tag = indices[table_number]
-            entry = self.tables[table_number].get(index)
+        tables = self.tables
+        table_mask = self.table_mask
+        for table_number in range(start, len(tables)):
+            value = values[table_number]
+            entry = tables[table_number].get(value & table_mask)
             if entry is None or entry.useful == 0:
-                candidates.append((table_number, index, tag))
+                candidates.append(
+                    (table_number, value & table_mask,
+                     (value >> self.table_bits) & self.tag_mask))
         if not candidates:
             # Decay usefulness so future allocations succeed.
-            for table_number in range(start, len(self.tables)):
-                index, _ = indices[table_number]
-                entry = self.tables[table_number].get(index)
+            for table_number in range(start, len(tables)):
+                entry = tables[table_number].get(
+                    values[table_number] & table_mask)
                 if entry is not None and entry.useful > 0:
                     entry.useful -= 1
             return
         table_number, index, tag = self._rng.choice(candidates[:2])
-        self.tables[table_number][index] = _TaggedEntry(tag, taken)
+        tables[table_number][index] = _TaggedEntry(tag, taken)
 
     def state(self, base: float) -> tuple:
         """Tagged entries, bimodal counters, history and the allocator's
@@ -198,10 +223,6 @@ class TageLite:
         if not self.predictions:
             return 1.0
         return 1.0 - self.mispredictions / self.predictions
-
-
-def _saturate(value: int, magnitude: int) -> int:
-    return max(-magnitude - 1, min(magnitude, value))
 
 
 class _LoopEntry:
@@ -301,7 +322,7 @@ class ITTageLite:
         self.mispredictions = 0
 
     def _indices(self, pc: int) -> list[tuple[int, int]]:
-        # _mix inlined over precomputed masks, as in TageLite._indices.
+        # The hash of TageLite._indices with its own salts.
         out = []
         history = self.history
         table_mask = self.table_mask
@@ -337,47 +358,75 @@ class ITTageLite:
         return self.base.get(pc)
 
     def update(self, pc: int, target: int) -> int | None:
-        """Predict, train, fold the target into the path history."""
-        self.predictions += 1
-        indices = self._indices(pc)
-        provider = self._find_provider(indices)
-        prediction = provider[2].target if provider else self.base.get(pc)
-        if prediction != target:
-            self.mispredictions += 1
+        """Predict, train, fold the target into the path history.
 
+        One pass from the longest history down, hashing each table as
+        :meth:`_indices` does: the first tag hit is the entry to train,
+        and the first *confident* one is the provider.  The pass stops
+        at the provider; every table above the trained entry has been
+        hashed by then, which is all allocation reads.
+        """
+        self.predictions += 1
+        tables = self.tables
+        count = len(tables)
+        values = [0] * count
+        history = self.history
+        masks = self._history_masks
+        table_mask = self.table_mask
+        tag_mask = self.tag_mask
+        table_bits = self.table_bits
+        pc_mixed = pc * 0x9E3779B97F4A7C15
+        match = provider = None
+        match_number = -1
+        number = count - 1
+        while number >= 0:
+            value = (pc_mixed ^ ((history & masks[number]) * 0xC2B2AE3D27D4EB4F)
+                     ^ (0x17 + number))
+            value ^= value >> 29
+            value *= 0xBF58476D1CE4E5B9
+            value ^= value >> 32
+            value &= 0x7FFFFFFFFFFFFFFF
+            values[number] = value
+            entry = tables[number].get(value & table_mask)
+            if (entry is not None
+                    and entry.tag == (value >> table_bits) & tag_mask):
+                if match is None:
+                    match = entry
+                    match_number = number
+                if entry.confidence > 0:
+                    provider = entry
+                    break
+            number -= 1
+
+        base_prediction = self.base.get(pc)
+        prediction = (provider.target if provider is not None
+                      else base_prediction)
         # Train the longest *matching* entry regardless of confidence, so
         # correct-but-unconfident entries can earn provider status.  An
         # entry only gains confidence when it *beats* the last-target
         # base table -- history-indexed entries that merely echo the base
         # (or noise) never earn the right to override it.
-        base_prediction = self.base.get(pc)
-        match = None
-        for table_number in range(len(self.tables) - 1, -1, -1):
-            index, tag = indices[table_number]
-            entry = self.tables[table_number].get(index)
-            if entry is not None and entry.tag == tag:
-                match = (table_number, index, entry)
-                break
         if match is not None:
-            _, _, entry = match
-            if entry.target == target:
-                if base_prediction != target:
-                    entry.confidence = min(entry.confidence + 1, 3)
-            elif entry.confidence > 0:
-                entry.confidence -= 1
+            if match.target == target:
+                if base_prediction != target and match.confidence < 3:
+                    match.confidence += 1
+            elif match.confidence > 0:
+                match.confidence -= 1
             else:
-                entry.target = target
+                match.target = target
         if prediction != target:
+            self.mispredictions += 1
             # Allocate in a longer table than the best match.
-            start = match[0] + 1 if match else 0
-            for table_number in range(start, len(self.tables)):
-                index, tag = indices[table_number]
-                current = self.tables[table_number].get(index)
+            for number in range(match_number + 1, count):
+                value = values[number]
+                index = value & table_mask
+                current = tables[number].get(index)
                 if current is None or current.confidence == 0:
-                    self.tables[table_number][index] = _ITEntry(tag, target)
+                    tables[number][index] = _ITEntry(
+                        (value >> table_bits) & tag_mask, target)
                     break
         self.base[pc] = target
-        self.history = ((self.history << 2) ^ (target & 0xFFFF)) & ((1 << 128) - 1)
+        self.history = ((history << 2) ^ (target & 0xFFFF)) & ((1 << 128) - 1)
         return prediction
 
     def state(self, base: float) -> tuple:

@@ -65,8 +65,14 @@ class BranchKind(enum.Enum):
         excluded because the predictor would still need a direction, and
         indirect branches because the target needs register state.
         """
-        return self in (BranchKind.DIRECT_UNCOND, BranchKind.CALL, BranchKind.RETURN)
+        return self in SBB_ELIGIBLE
 
+
+#: The kinds :attr:`BranchKind.sbb_eligible` accepts, for hot loops
+#: that test membership directly.
+SBB_ELIGIBLE = frozenset(
+    {BranchKind.DIRECT_UNCOND, BranchKind.CALL, BranchKind.RETURN}
+)
 
 _DIRECT = frozenset(
     {BranchKind.DIRECT_COND, BranchKind.DIRECT_UNCOND, BranchKind.CALL}

@@ -218,8 +218,10 @@ class AttributionAggregator:
     ``warmup`` gates counting exactly as the simulator gates ``SimStats``
     (events whose ``record`` index precedes it are observed but not
     counted), so rollup sums equal the aggregate counters.
-    ``shadow_positions`` (pc -> :class:`ShadowPosition`) stamps each
-    branch record with its static head/tail shadow candidacy.
+    ``shadow_positions`` (pc -> :class:`ShadowPosition`, or directly
+    pc -> its label as :attr:`~repro.workloads.program.Program.shadow_labels`
+    gives it) stamps each branch record with its static head/tail
+    shadow candidacy.
     """
 
     def __init__(self, workload: str = "?", warmup: int = 0,
@@ -245,13 +247,12 @@ class AttributionAggregator:
                        meta: dict | None = None) -> "AttributionAggregator":
         """Build an aggregator wired to one program + configuration.
 
-        Computes the static shadow census up front so every branch
-        record carries its head/tail candidacy.
+        Stamps every branch record with its head/tail candidacy from
+        the program's static shadow census (computed once per program).
         """
-        from repro.workloads.analysis import shadow_position_map
         return cls(workload=program.name, warmup=warmup,
                    line_size=config.line_size,
-                   shadow_positions=shadow_position_map(program), meta=meta)
+                   shadow_positions=program.shadow_labels, meta=meta)
 
     # -- event intake --------------------------------------------------
 
@@ -286,8 +287,8 @@ class AttributionAggregator:
     def _shadow_of(self, pc: int) -> str:
         if not self._positions:
             return "?"
-        position = self._positions.get(pc)
-        return "none" if position is None else position.label
+        position = self._positions.get(pc, "none")
+        return position if isinstance(position, str) else position.label
 
     def _line(self, pc: int) -> LineAttribution:
         address = pc & ~(self.line_size - 1)

@@ -12,8 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from repro.isa.branch import BranchKind
+from repro.isa.branch import SBB_ELIGIBLE, BranchKind
 from repro.workloads.program import LINE_SIZE, Program
 from repro.workloads.trace import BlockRecord
 
@@ -107,6 +108,10 @@ class ShadowGeometry:
                 if self.total_branches else 0.0)
 
 
+#: Position labels indexed by ``2 * head + tail``.
+_LABELS = ("none", "tail", "head", "head+tail")
+
+
 @dataclass(frozen=True)
 class ShadowPosition:
     """One static branch's head/tail shadow candidacy.
@@ -126,13 +131,41 @@ class ShadowPosition:
     @property
     def label(self) -> str:
         """Compact position label for attribution reports."""
-        if self.head and self.tail:
-            return "head+tail"
-        if self.head:
-            return "head"
-        if self.tail:
-            return "tail"
-        return "none"
+        return _LABELS[2 * self.head + self.tail]
+
+
+def _census(program: Program) -> list[tuple[int, BranchKind, bool, bool]]:
+    """``(pc, kind, head, tail)`` per basic block, in start-address
+    order, duplicates kept."""
+    blocks = sorted((block for function in program.functions
+                     for block in function.blocks),
+                    key=attrgetter("start_pc"))
+    terminators = [block.instructions[-1] for block in blocks]
+    exits = [terminator.pc + len(terminator.encoding)
+             for terminator in terminators]
+    entries = [block.start_pc for block in blocks]
+    exit_count = len(exits)
+    exit_index = 0
+    census = []
+    for terminator, end in zip(terminators, exits):
+        pc = terminator.pc
+        line = pc & ~(LINE_SIZE - 1)
+        # Tail candidate: one of the last 8 block exits at or before
+        # this branch lies in its line.
+        while exit_index < exit_count and exits[exit_index] <= pc:
+            exit_index += 1
+        tail = False
+        for earlier_exit in exits[max(0, exit_index - 8):exit_index]:
+            if line <= earlier_exit <= pc:
+                tail = True
+                break
+        # Head candidate: some block entry in the same line lies after
+        # this branch's end.  ``entries`` is sorted and ``end > line``,
+        # so "any entry in [end, line_end)" is a bisect range check.
+        head = (bisect_left(entries, end)
+                < bisect_left(entries, line + LINE_SIZE))
+        census.append((pc, terminator.kind, head, tail))
+    return census
 
 
 def shadow_positions(program: Program) -> list[ShadowPosition]:
@@ -142,51 +175,34 @@ def shadow_positions(program: Program) -> list[ShadowPosition]:
     per-block loop sees them, so :func:`shadow_geometry` aggregates to
     identical counts; use :func:`shadow_position_map` for keyed lookup.
     """
-    blocks = sorted(program.iter_blocks(), key=lambda b: b.start_pc)
-    exits = [(block.terminator.pc + block.terminator.length)
-             for block in blocks]
-    entries = [block.start_pc for block in blocks]
-    exit_index = 0
-    positions: list[ShadowPosition] = []
-
-    for block in blocks:
-        terminator = block.terminator
-        line = terminator.pc & ~(LINE_SIZE - 1)
-        # Tail candidate: some earlier block in the same line exits
-        # before this branch starts.
-        while exit_index < len(exits) and exits[exit_index] <= terminator.pc:
-            exit_index += 1
-        tail = any(line <= earlier_exit <= terminator.pc
-                   for earlier_exit in exits[max(0, exit_index - 8):
-                                             exit_index])
-        # Head candidate: some block entry in the same line lies after
-        # this branch's end.  ``entries`` is sorted and ``end > line``,
-        # so "any entry in [end, line_end)" is a bisect range check.
-        end = terminator.pc + terminator.length
-        line_end = line + LINE_SIZE
-        head = bisect_left(entries, end) < bisect_left(entries, line_end)
-        positions.append(ShadowPosition(
-            pc=terminator.pc, kind=terminator.kind, head=head, tail=tail,
-            eligible=terminator.kind.sbb_eligible))
-    return positions
+    return [ShadowPosition(pc=pc, kind=kind, head=head, tail=tail,
+                           eligible=kind in SBB_ELIGIBLE)
+            for pc, kind, head, tail in _census(program)]
 
 
 def shadow_position_map(program: Program) -> dict[int, ShadowPosition]:
-    """Shadow positions keyed by branch PC (for attribution stamping)."""
+    """Shadow positions keyed by branch PC."""
     return {position.pc: position
             for position in shadow_positions(program)}
 
 
+def shadow_labels(program: Program) -> dict[int, str]:
+    """Shadow position label keyed by branch PC.
+
+    Attribution reads it through :attr:`Program.shadow_labels`, which
+    computes it once per program.
+    """
+    return {pc: _LABELS[2 * head + tail]
+            for pc, _, head, tail in _census(program)}
+
+
 def shadow_geometry(program: Program) -> ShadowGeometry:
     geometry = ShadowGeometry()
-    for position in shadow_positions(program):
+    for _, kind, head, tail in _census(program):
         geometry.total_branches += 1
-        if position.eligible:
-            geometry.eligible_branches += 1
-        if position.tail:
-            geometry.tail_shadow_candidates += 1
-        if position.head:
-            geometry.head_shadow_candidates += 1
+        geometry.eligible_branches += kind in SBB_ELIGIBLE
+        geometry.tail_shadow_candidates += tail
+        geometry.head_shadow_candidates += head
     return geometry
 
 

@@ -12,6 +12,7 @@ insertions were bogus).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.isa.branch import BranchKind
 from repro.isa.instruction import Instruction
@@ -144,6 +145,14 @@ class Program:
     def is_instruction_start(self, pc: int) -> bool:
         """Ground-truth boundary check (used for bogus-branch auditing)."""
         return pc in self.instruction_starts
+
+    @cached_property
+    def shadow_labels(self) -> dict[int, str]:
+        """Static head/tail shadow label by branch PC, computed once
+        (a laid-out program never changes) and shared, read-only, by
+        every attribution aggregator over this program."""
+        from repro.workloads.analysis import shadow_labels
+        return shadow_labels(self)
 
     # ------------------------------------------------------------------
     # Introspection helpers used by tests and reports.
