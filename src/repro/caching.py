@@ -56,7 +56,8 @@ class LRUCache:
 
     Counter invariants, at every capacity and under touch-on-hit
     re-ordering (property-tested in tests/test_caching.py):
-    ``hits + misses == gets``, ``evictions == new-key stores - size``,
+    ``hits + misses == gets``,
+    ``evictions == new-key stores - popped keys - size``,
     and ``size <= maxsize``.
 
     ``on_evict`` (when given) is called as ``on_evict(key, value)`` for
@@ -121,6 +122,11 @@ class LRUCache:
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Uncounted lookup that does not touch recency."""
         return self._data.get(key, default)
+
+    def pop(self, key: Hashable, default: Any = None) -> Any:
+        """Uncounted removal: not an eviction, and ``on_evict`` is not
+        called (the caller takes the value)."""
+        return self._data.pop(key, default)
 
     def state(self, base: float) -> tuple:
         """Keys, least- to most-recently used: the eviction order.

@@ -31,6 +31,7 @@ picks between oracle and kernel.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from repro.core.skia import Skia
@@ -94,7 +95,11 @@ class FrontEndSimulator:
             self.bpu.comparator.register_metrics(
                 self.metrics.scope("comparator"))
         engine_scope = self.metrics.scope("engine")
-        engine_scope.gauge("records", lambda: self._records_seen)
+        # Weak: a gauge holding the simulator would close a simulator ->
+        # registry -> gauge loop, and every finished cell would wait for
+        # a full cyclic collection instead of being freed on release.
+        simulator = weakref.ref(self)
+        engine_scope.gauge("records", lambda: simulator()._records_seen)
         self._resteer_latency = engine_scope.histogram("resteer_latency")
 
     def attach_trace(self, trace: EventTrace) -> None:

@@ -309,7 +309,9 @@ class ResultStore:
                 dir=path.parent, prefix=".tmp-", suffix=".json")
             try:
                 with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle)
+                    # One dumps call runs the C encoder; json.dump to a
+                    # file takes the pure-Python iterencode path.
+                    handle.write(json.dumps(payload))
                 os.replace(tmp_name, path)
             except BaseException:
                 try:

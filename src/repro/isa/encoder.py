@@ -2,13 +2,17 @@
 
 The workload generator asks this module for two things:
 
-* **filler** instructions of a *chosen byte length* (1-15), so code images
+* **filler** encodings of a *chosen byte length* (1-15), so code images
   get a realistic instruction-length mix -- immediates and displacements
   are filled with random bytes, which is what makes head shadow decoding
-  genuinely ambiguous;
+  genuinely ambiguous.  A filler is bare bytes, not an
+  :class:`~repro.isa.instruction.Instruction`: the generator appends it
+  to its block's byte run, and nothing ever patches or relocates it;
 * **branch** instructions in every form the paper cares about: rel8/rel32
   conditional jumps, rel8/rel32 unconditional jumps, rel32 calls, 1- and
-  3-byte returns, and register/memory indirect jumps and calls.
+  3-byte returns, and register/memory indirect jumps and calls.  These
+  are :class:`~repro.isa.instruction.Instruction` objects, one per block
+  terminator.
 
 Relative immediates are left as zeros; the layout pass patches them via
 :meth:`repro.isa.instruction.Instruction.patch_relative` once block
@@ -119,9 +123,10 @@ class Encoder:
     # Fillers
     # ------------------------------------------------------------------
 
-    def filler(self, rng: random.Random, length: int) -> Instruction:
-        """A non-branch instruction of exactly ``length`` bytes: the
-        longest base encoding that fits, padded with prefixes."""
+    def filler(self, rng: random.Random, length: int) -> bytearray:
+        """The encoding of a non-branch instruction of exactly ``length``
+        bytes: the longest base encoding that fits, padded with
+        prefixes."""
         if not 1 <= length <= MAX_INSTRUCTION_LENGTH:
             raise ValueError(f"filler length {length} outside 1..{MAX_INSTRUCTION_LENGTH}")
         g = rng.getrandbits
@@ -130,10 +135,7 @@ class Encoder:
             encoding = bytearray([choice(g, _SAFE_PREFIXES)
                                   for _ in range(length - len(encoding))]
                                  ) + encoding
-        # Positional: keyword matching is a measurable share of the
-        # cost of one filler.
-        return Instruction(encoding, BranchKind.NOT_BRANCH, None, 0, 0,
-                           _FILLER_MNEMONICS[length])
+        return encoding
 
     # ------------------------------------------------------------------
     # Direct branches
@@ -324,6 +326,3 @@ _BODY_BUILDERS: tuple[tuple, ...] = (
 #: bodies that fit, with the rest of the length made up by prefixes.
 _FILLER_BODIES = tuple(_BODY_BUILDERS[min(length, len(_BODY_BUILDERS) - 1)]
                        for length in range(MAX_INSTRUCTION_LENGTH + 1))
-
-_FILLER_MNEMONICS = tuple(f"filler{length}"
-                          for length in range(MAX_INSTRUCTION_LENGTH + 1))

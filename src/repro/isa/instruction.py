@@ -2,9 +2,10 @@
 
 Two views exist:
 
-* :class:`Instruction` -- what the *encoder* produces: an abstract
+* :class:`Instruction` -- a branch the *encoder* produces: an abstract
   instruction with a concrete encoding, placed at an address by the layout
-  engine (the ground truth the workload generator knows).
+  engine (the ground truth the workload generator knows).  Non-branch
+  fillers are bare encodings in their block's byte run, not objects.
 * :class:`DecodedInstruction` -- what the *decoder* recovers from raw
   bytes: length/kind/target only, which is all any front-end structure is
   allowed to see.
@@ -49,11 +50,12 @@ class DecodedInstruction:
 
 @dataclass(slots=True)
 class Instruction:
-    """An encoder-side instruction: bytes plus ground-truth metadata.
+    """An encoder-side branch: bytes plus ground-truth metadata.
 
     ``target_label`` names a basic block whose final address is patched
-    into the relative immediate once layout is complete.  Slotted: one
-    generated workload program holds 70-90k of them.
+    into the relative immediate once layout is complete.  Each basic
+    block holds one, as its terminator; slotted, as a generated workload
+    program holds up to 20k of them.
     """
 
     encoding: bytearray

@@ -140,7 +140,7 @@ def _census(program: Program) -> list[tuple[int, BranchKind, bool, bool]]:
     blocks = sorted((block for function in program.functions
                      for block in function.blocks),
                     key=attrgetter("start_pc"))
-    terminators = [block.instructions[-1] for block in blocks]
+    terminators = [block.terminator for block in blocks]
     exits = [terminator.pc + len(terminator.encoding)
              for terminator in terminators]
     entries = [block.start_pc for block in blocks]

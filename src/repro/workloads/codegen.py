@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 
 from repro.isa.branch import BranchKind
 from repro.isa.encoder import Encoder, randbelow
-from repro.isa.instruction import Instruction
 from repro.workloads.layout import lay_out
 from repro.workloads.program import BasicBlock, Function, Program
 from repro.workloads.profiles import WorkloadProfile
@@ -135,11 +134,20 @@ class ProgramGenerator:
             raise ValueError(f"empty range {bounds}")
         return lo + randbelow(self.rng.getrandbits, hi - lo + 1)
 
-    def _block_body(self) -> list[Instruction]:
+    def _fill(self, block: BasicBlock) -> None:
+        """Give ``block`` its filler run: each filler's length is drawn,
+        then its encoding, and the encoding appended to the run."""
         count = self._sample(self.profile.block_instrs)
         filler, rng, draw_length = (
             self.encoder.filler, self.rng, self._draw_length)
-        return [filler(rng, draw_length()) for _ in range(count)]
+        body = bytearray()
+        lengths = bytearray(count)
+        for index in range(count):
+            length = draw_length()
+            lengths[index] = length
+            body += filler(rng, length)
+        block.body = bytes(body)
+        block.body_lengths = bytes(lengths)
 
     def _build_main(self, handler_labels: list[int]) -> Function:
         """The dispatch loop: dispatch block -> indirect call -> loop back.
@@ -155,14 +163,14 @@ class ProgramGenerator:
             for rank in range(len(handler_labels))
         ]
         dispatch = BasicBlock(label=self._label())
-        dispatch.instructions = self._block_body()
-        dispatch.instructions.append(self.encoder.indirect_call(self.rng))
+        self._fill(dispatch)
+        dispatch.terminator = self.encoder.indirect_call(self.rng)
         dispatch.indirect_targets = list(zip(handler_labels, weights))
 
         loop_back = BasicBlock(label=self._label())
-        loop_back.instructions = self._block_body()
-        loop_back.instructions.append(
-            self.encoder.uncond_jmp(self.rng, dispatch.label, wide=True))
+        self._fill(loop_back)
+        loop_back.terminator = self.encoder.uncond_jmp(
+            self.rng, dispatch.label, wide=True)
 
         dispatch.fallthrough_label = loop_back.label
         function = Function(name="main", blocks=[dispatch, loop_back], hot=True)
@@ -180,14 +188,13 @@ class ProgramGenerator:
         blocks = []
         for label in handler_labels:
             block = BasicBlock(label=self._label())
-            block.instructions = self._block_body()
-            block.instructions.append(
-                self.encoder.call(self.rng, target_label=label))
+            self._fill(block)
+            block.terminator = self.encoder.call(self.rng, target_label=label)
             blocks.append(block)
         loop_back = BasicBlock(label=self._label())
-        loop_back.instructions = self._block_body()
-        loop_back.instructions.append(
-            self.encoder.uncond_jmp(self.rng, blocks[0].label, wide=True))
+        self._fill(loop_back)
+        loop_back.terminator = self.encoder.uncond_jmp(
+            self.rng, blocks[0].label, wide=True)
         for index, block in enumerate(blocks):
             block.fallthrough_label = (
                 blocks[index + 1].label if index + 1 < len(blocks)
@@ -210,7 +217,7 @@ class ProgramGenerator:
         rng = self.rng
         blocks = [BasicBlock(label=self._label()) for _ in range(max(2, n_blocks))]
         for block in blocks:
-            block.instructions = self._block_body()
+            self._fill(block)
 
         loop_end_to_start, loop_end_of_body = self._choose_loops(len(blocks))
         self._cold_hint = set()
@@ -243,14 +250,14 @@ class ProgramGenerator:
                 self._terminate_jmp(blocks, index)
             elif kind == "call":
                 # Placeholder; the callee is wired once all functions exist.
-                block.instructions.append(self.encoder.call(rng, target_label=-1))
+                block.terminator = self.encoder.call(rng, target_label=-1)
             elif kind == "indirect_jmp":
                 self._terminate_indirect_jmp(blocks, index)
             else:  # early return (shared epilogue would be a jmp; keep ret)
-                block.instructions.append(
-                    self.encoder.ret(rng, with_imm=rng.random() < 0.1))
-        blocks[-1].instructions.append(
-            self.encoder.ret(rng, with_imm=rng.random() < 0.1))
+                block.terminator = self.encoder.ret(
+                    rng, with_imm=rng.random() < 0.1)
+        blocks[-1].terminator = self.encoder.ret(
+            rng, with_imm=rng.random() < 0.1)
         return Function(name=name, blocks=blocks, hot=False)
 
     def _choose_loops(self, n_blocks: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -281,8 +288,8 @@ class ProgramGenerator:
         block = blocks[index]
         loop_trip = rng.randint(*self.profile.loop_trip_range)
         wide = (index - start) > self.profile.short_branch_block_span
-        block.instructions.append(
-            self.encoder.cond_branch(rng, blocks[start].label, wide=wide))
+        block.terminator = self.encoder.cond_branch(
+            rng, blocks[start].label, wide=wide)
         block.cond_taken_bias = 1.0 - 1.0 / max(loop_trip, 1)
         block.loop_trip = loop_trip
 
@@ -302,8 +309,8 @@ class ProgramGenerator:
             if rng.random() < density:
                 bits |= 1 << bit
         wide = (target_index - index) > profile.short_branch_block_span
-        block.instructions.append(
-            self.encoder.cond_branch(rng, blocks[target_index].label, wide=wide))
+        block.terminator = self.encoder.cond_branch(
+            rng, blocks[target_index].label, wide=wide)
         block.pattern_bits = bits
         block.pattern_len = length
         block.cond_taken_bias = (bin(bits).count("1") / length) or 0.01
@@ -325,8 +332,8 @@ class ProgramGenerator:
             bias = rng.uniform(0.01, 0.06)
         target = blocks[target_index]
         wide = (target_index - index) > profile.short_branch_block_span
-        block.instructions.append(
-            self.encoder.cond_branch(rng, target.label, wide=wide))
+        block.terminator = self.encoder.cond_branch(
+            rng, target.label, wide=wide)
         block.cond_taken_bias = bias
 
     def _terminate_jmp(self, blocks: list[BasicBlock], index: int) -> None:
@@ -340,8 +347,8 @@ class ProgramGenerator:
             target_index = rng.randint(index + 2,
                                        min(index + 4, len(blocks) - 1))
         wide = (target_index - index) > self.profile.short_branch_block_span
-        block.instructions.append(
-            self.encoder.uncond_jmp(rng, blocks[target_index].label, wide=wide))
+        block.terminator = self.encoder.uncond_jmp(
+            rng, blocks[target_index].label, wide=wide)
 
     def _terminate_indirect_jmp(self, blocks: list[BasicBlock], index: int) -> None:
         """A switch: indirect jump among a few later blocks."""
@@ -350,8 +357,8 @@ class ProgramGenerator:
         later = blocks[index + 1:]
         count = min(len(later), rng.randint(2, 5))
         candidates = rng.sample(later, count)
-        block.instructions.append(
-            self.encoder.indirect_jmp(rng, memory=rng.random() < 0.5))
+        block.terminator = self.encoder.indirect_jmp(
+            rng, memory=rng.random() < 0.5)
         block.indirect_targets = [
             (candidate.label, rng.uniform(0.2, 1.0)) for candidate in candidates
         ]
@@ -405,9 +412,8 @@ class ProgramGenerator:
 
     def _demote_call(self, block: BasicBlock) -> None:
         """Turn an unwireable call terminator into an unconditional jump."""
-        block.instructions.pop()
-        block.instructions.append(
-            self.encoder.uncond_jmp(self.rng, block.fallthrough_label, wide=True))
+        block.terminator = self.encoder.uncond_jmp(
+            self.rng, block.fallthrough_label, wide=True)
 
     def _mark_hotness(self, handlers: list[Function],
                       libraries: list[Function]) -> None:

@@ -23,7 +23,7 @@ _MAX_RELAX_ITERATIONS = 12
 
 def lay_out(functions: list[Function], base_address: int, alignment: int,
             encoder: Encoder, rng: random.Random) -> bytes:
-    """Assign addresses to every block/instruction and emit the image.
+    """Assign addresses to every block and terminator and emit the image.
 
     Mutates ``start_pc``/``pc`` fields in place and patches every direct
     branch displacement.  Returns the final byte image.
@@ -49,9 +49,10 @@ def _assign_addresses(functions: list[Function], base_address: int,
             cursor += align - remainder
         for block in function.blocks:
             block.start_pc = cursor
-            for ins in block.instructions:
-                ins.pc = cursor
-                cursor += len(ins.encoding)
+            cursor += len(block.body)
+            terminator = block.terminator
+            terminator.pc = cursor
+            cursor += len(terminator.encoding)
 
 
 def _patch_all(functions: list[Function],
@@ -81,7 +82,7 @@ def _widen(block: BasicBlock, encoder: Encoder, rng: random.Random) -> None:
         new = encoder.uncond_jmp(rng, old.target_label, wide=True)
     else:  # pragma: no cover - calls already use rel32
         raise AssertionError(f"cannot widen {old.kind}")
-    block.instructions[-1] = new
+    block.terminator = new
 
 
 def _emit_image(functions: list[Function], base_address: int,
@@ -99,7 +100,7 @@ def _emit_image(functions: list[Function], base_address: int,
                 raise AssertionError(
                     f"layout drift at {function.name}: "
                     f"{block.start_pc:#x} != {cursor:#x}")
-            code = b"".join([ins.encoding for ins in block.instructions])
-            parts.append(code)
-            cursor += len(code)
+            parts.append(block.body)
+            parts.append(block.terminator.encoding)
+            cursor += block.size
     return b"".join(parts)

@@ -36,7 +36,7 @@ def build_true_code(seed: int, total: int = 64) -> tuple[bytes, list[int]]:
             out.extend(ins.encoding)
         else:
             length = rng.randint(1, min(remaining, 11))
-            out.extend(ENCODER.filler(rng, length).encoding)
+            out.extend(ENCODER.filler(rng, length))
     return bytes(out[:total]), [b for b in boundaries if b < total]
 
 

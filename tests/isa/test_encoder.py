@@ -11,9 +11,9 @@ class TestFillers:
     @pytest.mark.parametrize("length", range(1, 16))
     def test_exact_length_and_not_branch(self, encoder, rng, length):
         for _ in range(50):
-            ins = encoder.filler(rng, length)
-            assert ins.length == length
-            decoded = decode_at(bytes(ins.encoding), 0)
+            encoding = encoder.filler(rng, length)
+            assert len(encoding) == length
+            decoded = decode_at(bytes(encoding), 0)
             assert decoded is not None
             assert decoded.length == length
             assert decoded.kind is BranchKind.NOT_BRANCH
@@ -28,8 +28,7 @@ class TestFillers:
 
     def test_variety(self, encoder, rng):
         # The same length should not always produce the same encoding.
-        encodings = {bytes(encoder.filler(rng, 3).encoding)
-                     for _ in range(100)}
+        encodings = {bytes(encoder.filler(rng, 3)) for _ in range(100)}
         assert len(encodings) > 10
 
 

@@ -19,8 +19,8 @@ def test_filler_roundtrip(seed, length):
     """Every filler decodes to a single non-branch instruction of the
     requested length."""
     rng = random.Random(seed)
-    ins = ENCODER.filler(rng, length)
-    decoded = decode_at(bytes(ins.encoding), 0)
+    encoding = ENCODER.filler(rng, length)
+    decoded = decode_at(bytes(encoding), 0)
     assert decoded is not None
     assert decoded.length == length
     assert decoded.kind is BranchKind.NOT_BRANCH

@@ -10,10 +10,12 @@ Covers the three contract points of the performance layer:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
 
 import pytest
 
+from repro import __version__
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.stats import SimStats
 from repro.harness.parallel import (
@@ -234,6 +236,18 @@ class TestStoreRoundTrip:
         store.put(key, make_stats())
         assert store.get(key) == make_stats()
         assert len(store) == 1
+
+    def test_entry_text_is_json_dumps_of_payload(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        key = result_key("voter", CONFIGS[0], 0, TINY)
+        metrics = {"btb.hits": 3, "sbb.rate": 0.25}
+        attribution = {"branches": [{"pc": 1, "kind": "call"}]}
+        path = store.put(key, make_stats(), metrics=metrics,
+                         attribution=attribution)
+        payload = {"repro": __version__, "schema": schema_fingerprint(),
+                   "stats": stats_to_jsonable(make_stats()),
+                   "metrics": metrics, "attribution": attribution}
+        assert path.read_text(encoding="utf-8") == json.dumps(payload)
 
     def test_runner_round_trips_through_store(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
