@@ -52,6 +52,7 @@ import sys
 
 from repro import quick_compare
 from repro.harness import experiments
+from repro.harness.parallel import default_jobs
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import SCALES, current_scale
 from repro.workloads.cache import build_program
@@ -97,9 +98,9 @@ def _add_common_options(parser: argparse.ArgumentParser,
                         default=default(None),
                         help="trace scale (overrides REPRO_SCALE)")
     parser.add_argument("--jobs", "-j", type=int, metavar="N",
-                        default=default(1),
-                        help="simulation worker processes (0 = all CPUs, "
-                             "or set REPRO_JOBS; default 1 = serial)")
+                        default=default(None),
+                        help="simulation worker processes (0 = all CPUs; "
+                             "default REPRO_JOBS, else 1 = serial)")
     parser.add_argument("--no-store", action="store_true",
                         default=default(False),
                         help="skip the persistent result store "
@@ -1235,6 +1236,10 @@ def _ledgered_command(args) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.jobs is None:
+        # Absent flag: REPRO_JOBS when set (0 = all CPUs), else serial.
+        args.jobs = default_jobs() if os.environ.get(
+            "REPRO_JOBS", "").strip() else 1
     command = _ledgered_command(args)
     if command is not None:
         from repro.obs.ledger import start_run

@@ -22,7 +22,12 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.sbb import SBBEntry, ShadowBranchBuffer
-from repro.core.sbd import ShadowBranch, ShadowBranchDecoder
+from repro.core.sbd import (
+    HeadDecodeResult,
+    ShadowBranch,
+    ShadowBranchDecoder,
+    TailDecodeResult,
+)
 from repro.frontend.config import SkiaConfig
 from repro.frontend.stats import SimStats
 from repro.isa.branch import BranchKind
@@ -42,9 +47,6 @@ class Skia:
                                        line_size=line_size)
         self.sbb = ShadowBranchBuffer(config)
         self.boundary_oracle = boundary_oracle
-        #: Optional repro.obs.EventTrace; attached by the engine.  Costs
-        #: one None check per decode event when disabled.
-        self.trace = None
         #: Optional repro.obs.TimelineRecorder; attached by the engine,
         #: which sets ``timeline.now`` to the entry's prefetch-completion
         #: cycle before calling :meth:`on_ftq_entry`.
@@ -56,27 +58,27 @@ class Skia:
 
     def on_ftq_entry(self, entry_pc: int, entered_by_taken_branch: bool,
                      exit_pc: int | None, line_present: Callable[[int], bool],
-                     stats: SimStats | None = None) -> None:
-        """Run the SBD for one FTQ entry.
+                     stats: SimStats | None = None
+                     ) -> tuple[HeadDecodeResult | None,
+                                TailDecodeResult | None]:
+        """Run the SBD for one FTQ entry; ``(head, tail)`` results.
 
         ``entry_pc`` is the block start; ``exit_pc`` is the first byte
         after the block's taken branch (None when the block falls
         through).  ``line_present`` gates decoding on L1-I residency, as
-        the paper requires.
+        the paper requires.  ``head``/``tail`` are the shared decode
+        results, ``None`` when that decode did not run (a tail decode
+        from a line-aligned exit is structurally empty and not reported).
         """
+        head = tail = None
         if (self.config.decode_heads and entered_by_taken_branch
                 and entry_pc % self.line_size != 0
                 and line_present(entry_pc)):
-            result = self.sbd.decode_head(entry_pc)
+            result = head = self.sbd.decode_head(entry_pc)
             if stats is not None:
                 stats.sbd_head_decodes += 1
                 if result.discarded:
                     stats.sbd_head_discarded += 1
-            if self.trace is not None:
-                self.trace.emit("sbd", side="head", pc=entry_pc,
-                                branches=len(result.branches),
-                                discarded=result.discarded,
-                                valid_paths=result.valid_paths)
             if self.timeline is not None:
                 self.timeline.span(
                     "sbd.head", f"0x{entry_pc:x}", self.timeline.now, 1.0,
@@ -89,19 +91,17 @@ class Skia:
         if (self.config.decode_tails and exit_pc is not None
                 and line_present(exit_pc - 1)):
             result = self.sbd.decode_tail(exit_pc)
-            if stats is not None and (exit_pc % self.line_size) != 0:
-                stats.sbd_tail_decodes += 1
-            if self.trace is not None and (exit_pc % self.line_size) != 0:
-                self.trace.emit("sbd", side="tail", pc=exit_pc,
-                                branches=len(result.branches),
-                                discarded=False)
-            if (self.timeline is not None
-                    and (exit_pc % self.line_size) != 0):
-                self.timeline.span(
-                    "sbd.tail", f"0x{exit_pc:x}", self.timeline.now, 1.0,
-                    branches=len(result.branches),
-                    decoded=len(result.decoded_pcs))
+            if (exit_pc % self.line_size) != 0:
+                tail = result
+                if stats is not None:
+                    stats.sbd_tail_decodes += 1
+                if self.timeline is not None:
+                    self.timeline.span(
+                        "sbd.tail", f"0x{exit_pc:x}", self.timeline.now,
+                        1.0, branches=len(result.branches),
+                        decoded=len(result.decoded_pcs))
             self._insert_all(result.branches, stats)
+        return head, tail
 
     def _insert_all(self, branches: list[ShadowBranch],
                     stats: SimStats | None) -> None:

@@ -32,15 +32,17 @@ Bit-exactness contract: a lane performs *exactly* the same structure
 operations, in the same order, with the same counter updates as
 ``run_compiled`` -- final ``SimStats`` and metric snapshots are
 bit-identical (enforced over the full Figure-14 grid by
-``tests/frontend/test_batch_equivalence.py``).  ``run_compiled`` stays
-the oracle: :meth:`BatchedFrontEndSimulator.add_lane` refuses what the
-engine plan (:func:`repro.frontend.plan.plan_engine`) keeps off the
-kernel -- an attached event trace, timeline or attribution sink -- and
-the harness runs those cells on ``run_compiled``, each fallback counted.
-Plain Section 7.1 comparator cells run on the kernel: the comparator's
-``lookup``/``record``/``on_btb_miss`` hooks are bound locals called at
-exactly the oracle's call sites, so comparator sweeps keep the fast
-path.
+``tests/frontend/test_batch_equivalence.py``).  A lane observed by
+attribution or an event trace appends the oracle's outcome row per
+record and renders the rows when it finishes, as ``run_compiled``
+does.  ``run_compiled`` stays the oracle:
+:meth:`BatchedFrontEndSimulator.add_lane` refuses what the engine plan
+(:func:`repro.frontend.plan.plan_engine`) keeps off the kernel -- an
+attached timeline recorder -- and the harness runs those cells on
+``run_compiled``, each fallback counted.  Section 7.1 comparator cells
+run on the kernel: the comparator's ``lookup``/``record``/
+``on_btb_miss`` hooks are bound locals called at exactly the oracle's
+call sites.
 
 Enabled by default; ``REPRO_BATCH=0`` keeps every harness cell on
 ``run_compiled`` (see :func:`repro.workloads.compiled.batch_enabled`).
@@ -200,12 +202,13 @@ class _Round:
 class _Lane:
     """One cell's replay state, advanced chunk by chunk."""
 
-    def __init__(self, simulator: FrontEndSimulator, table, warmup: int,
+    def __init__(self, simulator: FrontEndSimulator, compiled, warmup: int,
                  ff=None):
         self.sim = simulator
-        self.table = table
+        self.compiled = compiled
+        self.table = compiled.decode_table(simulator.config.line_size)
         self.warmup = warmup
-        self.n_records = table.n_records
+        self.n_records = self.table.n_records
         self.geometry = _geometry(simulator)
 
         # Fast-forward controller (repro.frontend.fastforward); the lane
@@ -228,6 +231,9 @@ class _Lane:
         self.cycles_at_count_start = 0.0
         self.wp_at_count_start = 0
         self.processed = 0
+        #: Outcome rows when attribution or an event trace observes the
+        #: lane (fast-forward then never engages, so row i is record i).
+        self.rows = simulator._outcome_rows()
 
         # Interval telemetry: boundaries are record indices, so the lane
         # splits its chunks there and emits between kernel invocations
@@ -363,7 +369,6 @@ class _Lane:
         ittage_update = bpu.ittage.update
         ras_pop = bpu.ras.pop
         ras_push = bpu.ras.push
-        train_side = bpu._train_side_predictors
         comp = bpu.comparator
         comp_on = comp is not None
         comp_lookup = comp.lookup if comp_on else None
@@ -414,6 +419,8 @@ class _Lane:
         btb_misses_d = stats_obj.btb_misses
         resteer_causes_d = stats_obj.resteer_causes
         hist_record = sim._resteer_latency.record
+        rows_append = None if self.rows is None else self.rows.append
+        hres = tres = None
 
         # Scheduler state, locals-bound.
         iag_free = self.iag_free
@@ -521,6 +528,40 @@ class _Lane:
                         if sbb_result is None:
                             s_sbb_misses += 1
 
+            # Predictors (bpu._predict_*, inlined).  Whichever way the
+            # decision tree below goes, the oracle consults the branch
+            # kind's predictor exactly once -- in the case handler, or in
+            # _train_side_predictors on the alias and SBB-wrong-target
+            # paths -- and no lookup or comparator hook reads predictor
+            # state, so the one call runs here, up front.
+            if kind is k_cond:
+                predicted = tage_update(branch_pc, taken)
+                if loop_on:
+                    lp = loop_predict(branch_pc)
+                    loop_update(branch_pc, taken)
+                    if lp is not None:
+                        predicted = lp
+                correct = predicted == taken
+                if counting:
+                    s_cond_predictions += 1
+                    if not correct:
+                        s_cond_mispredicts += 1
+            elif kind is k_return:
+                predicted = ras_pop()
+                correct = predicted == target
+                if counting:
+                    s_ras_predictions += 1
+                    if predicted is None:
+                        s_ras_underflows += 1
+                    if not correct:
+                        s_ras_mispredicts += 1
+            elif kind is not k_uncond and kind is not k_call:
+                correct = ittage_update(branch_pc, target) == target
+                if counting:
+                    s_indirect_predictions += 1
+                    if not correct:
+                        s_indirect_mispredicts += 1
+
             resteer = None
             cause = None
             wrong_pc = None
@@ -536,56 +577,26 @@ class _Lane:
                 if dentry.kind is not kind:
                     if counting:
                         s_btb_false_hits += 1
-                    train_side(branch_pc, kind, taken, target,
-                               stats_obj if counting else None)
                     if taken:
                         resteer = "decode"
                         cause = "btb_alias"
                         wrong_pc = fallthrough
-                elif kind is k_cond:
-                    predicted = tage_update(branch_pc, taken)
-                    if loop_on:
-                        lp = loop_predict(branch_pc)
-                        loop_update(branch_pc, taken)
-                        if lp is not None:
-                            predicted = lp
-                    if counting:
-                        s_cond_predictions += 1
-                        if predicted != taken:
-                            s_cond_mispredicts += 1
-                    if predicted != taken:
-                        resteer = "exec"
-                        cause = "cond_mispredict"
-                        wrong_pc = target if not taken else fallthrough
                 elif kind is k_uncond or kind is k_call:
                     if dentry.target != target:
                         resteer = "decode"
                         cause = "btb_stale_target"
                         wrong_pc = fallthrough
-                elif kind is k_return:
-                    predicted = ras_pop()
-                    correct = predicted == target
-                    if counting:
-                        s_ras_predictions += 1
-                        if predicted is None:
-                            s_ras_underflows += 1
-                        if not correct:
-                            s_ras_mispredicts += 1
-                    if not correct:
-                        resteer = "exec"
+                elif not correct:
+                    resteer = "exec"
+                    wrong_pc = fallthrough
+                    if kind is k_cond:
+                        cause = "cond_mispredict"
+                        if not taken:
+                            wrong_pc = target
+                    elif kind is k_return:
                         cause = "ras_mispredict"
-                        wrong_pc = fallthrough
-                else:
-                    predicted = ittage_update(branch_pc, target)
-                    correct = predicted == target
-                    if counting:
-                        s_indirect_predictions += 1
-                        if not correct:
-                            s_indirect_mispredicts += 1
-                    if not correct:
-                        resteer = "exec"
+                    else:
                         cause = "indirect_mispredict"
-                        wrong_pc = fallthrough
             elif sbb_result is not None:
                 sbb_which, sentry = sbb_result
                 if sbb_which == "u":
@@ -594,54 +605,26 @@ class _Lane:
                     if ((kind is k_uncond or kind is k_call)
                             and sentry.payload == target):
                         used_sbb = True
+                elif counting:
+                    s_sbb_hits_r += 1
+                if sbb_which == "r" and kind is k_return:
+                    if correct:
+                        used_sbb = True
                     else:
-                        if counting:
-                            s_sbb_wrong_target += 1
-                        train_side(branch_pc, kind, taken, target,
-                                   stats_obj if counting else None)
-                        resteer = "decode"
-                        cause = "sbb_wrong_target"
+                        resteer = "exec"
+                        cause = "ras_mispredict"
                         wrong_pc = fallthrough
-                else:
+                elif not used_sbb:
                     if counting:
-                        s_sbb_hits_r += 1
-                    if kind is k_return:
-                        predicted = ras_pop()
-                        correct = predicted == target
-                        if counting:
-                            s_ras_predictions += 1
-                            if predicted is None:
-                                s_ras_underflows += 1
-                            if not correct:
-                                s_ras_mispredicts += 1
-                        if correct:
-                            used_sbb = True
-                        else:
-                            resteer = "exec"
-                            cause = "ras_mispredict"
-                            wrong_pc = fallthrough
-                    else:
-                        if counting:
-                            s_sbb_wrong_target += 1
-                        train_side(branch_pc, kind, taken, target,
-                                   stats_obj if counting else None)
-                        resteer = "decode"
-                        cause = "sbb_wrong_target"
-                        wrong_pc = fallthrough
+                        s_sbb_wrong_target += 1
+                    resteer = "decode"
+                    cause = "sbb_wrong_target"
+                    wrong_pc = fallthrough
             else:
                 if comp_on:
                     comp_on_btb_miss(first_line + entry_offset)
+                wrong_pc = fallthrough
                 if kind is k_cond:
-                    predicted = tage_update(branch_pc, taken)
-                    if loop_on:
-                        lp = loop_predict(branch_pc)
-                        loop_update(branch_pc, taken)
-                        if lp is not None:
-                            predicted = lp
-                    if counting:
-                        s_cond_predictions += 1
-                        if predicted != taken:
-                            s_cond_mispredicts += 1
                     if not taken:
                         if predicted:
                             resteer = "exec"
@@ -650,47 +633,16 @@ class _Lane:
                     elif predicted:
                         resteer = "decode"
                         cause = "undetected_branch"
-                        wrong_pc = fallthrough
                     else:
                         resteer = "exec"
                         cause = "cond_mispredict"
-                        wrong_pc = fallthrough
-                elif kind is k_uncond or kind is k_call:
+                elif kind is k_uncond or kind is k_call or correct:
                     resteer = "decode"
                     cause = "undetected_branch"
-                    wrong_pc = fallthrough
-                elif kind is k_return:
-                    predicted = ras_pop()
-                    correct = predicted == target
-                    if counting:
-                        s_ras_predictions += 1
-                        if predicted is None:
-                            s_ras_underflows += 1
-                        if not correct:
-                            s_ras_mispredicts += 1
-                    if correct:
-                        resteer = "decode"
-                        cause = "undetected_branch"
-                        wrong_pc = fallthrough
-                    else:
-                        resteer = "exec"
-                        cause = "ras_mispredict"
-                        wrong_pc = fallthrough
                 else:
-                    predicted = ittage_update(branch_pc, target)
-                    correct = predicted == target
-                    if counting:
-                        s_indirect_predictions += 1
-                        if not correct:
-                            s_indirect_mispredicts += 1
-                    if correct:
-                        resteer = "decode"
-                        cause = "undetected_branch"
-                        wrong_pc = fallthrough
-                    else:
-                        resteer = "exec"
-                        cause = "indirect_mispredict"
-                        wrong_pc = fallthrough
+                    resteer = "exec"
+                    cause = ("ras_mispredict" if kind is k_return
+                             else "indirect_mispredict")
 
             # Commit updates (bpu._commit_updates, inlined).
             btb_target = target if takes_target[kcode] else None
@@ -757,8 +709,13 @@ class _Lane:
             # ----- Skia (skia.on_ftq_entry, inlined) ------------------
             # Structurally-empty decodes (line-aligned entry/exit) are
             # skipped outright: the object path's decoder early-returns
-            # for them with no cache or counter activity.
+            # for them with no cache or counter activity.  Both decodes
+            # run before the one SBB insert walk: the SBD never reads the
+            # SBB, so the SBB still sees the oracle's insert order (head
+            # branches, then tail branches).
             if skia_on:
+                hres = tres = None
+                found = ()
                 if (heads_on and prev_taken and entry_offset != 0
                         and first_line in l1_sets[fl_set]):
                     hkey = (first_line, entry_offset)
@@ -776,7 +733,26 @@ class _Lane:
                         s_sbd_head_decodes += 1
                         if hres.discarded:
                             s_sbd_head_discarded += 1
-                    for sb in hres.branches:
+                    found = hres.branches
+                if (tails_on and taken and not tail_aligned
+                        and tail_line in l1_sets[tl_set]):
+                    tkey = (tail_line, exit_pc - tail_line)
+                    tres = tm_data.get(tkey)
+                    if tres is not None:
+                        tail_memo.hits += 1
+                        del tm_data[tkey]
+                        tm_data[tkey] = tres
+                    else:
+                        tail_memo.misses += 1
+                        tres = tail_missing(tkey, exit_pc,
+                                            tail_line + line_size)
+                        tail_memo[tkey] = tres
+                    if counting:
+                        s_sbd_tail_decodes += 1
+                    found = found + tres.branches if found \
+                        else tres.branches
+                if found:
+                    for sb in found:
                         sb_pc = sb.pc
                         word = sb_pc >> 1
                         if sb.kind is k_return:
@@ -794,8 +770,7 @@ class _Lane:
                                     if len(way) >= r_assoc:
                                         r_evict(way)
                                     way[stag] = sbb_entry_cls(
-                                        tag=stag,
-                                        payload=sb_pc % line_size)
+                                        tag=stag, payload=sb_pc % line_size)
                             if counting:
                                 s_sbb_insertions_r += 1
                         else:
@@ -822,70 +797,6 @@ class _Lane:
                         if (counting and oracle is not None
                                 and not oracle(sb_pc)):
                             s_sbb_bogus_insertions += 1
-                if tails_on and taken and not tail_aligned:
-                    if tail_line in l1_sets[tl_set]:
-                        tkey = (tail_line, exit_pc - tail_line)
-                        tres = tm_data.get(tkey)
-                        if tres is not None:
-                            tail_memo.hits += 1
-                            del tm_data[tkey]
-                            tm_data[tkey] = tres
-                        else:
-                            tail_memo.misses += 1
-                            tres = tail_missing(tkey, exit_pc,
-                                                tail_line + line_size)
-                            tail_memo[tkey] = tres
-                        if counting:
-                            s_sbd_tail_decodes += 1
-                        for sb in tres.branches:
-                            sb_pc = sb.pc
-                            word = sb_pc >> 1
-                            if sb.kind is k_return:
-                                if r_n_sets:
-                                    stag = (word // r_n_sets) & r_tag_mask
-                                    way = r_sets[(word ^ (word >> 11)
-                                                  ^ (word >> 23))
-                                                 % r_n_sets]
-                                    c_r_insertions += 1
-                                    existing = way.get(stag)
-                                    if existing is not None:
-                                        del way[stag]
-                                        existing.payload = (sb_pc
-                                                            % line_size)
-                                        way[stag] = existing
-                                    else:
-                                        if len(way) >= r_assoc:
-                                            r_evict(way)
-                                        way[stag] = sbb_entry_cls(
-                                            tag=stag,
-                                            payload=sb_pc % line_size)
-                                if counting:
-                                    s_sbb_insertions_r += 1
-                            else:
-                                sb_target = sb.target
-                                if sb_target is None:  # pragma: no cover
-                                    continue
-                                if u_n_sets:
-                                    stag = (word // u_n_sets) & u_tag_mask
-                                    way = u_sets[(word ^ (word >> 11)
-                                                  ^ (word >> 23))
-                                                 % u_n_sets]
-                                    c_u_insertions += 1
-                                    existing = way.get(stag)
-                                    if existing is not None:
-                                        del way[stag]
-                                        existing.payload = sb_target
-                                        way[stag] = existing
-                                    else:
-                                        if len(way) >= u_assoc:
-                                            u_evict(way)
-                                        way[stag] = sbb_entry_cls(
-                                            tag=stag, payload=sb_target)
-                                if counting:
-                                    s_sbb_insertions_u += 1
-                            if (counting and oracle is not None
-                                    and not oracle(sb_pc)):
-                                s_sbb_bogus_insertions += 1
 
             # ----- Fetch ----------------------------------------------
             fetch_start = fetch_free
@@ -957,6 +868,11 @@ class _Lane:
                 if restart > fetch_free:
                     fetch_free = restart
 
+            if rows_append is not None:
+                rows_append((entry is not None, branch_line_present,
+                             centry is not None, sbb_which, hres, tres,
+                             resteer, cause,
+                             None if resteer is None else restart - iag_t))
             if counting:
                 counted_instructions += n_instr
                 counted_blocks += 1
@@ -1027,6 +943,9 @@ class _Lane:
         stats = sim.stats
         if self.ff is not None:
             self.ff.finalize()
+        if self.rows is not None:
+            sim._render_outcomes(self.compiled, self.rows, self.warmup)
+            self.rows = None
         if self.intervals is not None:
             self.intervals.finish(
                 self.processed, stats, self.counted_instructions,
@@ -1075,9 +994,8 @@ class BatchedFrontEndSimulator:
         reason = plan_engine(simulator).kernel_reason
         if reason is not None:
             raise BatchUnsupported(f"{reason}; run the cell on run_compiled")
-        table = compiled.decode_table(simulator.config.line_size)
         ff = plan_compiled(simulator, compiled, warmup)
-        self._lanes.append(_Lane(simulator, table, warmup, ff=ff))
+        self._lanes.append(_Lane(simulator, compiled, warmup, ff=ff))
 
     def run(self) -> list[SimStats]:
         """Run every lane to completion; stats in ``add_lane`` order."""

@@ -57,6 +57,7 @@ class Prediction:
     used_sbb: bool            # SBB supplied the correct next fetch address
     wrong_path_pc: int | None  # where wrong-path fetch streamed from
     resteer_cause: str | None = None  # one of RESTEER_CAUSES when resteering
+    comparator_hit: bool = False  # a comparator design claimed the BTB miss
 
 
 class BranchPredictionUnit:
@@ -82,8 +83,6 @@ class BranchPredictionUnit:
         # repro.frontend.comparators.Comparator protocol, probed in
         # parallel with the BTB like the SBB.
         self.comparator = comparator
-        #: Optional repro.obs.EventTrace; attached via the engine.
-        self.trace = None
 
     # ------------------------------------------------------------------
 
@@ -122,19 +121,6 @@ class BranchPredictionUnit:
             if comparator_entry is None and self.skia is not None:
                 sbb_result = self.skia.lookup(pc)
 
-        if self.trace is not None:
-            self.trace.emit("btb", pc=pc, hit=btb_hit,
-                            branch_kind=kind.value,
-                            resident=branch_line_in_l1i)
-            if not btb_hit and self.comparator is not None:
-                self.trace.emit("comparator", pc=pc,
-                                hit=comparator_entry is not None)
-            if (not btb_hit and comparator_entry is None
-                    and self.skia is not None):
-                self.trace.emit(
-                    "sbb", pc=pc, hit=sbb_result is not None,
-                    which=None if sbb_result is None else sbb_result[0])
-
         if stats is not None:
             stats.btb_lookups += 1
             stats.branches[kind] += 1
@@ -164,7 +150,7 @@ class BranchPredictionUnit:
                                                stats)
             prediction = Prediction(False, None, prediction.resteer, False,
                                     prediction.wrong_path_pc,
-                                    prediction.resteer_cause)
+                                    prediction.resteer_cause, True)
         elif sbb_result is not None:
             prediction = self._process_sbb_hit(pc, kind, taken, target,
                                                fallthrough, sbb_result, stats)

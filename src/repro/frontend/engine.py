@@ -26,7 +26,10 @@ the readable per-record oracle, and the lane kernel in
 :mod:`repro.frontend.batch` is the same model written to be fast and
 bit-identical to it.  :meth:`FrontEndSimulator.run` lowers object
 records and calls the oracle; :func:`repro.frontend.plan.plan_engine`
-picks between oracle and kernel.
+picks between oracle and kernel.  With attribution or an event trace
+attached, both engines append one outcome row per record and render
+the rows into them after the run (``_render_outcomes``); only the
+timeline recorder still observes the oracle live.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.obs import (
     TimelineRecorder,
     snapshot_from_stats,
 )
+from repro.obs.trace import outcome_events
 from repro.workloads.compiled import KIND_BY_CODE, CompiledTrace
 from repro.workloads.program import Program
 from repro.workloads.trace import BlockRecord
@@ -105,9 +109,6 @@ class FrontEndSimulator:
     def attach_trace(self, trace: EventTrace) -> None:
         """Enable structured event tracing for subsequent ``run`` calls."""
         self.trace = trace
-        self.bpu.trace = trace
-        if self.skia is not None:
-            self.skia.trace = trace
         # Surface the ring's accounting in metric snapshots: before this,
         # truncation was only visible in JSONL dump headers.  Gauges are
         # sampled at snapshot time only, so tracing cost is unchanged.
@@ -125,12 +126,11 @@ class FrontEndSimulator:
     def attach_attribution(self, aggregator=None):
         """Enable per-branch/per-line attribution for subsequent runs.
 
-        Registers an :class:`repro.obs.attribution.AttributionAggregator`
-        as a *sink* on the event trace (creating a trace if none is
-        attached); sinks observe every emission regardless of the ring's
-        capacity, so live attribution never drops events.  ``run`` hands
-        the aggregator its warm-up boundary, making the rollup sums
-        exactly the post-warm-up ``SimStats`` counters (the
+        Attaches an :class:`repro.obs.attribution.AttributionAggregator`,
+        which folds every outcome row of each run (no event ring is
+        involved, so it drops nothing).  Each run hands the aggregator
+        its warm-up boundary, making the rollup sums exactly the
+        post-warm-up ``SimStats`` counters (the
         ``attribution_*_conservation`` invariants).  Returns the
         aggregator.
         """
@@ -138,9 +138,6 @@ class FrontEndSimulator:
             from repro.obs.attribution import AttributionAggregator
             aggregator = AttributionAggregator.for_simulation(
                 self.program, self.config)
-        if self.trace is None:
-            self.attach_trace(EventTrace())
-        self.trace.add_sink(aggregator.observe)
         self.attribution = aggregator
         return aggregator
 
@@ -155,6 +152,25 @@ class FrontEndSimulator:
         """
         self.intervals = collector
         return collector
+
+    def _outcome_rows(self) -> list | None:
+        """A fresh outcome-row list when attribution or an event trace
+        observes the next run, else ``None``."""
+        return None if self.attribution is None and self.trace is None \
+            else []
+
+    def _render_outcomes(self, compiled, rows: list, warmup: int) -> None:
+        """Render one finished run's outcome rows (layout in
+        :func:`repro.obs.trace.outcome_events`) into the attribution
+        aggregator and the event trace."""
+        flags = (self.bpu.comparator is not None, self.skia is not None)
+        if self.attribution is not None:
+            # The aggregator applies the same warm-up gate as SimStats.
+            self.attribution.warmup = warmup
+            self.attribution.observe_outcomes(
+                outcome_events(compiled, rows, *flags))
+        if self.trace is not None:
+            self.trace.render(outcome_events(compiled, rows, *flags))
 
     def metrics_snapshot(self) -> dict[str, float]:
         """One flat dict: structure gauges + post-warm-up ``sim.*``
@@ -220,16 +236,11 @@ class FrontEndSimulator:
         The readable oracle of the timing model: it iterates the compiled
         columns with locals-bound indices, uses the precomputed
         per-record line spans and calls the BPU's field-based entry
-        point, so no ``BlockRecord`` is ever constructed.  It drives
-        every instrumentation hook (event trace, timeline, attribution,
-        interval state probe); the lane kernel of
-        :mod:`repro.frontend.batch` replicates it bit-for-bit wherever
-        none is attached (``tests/frontend/test_batch_equivalence.py``).
+        point, so no ``BlockRecord`` is ever constructed.  The lane
+        kernel of :mod:`repro.frontend.batch` replicates it bit-for-bit,
+        outcome rows included, for every run without a timeline
+        recorder (``tests/frontend/test_batch_equivalence.py``).
         """
-        if self.attribution is not None:
-            # The aggregator applies the same warm-up gate as SimStats.
-            self.attribution.warmup = warmup
-
         config = self.config
         hierarchy = self.hierarchy
         hierarchy_access = hierarchy.access
@@ -250,8 +261,8 @@ class FrontEndSimulator:
         backend_width = config.backend_effective_width
         pollution_max = config.pollution_max_lines
 
-        trace = self.trace
         timeline = self.timeline
+        rows = self._outcome_rows()
         resteer_latency = self._resteer_latency
         records_seen = self._records_seen
 
@@ -318,8 +329,6 @@ class FrontEndSimulator:
                     iag_t = ftq_inflight.popleft()
 
                 records_seen += 1
-                if trace is not None:
-                    trace.record_index = index
 
                 branch_line_present = line_present(branch_pc)
                 prediction = bpu_process(block_start, branch_pc, kind, taken,
@@ -346,13 +355,14 @@ class FrontEndSimulator:
                     line += line_size
 
                 # ----- Skia: shadow-decode this entry's lines --------------
+                head = tail = None
                 if skia is not None:
                     if timeline is not None:
                         # SBD runs when the entry's prefetch completes; give
                         # its span emitter that timestamp.
                         timeline.now = lines_ready
                     exit_pc = branch_pc + col_branch_len[index] if taken else None
-                    skia.on_ftq_entry(
+                    head, tail = skia.on_ftq_entry(
                         entry_pc=block_start,
                         entered_by_taken_branch=prev_taken,
                         exit_pc=exit_pc,
@@ -425,10 +435,6 @@ class FrontEndSimulator:
                         stats.resteer_causes[cause] = (
                             stats.resteer_causes.get(cause, 0) + 1)
                         resteer_latency.record(restart - iag_t)
-                    if trace is not None:
-                        trace.emit("resteer", pc=branch_pc,
-                                   stage=prediction.resteer, cause=cause,
-                                   latency=restart - iag_t)
                     if timeline is not None:
                         timeline.instant("iag", f"resteer:{cause}", detect,
                                          stage=prediction.resteer,
@@ -452,6 +458,14 @@ class FrontEndSimulator:
                     ftq_inflight.clear()
                     fetch_free = max(fetch_free, restart)
 
+                # ----- Outcome row (attribution / event trace) ----------
+                if rows is not None:
+                    rows.append((
+                        prediction.btb_hit, branch_line_present,
+                        prediction.comparator_hit, prediction.sbb_hit, head,
+                        tail, prediction.resteer, prediction.resteer_cause,
+                        None if prediction.resteer is None
+                        else restart - iag_t))
                 if counting:
                     counted_instructions += n_instr
                     counted_blocks += 1
@@ -483,6 +497,8 @@ class FrontEndSimulator:
                 records_seen = self._records_seen + ff_segment
         if ff is not None:
             ff.finalize()
+        if rows is not None:
+            self._render_outcomes(compiled, rows, warmup)
         if intervals is not None:
             intervals.finish(
                 records_seen - self._records_seen, stats,

@@ -1,10 +1,11 @@
 """The engine plan: which engine runs a cell, whether fast-forward may
 engage, and why.
 
-``FrontEndSimulator.run_compiled`` is the readable per-record oracle and
-drives every instrumentation hook; the lane kernel of
-:mod:`repro.frontend.batch` is the fast path and skips them.
-:func:`plan_engine` is the one gate that picks between them, and
+``FrontEndSimulator.run_compiled`` is the readable per-record oracle; the
+lane kernel of :mod:`repro.frontend.batch` is the fast path.  Both keep
+the outcome rows attribution and event traces are rendered from; only
+the oracle drives the timeline recorder.  :func:`plan_engine` is the one
+gate that picks between them, and
 :func:`run_planned` the one "kernel if the plan allows it, else
 ``run_compiled``" step.  Runs that leave a fast path are counted in one
 process-wide reason counter keyed by what was lost (``"kernel"`` or
@@ -46,35 +47,29 @@ class EnginePlan(NamedTuple):
                    if value is not None}}
 
 
-def _instrumentation_reason(simulator) -> str | None:
-    # The attribution sink rides on an event trace, so check it first:
-    # its reason is the more specific one.
-    if simulator.attribution is not None:
-        return "attribution sink attached"
-    if simulator.trace is not None:
-        return "event trace attached"
-    if simulator.timeline is not None:
-        return "timeline recorder attached"
-    return None
-
-
 def plan_engine(simulator) -> EnginePlan:
     """The plan for ``simulator``'s next run (pure: counts nothing).
 
-    An attached attribution sink, event trace or timeline recorder
-    observes every record, so it keeps the cell off the kernel and off
+    An attached timeline recorder takes per-stage timestamps only the
+    oracle has, so it keeps the cell off the kernel and off
     fast-forward.  ``REPRO_BATCH=0`` keeps every cell off the kernel
     without a reason (it is a choice, not a fallback).  Fast-forward
-    also refuses comparator baselines, whose state the probe digest
-    does not cover, and the divergence bisector's per-window state
-    probe, which observes every window.
+    also refuses attribution and event traces, which need an outcome
+    row for every record, comparator baselines, whose state the probe
+    digest does not cover, and the divergence bisector's per-window
+    state probe, which observes every window.
     """
-    kernel_reason = _instrumentation_reason(simulator)
+    kernel_reason = ("timeline recorder attached"
+                     if simulator.timeline is not None else None)
     intervals = simulator.intervals
     if not fastforward_enabled():
         fastforward_reason = "disabled by env"
     elif kernel_reason is not None:
         fastforward_reason = kernel_reason
+    elif simulator.attribution is not None:
+        fastforward_reason = "attribution attached"
+    elif simulator.trace is not None:
+        fastforward_reason = "event trace attached"
     elif simulator.bpu.comparator is not None:
         fastforward_reason = "comparator attached"
     elif intervals is not None and intervals.state_probe is not None:

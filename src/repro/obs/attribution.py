@@ -9,12 +9,13 @@ shadow-resident BTB-miss fraction of Figures 1/15 and the rescued-branch
 population behind Figure 14 -- made inspectable and diffable per branch
 instead of as one geomean.
 
-:class:`AttributionAggregator` is a pure *sink* over the structured
-event stream of :mod:`repro.obs.trace` (``btb`` / ``sbb`` /
-``comparator`` / ``sbd`` / ``resteer`` events).  Attach it live via
-``FrontEndSimulator.attach_attribution`` -- sinks observe every emission
-regardless of the ring buffer's capacity, so live attribution never
-drops events -- or rebuild it offline from a JSONL dump with
+:class:`AttributionAggregator` folds the structured event stream of
+:mod:`repro.obs.trace` (``btb`` / ``sbb`` / ``comparator`` / ``sbd`` /
+``resteer`` events).  Attach it via
+``FrontEndSimulator.attach_attribution``: either engine then keeps one
+outcome row per record and the aggregator folds every row's events
+after the run, never through the trace's ring, so it drops nothing.
+Or rebuild it offline from a JSONL dump with
 :meth:`AttributionAggregator.from_trace_jsonl` (which warns when the
 dump's header records drops, because a truncated dump under-attributes).
 
@@ -213,7 +214,7 @@ class LineAttribution:
 # ----------------------------------------------------------------------
 
 class AttributionAggregator:
-    """Event sink building per-branch and per-line rollups.
+    """Event fold building per-branch and per-line rollups.
 
     ``warmup`` gates counting exactly as the simulator gates ``SimStats``
     (events whose ``record`` index precedes it are observed but not
@@ -238,7 +239,7 @@ class AttributionAggregator:
         self.events_seen = 0
         self.events_counted = 0
         #: Events the *source* lost before we saw it (JSONL readers only;
-        #: a live sink never drops).
+        #: rendered outcome rows never drop).
         self.source_dropped = 0
         self._positions = shadow_positions or {}
 
@@ -257,25 +258,44 @@ class AttributionAggregator:
     # -- event intake --------------------------------------------------
 
     def observe(self, event: dict) -> None:
-        """Consume one trace event (the :class:`EventTrace` sink hook)."""
+        """Consume one trace event (a JSONL line or an
+        :class:`EventTrace` sink call)."""
         self.events_seen += 1
         record = event.get("record")
         if record is not None and record < self.warmup:
             return
         kind = event.get("kind")
         if kind == "btb":
-            self._on_btb(event)
+            self._on_btb(event["pc"], event["hit"], event.get("branch_kind"),
+                         event.get("resident"))
         elif kind == "sbb":
-            self._on_sbb(event)
+            self._on_sbb(event["pc"], event["hit"], event.get("which"))
         elif kind == "comparator":
-            self._on_comparator(event)
+            self._on_comparator(event["pc"], event["hit"])
         elif kind == "sbd":
-            self._on_sbd(event)
+            self._on_sbd(event.get("side"), event["pc"],
+                         event.get("branches", 0), event.get("discarded"))
         elif kind == "resteer":
-            self._on_resteer(event)
+            self._on_resteer(event["pc"], event.get("stage"),
+                             event.get("cause", "unattributed"),
+                             event.get("latency", 0.0))
         else:
             return
         self.events_counted += 1
+
+    def observe_outcomes(self, events) -> None:
+        """Consume one run's ``(record, kind, values)`` events, as
+        :func:`repro.obs.trace.outcome_events` renders them from the
+        run's outcome rows -- no event dict is built."""
+        handlers = {"btb": self._on_btb, "comparator": self._on_comparator,
+                    "sbb": self._on_sbb, "sbd": self._on_sbd,
+                    "resteer": self._on_resteer}
+        warmup = self.warmup
+        for record, kind, values in events:
+            self.events_seen += 1
+            if record >= warmup:
+                handlers[kind](*values)
+                self.events_counted += 1
 
     def _branch(self, pc: int) -> BranchAttribution:
         branch = self.branches.get(pc)
@@ -298,24 +318,25 @@ class AttributionAggregator:
             self.lines[address] = line
         return line
 
-    def _on_btb(self, event: dict) -> None:
-        branch = self._branch(event["pc"])
+    def _on_btb(self, pc: int, hit: bool, branch_kind: str | None,
+                resident: bool | None) -> None:
+        branch = self._branch(pc)
         if branch.kind is None:
-            branch.kind = event.get("branch_kind")
-        line = self._line(event["pc"])
+            branch.kind = branch_kind
+        line = self._line(pc)
         branch.btb_lookups += 1
         line.btb_lookups += 1
-        if not event["hit"]:
+        if not hit:
             branch.btb_misses += 1
             line.btb_misses += 1
-            if event.get("resident"):
+            if resident:
                 branch.btb_miss_l1i_hit += 1
 
-    def _on_sbb(self, event: dict) -> None:
-        branch = self._branch(event["pc"])
-        line = self._line(event["pc"])
-        if event["hit"]:
-            if event.get("which") == "u":
+    def _on_sbb(self, pc: int, hit: bool, which: str | None) -> None:
+        branch = self._branch(pc)
+        line = self._line(pc)
+        if hit:
+            if which == "u":
                 branch.sbb_hits_u += 1
             else:
                 branch.sbb_hits_r += 1
@@ -324,21 +345,22 @@ class AttributionAggregator:
             branch.sbb_misses += 1
             line.sbb_misses += 1
 
-    def _on_comparator(self, event: dict) -> None:
+    def _on_comparator(self, pc: int, hit: bool) -> None:
         # Emitted on every BTB miss when a comparator design is active;
         # only hits roll up (a comparator miss is not an extra event
         # population -- the SBB/undetected path accounts for the branch).
-        if event["hit"]:
-            self._branch(event["pc"]).comparator_hits += 1
-            self._line(event["pc"]).comparator_hits += 1
+        if hit:
+            self._branch(pc).comparator_hits += 1
+            self._line(pc).comparator_hits += 1
 
-    def _on_sbd(self, event: dict) -> None:
-        pc = event["pc"]
+    def _on_sbd(self, side: str | None, pc: int, branches: int,
+                discarded: bool | None, valid_paths: int = 0) -> None:
+        # ``valid_paths`` rides on head events but is not rolled up.
         line = self._line(pc)
         offset = pc % self.line_size
-        if event.get("side") == "head":
+        if side == "head":
             line.head_decodes += 1
-            if event.get("discarded"):
+            if discarded:
                 line.head_discarded += 1
             # Head decodes sweep the bytes before the entry point.
             line.head_mask |= (1 << offset) - 1
@@ -347,18 +369,18 @@ class AttributionAggregator:
             # Tail decodes sweep from the exit point to the line end.
             full = (1 << self.line_size) - 1
             line.tail_mask |= full ^ ((1 << offset) - 1)
-        line.shadow_branches_found += event.get("branches", 0)
+        line.shadow_branches_found += branches
 
-    def _on_resteer(self, event: dict) -> None:
-        branch = self._branch(event["pc"])
-        cause = event.get("cause", "unattributed")
-        if event.get("stage") == "decode":
+    def _on_resteer(self, pc: int, stage: str | None, cause: str,
+                    latency: float) -> None:
+        branch = self._branch(pc)
+        if stage == "decode":
             branch.decode_resteers += 1
         else:
             branch.exec_resteers += 1
         branch.resteer_counts[cause] = branch.resteer_counts.get(cause, 0) + 1
         branch.resteer_cycles[cause] = (branch.resteer_cycles.get(cause, 0.0)
-                                        + event.get("latency", 0.0))
+                                        + latency)
 
     # -- rollup sums ---------------------------------------------------
 

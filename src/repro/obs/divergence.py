@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -124,9 +125,12 @@ def _run_side(program, compiled, config, engine: str, warmup: int,
     # knob so init does not attach a probe-less one first.
     config = dataclasses.replace(config, interval_size=0)
     simulator = FrontEndSimulator(program, config, seed=seed)
+    # Weak, like the engine's records gauge: a probe holding its
+    # simulator would close simulator -> collector -> probe -> simulator.
+    probed = weakref.ref(simulator)
     collector = IntervalCollector(
         window,
-        state_probe=(lambda: state_digest(simulator)) if with_probe
+        state_probe=(lambda: state_digest(probed())) if with_probe
         else None)
     simulator.attach_intervals(collector)
     if engine == "compiled":
@@ -146,13 +150,10 @@ def _oracle_events(program, records, config, warmup: int, seed: int,
 
     config = dataclasses.replace(config, interval_size=0)
     simulator = FrontEndSimulator(program, config, seed=seed)
-    trace = EventTrace(capacity=1)
-    kept: list[dict] = []
-    trace.add_sink(lambda event: kept.append(dict(event))
-                   if event.get("record") == record_index else None)
+    trace = EventTrace(capacity=8)  # a record emits at most six events
     simulator.attach_trace(trace)
     simulator.run(records[:record_index + 1], warmup=warmup)
-    return kept
+    return [event for event in trace if event["record"] == record_index]
 
 
 def bisect_divergence(program, records: Sequence, config_a, config_b=None,

@@ -1,10 +1,12 @@
 """Opt-in structured event trace.
 
-A bounded ring buffer of event dicts.  The simulator emits nothing
-unless a trace is attached, so the default (untraced) hot path pays only
-a ``None`` check per potential event site.  When enabled, each event
-records the trace sequence number, the record index of the block being
-processed, an event kind, and kind-specific fields:
+A bounded ring buffer of event dicts.  Neither engine emits while it
+runs: with a trace or attribution attached, each appends one outcome
+row per record (:func:`outcome_events` documents the layout), and the
+run's events are rendered from the rows once it ends, so an unobserved
+run pays one ``None`` check per record.  Each event records the trace
+sequence number, the record index of the block it belongs to, an event
+kind, and kind-specific fields:
 
 ========== ==========================================================
 kind       fields
@@ -20,8 +22,10 @@ kind       fields
            ``latency`` (cycles between IAG allocation and restart)
 ========== ==========================================================
 
-The buffer keeps the most recent ``capacity`` events; ``emitted`` counts
-every emission so ``dropped`` makes truncation explicit in dumps.
+A record's events come in that order: btb, comparator, sbb, sbd head,
+sbd tail, resteer.  The buffer keeps the most recent ``capacity``
+events; ``emitted`` counts every emission so ``dropped`` makes
+truncation explicit in dumps.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import json
 from collections import deque
 from pathlib import Path
 from typing import Callable, Iterator
+
+from repro.workloads.compiled import KIND_BY_CODE
 
 
 class DroppedEventsWarning(UserWarning):
@@ -50,9 +56,8 @@ class EventTrace:
         self.capacity = capacity
         self._events: deque[dict] = deque(maxlen=capacity)
         self.emitted = 0
-        #: Record index of the block currently being simulated; the
-        #: engine updates this once per record so per-component emitters
-        #: need not thread it through.
+        #: Record index stamped on subsequent emissions (:meth:`render`
+        #: sets it per event).
         self.record_index: int | None = None
         #: Live observers called with every event *before* ring
         #: truncation -- a sink sees the complete stream even when the
@@ -72,6 +77,13 @@ class EventTrace:
         self.emitted += 1
         for sink in self._sinks:
             sink(event)
+
+    def render(self, events) -> None:
+        """Emit :func:`outcome_events`' ``(record, kind, values)`` events
+        in order, each stamped with its record."""
+        for record, kind, values in events:
+            self.record_index = record
+            self.emit(kind, **dict(zip(EVENT_FIELDS[kind], values)))
 
     @property
     def dropped(self) -> int:
@@ -110,3 +122,52 @@ class EventTrace:
             for event in self._events:
                 handle.write(json.dumps(event) + "\n")
         return path
+
+
+#: Each event kind's fields, in emission order.
+EVENT_FIELDS = {
+    "btb": ("pc", "hit", "branch_kind", "resident"),
+    "comparator": ("pc", "hit"),
+    "sbb": ("pc", "hit", "which"),
+    "sbd": ("side", "pc", "branches", "discarded", "valid_paths"),
+    "resteer": ("pc", "stage", "cause", "latency"),
+}
+
+
+def outcome_events(compiled, rows, comparator: bool, skia: bool):
+    """The events of one run's outcome rows, as ``(record, kind, values)``
+    with ``values`` in :data:`EVENT_FIELDS` order (a tail ``sbd`` event
+    stops before ``valid_paths``).
+
+    ``rows[i]`` is record ``i``'s outcome, a tuple ``(btb_hit, resident,
+    comparator_hit, sbb, head, tail, stage, cause, latency)``: the BTB
+    hit and the branch line's L1-I residency at lookup, the comparator
+    hit, the SBB half that hit (``None`` on a miss), the shared SBD
+    results of the head and the mid-line tail decode (``None`` when that
+    decode did not run), and the resteer stage, cause and latency
+    (``None`` without a resteer).  ``comparator``/``skia`` say whether
+    the run probed a comparator or the SBB on BTB misses.
+    """
+    branch_pcs = compiled.column("branch_pc")
+    kinds = compiled.column("kind")
+    starts = compiled.column("block_start")
+    lengths = compiled.column("branch_len")
+    for index, (btb_hit, resident, comparator_hit, sbb, head, tail, stage,
+                cause, latency) in enumerate(rows):
+        pc = branch_pcs[index]
+        yield index, "btb", (pc, btb_hit, KIND_BY_CODE[kinds[index]].value,
+                             resident)
+        if not btb_hit:
+            if comparator:
+                yield index, "comparator", (pc, comparator_hit)
+            if skia and not comparator_hit:
+                yield index, "sbb", (pc, sbb is not None, sbb)
+        if head is not None:
+            yield index, "sbd", ("head", starts[index], len(head.branches),
+                                 head.discarded, head.valid_paths)
+        if tail is not None:
+            yield index, "sbd", ("tail", pc + lengths[index],
+                                 len(tail.branches), False)
+        if stage is not None:
+            yield index, "resteer", (pc, stage, cause or "unattributed",
+                                     latency)

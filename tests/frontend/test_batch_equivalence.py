@@ -34,7 +34,7 @@ from repro.frontend.plan import (
 from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
-from repro.obs import EventTrace
+from repro.obs import EventTrace, TimelineRecorder
 from repro.obs.intervals import IntervalCollector
 from repro.workloads import (
     WORKLOAD_NAMES,
@@ -326,15 +326,13 @@ PLAN_CASES = {
                 ("batched", False, None, "disabled by env")),
     "event-trace": (FrontEndConfig(),
                     lambda sim: sim.attach_trace(EventTrace()), "1",
-                    ("compiled", False, "event trace attached",
-                     "event trace attached")),
+                    ("batched", False, None, "event trace attached")),
     "timeline": (FrontEndConfig(record_timeline=True), None, "1",
                  ("compiled", False, "timeline recorder attached",
                   "timeline recorder attached")),
     "attribution": (FrontEndConfig(),
                     lambda sim: sim.attach_attribution(), "1",
-                    ("compiled", False, "attribution sink attached",
-                     "attribution sink attached")),
+                    ("batched", False, None, "attribution attached")),
     "comparator": (FrontEndConfig().with_comparator("airbtb"), None, "1",
                    ("batched", False, None, "comparator attached")),
     "state-probe": (FrontEndConfig(),
@@ -373,20 +371,22 @@ class TestSupportGating:
         reset_reasons()
         return simulator, stats, plan, counts
 
-    def test_attribution_unsupported(self):
+    def test_attribution_runs_on_kernel(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
         simulator, stats, plan, counts = self._run_planned(
             lambda sim: sim.attach_attribution())
-        assert plan.engine == "compiled"
-        assert counts == {"attribution sink attached": 1}
+        assert plan.engine == "batched"
+        assert counts == {}
         assert simulator.attribution.events_counted > 0
         assert stats.blocks == RECORDS - WARMUP
 
-    def test_event_trace_unsupported(self):
+    def test_event_trace_runs_on_kernel(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BATCH", raising=False)
         trace = EventTrace()
         _, _, plan, counts = self._run_planned(
             lambda sim: sim.attach_trace(trace))
-        assert plan.engine == "compiled"
-        assert counts == {"event trace attached": 1}
+        assert plan.engine == "batched"
+        assert counts == {}
         assert len(trace) > 0
 
     def test_plain_simulator_is_supported(self, monkeypatch):
@@ -401,7 +401,7 @@ class TestSupportGating:
 
     def test_add_lane_raises_on_unsupported(self):
         simulator = self._simulator()
-        simulator.attach_attribution()
+        simulator.attach_timeline(TimelineRecorder())
         compiled = compile_trace(build_trace("voter", 10, seed=0))
         batch = BatchedFrontEndSimulator()
         with pytest.raises(BatchUnsupported):
@@ -441,11 +441,24 @@ class TestHarnessPaths:
             assert dataclasses.asdict(got) == dataclasses.asdict(expect), \
                 cell
 
-    def test_attribution_falls_back_to_object_path(self, tmp_path):
-        """record_attribution cells bypass the kernel but still succeed."""
-        runner = ExperimentRunner(scale=self.SCALE, store=None,
-                                  record_attribution=True)
-        stats, aggregator = runner.run_with_attribution(
-            "voter", FrontEndConfig(skia=SkiaConfig()))
-        assert stats.blocks > 0
-        assert aggregator is not None
+    def test_attribution_cells_run_on_kernel(self, monkeypatch):
+        """record_attribution cells run on the kernel and store the
+        artifact the run_compiled oracle renders."""
+        config = FrontEndConfig(skia=SkiaConfig())
+        oracle_runs = []
+        oracle = FrontEndSimulator.run_compiled
+        monkeypatch.setattr(
+            FrontEndSimulator, "run_compiled",
+            lambda *args, **kwargs: oracle_runs.append(1) or oracle(
+                *args, **kwargs))
+        artifacts = {}
+        for batch in ("0", "1"):
+            monkeypatch.setenv("REPRO_BATCH", batch)
+            oracle_runs.clear()
+            runner = ExperimentRunner(scale=self.SCALE, store=None,
+                                      record_attribution=True)
+            stats, _ = runner.run_with_attribution("voter", config)
+            assert stats.blocks > 0
+            assert len(oracle_runs) == (batch == "0")
+            artifacts[batch] = runner.attribution_for("voter", config)
+        assert artifacts["1"] == artifacts["0"]

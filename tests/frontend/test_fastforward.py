@@ -514,7 +514,7 @@ class TestFallbacks:
                  lambda sim: sim.attach_trace(EventTrace())),
                 ("timeline recorder attached",
                  lambda sim: sim.attach_timeline(TimelineRecorder())),
-                ("attribution sink attached",
+                ("attribution attached",
                  lambda sim: sim.attach_attribution())):
             simulator = FrontEndSimulator(program, CONFIGS["base"], seed=0)
             attach(simulator)

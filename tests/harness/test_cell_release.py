@@ -1,8 +1,8 @@
 """A finished cell is freed by reference counting alone.
 
 Nothing a cell builds -- simulator, structures, metric gauges, event
-trace, attribution aggregator, interval collector -- may sit in a
-reference cycle: cyclic garbage waits for a full collection, so a cold
+trace, attribution aggregator, interval collector -- and nothing the
+divergence bisector builds may sit in a reference cycle: cyclic garbage waits for a full collection, so a cold
 grid's peak RSS would depend on when one happens to run.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
+from repro.obs.divergence import bisect_divergence
 from repro.workloads.cache import WorkloadCache
 
 SCALE = Scale("tiny", records=3_000, warmup=500)
@@ -43,21 +44,44 @@ def run_cell(cache, config, attribution) -> None:
     runner.run("noop", config)
 
 
-@pytest.mark.parametrize("name", sorted(CELLS))
-def test_finished_cell_leaves_no_cyclic_garbage(cache, name):
-    config, attribution = CELLS[name]
-    run_cell(cache, config, attribution)  # imports, program, trace
+def cyclic_garbage(action) -> list[str]:
+    """Types of the ``repro`` objects ``action()`` leaves as cyclic
+    garbage (collected with GC off, under ``DEBUG_SAVEALL``)."""
+    action()  # imports, program, trace
     gc.collect()
     gc.disable()
     try:
-        run_cell(cache, config, attribution)
+        action()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        garbage = sorted({f"{type(obj).__module__}.{type(obj).__qualname__}"
-                          for obj in gc.garbage
-                          if type(obj).__module__.startswith("repro.")})
+        return sorted({f"{type(obj).__module__}.{type(obj).__qualname__}"
+                       for obj in gc.garbage
+                       if type(obj).__module__.startswith("repro.")})
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    assert garbage == []
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_finished_cell_leaves_no_cyclic_garbage(cache, name):
+    config, attribution = CELLS[name]
+    assert cyclic_garbage(lambda: run_cell(cache, config, attribution)) == []
+
+
+def test_bisector_leaves_no_cyclic_garbage(cache):
+    """Every simulator ``bisect_divergence`` builds is freed by
+    reference counting: an engine-vs-engine bisection (state probes on
+    every window) and a cross-config one (fine pass, oracle events)."""
+    program = cache.program("noop", seed=0)
+    records = cache.trace("noop", SCALE.records, seed=0)
+    config = FrontEndConfig(skia=SkiaConfig())
+
+    def bisect() -> None:
+        assert bisect_divergence(program, records, config, window=500,
+                                 warmup=SCALE.warmup).identical
+        assert not bisect_divergence(program, records, config,
+                                     FrontEndConfig(), window=500,
+                                     warmup=SCALE.warmup).identical
+
+    assert cyclic_garbage(bisect) == []

@@ -55,6 +55,28 @@ class TestCommands:
         assert "Figure 15" in out
         assert "noop" in out
 
+    @pytest.mark.parametrize("env, flags, prefetched", [
+        ("2", [], [2]),             # no flag: REPRO_JOBS picks the workers
+        (None, [], []),             # no flag, no env: serial
+        ("2", ["--jobs", "1"], []),  # the flag wins over the env
+    ])
+    def test_experiment_jobs_default_from_env(self, env, flags, prefetched,
+                                              monkeypatch, capsys):
+        from repro.harness import experiments
+
+        if env is None:
+            monkeypatch.delenv("REPRO_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_JOBS", env)
+        seen = []
+        monkeypatch.setattr(experiments, "prefetch_exhibit",
+                            lambda runner, name, jobs, **kwargs:
+                            seen.append(jobs))
+        monkeypatch.setitem(EXPERIMENTS, "fig6",
+                            lambda runner, **kwargs: {"render": "stub"})
+        assert main(["experiment", "fig6", "--no-store", *flags]) == 0
+        assert seen == prefetched
+
     def test_compare_smoke(self, capsys):
         assert main(["--scale", "smoke", "compare", "noop"]) == 0
         assert "speedup" in capsys.readouterr().out
@@ -270,13 +292,15 @@ class TestRunsCommands:
         assert fields["mode"] == "batched"
         assert fields["fallback_reason"] is None
 
-    def test_stats_run_records_the_trace_fallback(self, tmp_path,
-                                                  monkeypatch, capsys):
+    def test_stats_run_records_the_traced_kernel(self, tmp_path,
+                                                 monkeypatch, capsys):
         fields = self._stats_run_fields(
             tmp_path, monkeypatch,
             "--trace-out", str(tmp_path / "trace.jsonl"))
-        assert fields["mode"] == "object"
-        assert fields["fallback_reason"] == "event trace attached"
+        assert fields["mode"] == "batched"
+        assert fields["fallback_reason"] is None
+        assert fields["fastforward"] == {"engaged": False,
+                                         "reason": "event trace attached"}
 
     def test_show_latest_check_passes(self, recorded_run, capsys):
         capsys.readouterr()

@@ -1,8 +1,8 @@
 """Instrumentation overhead guard.
 
 Prevents accidental always-on instrumentation: a default-config run must
-attach no trace or timeline and record no profiler spans (the
-structural guard),
+attach no trace, timeline or attribution, keep no outcome rows on
+either engine and record no profiler spans (the structural guard),
 and fully-enabled instrumentation must stay within a small factor of the
 untraced run (the cost guard).  If timeline/trace emission ever stops
 being gated behind the ``None`` checks, the structural assertions fail
@@ -11,9 +11,11 @@ immediately; if the gated path grows expensive, the ratio does.
 
 import time
 
+from repro.frontend.batch import BatchedFrontEndSimulator
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.obs import EventTrace, TimelineRecorder
+from repro.workloads.compiled import CompiledTrace
 from repro.obs.profiler import _NULL, PROFILER
 
 #: Enabled instrumentation may cost at most this factor over untraced.
@@ -44,9 +46,29 @@ class TestStructuralGuard:
         assert simulator.trace is None
         assert simulator.timeline is None
         assert simulator.intervals is None
-        assert simulator.bpu.trace is None
-        assert simulator.skia.trace is None
+        assert simulator.attribution is None
         assert simulator.skia.timeline is None
+
+    def test_default_runs_keep_no_outcome_rows(self, micro_program,
+                                               micro_trace, monkeypatch):
+        # Rows exist only for attribution or an event trace: a default
+        # run_compiled allocates none and renders nothing, and a default
+        # kernel lane binds no row list, so its per-record row branch is
+        # a single failed None test.
+        rendered = []
+        monkeypatch.setattr(FrontEndSimulator, "_render_outcomes",
+                            lambda *args: rendered.append(args))
+        oracle = FrontEndSimulator(micro_program, _config())
+        assert oracle._outcome_rows() is None
+        oracle.run(micro_trace[:2_000], warmup=500)
+        kernel = FrontEndSimulator(micro_program, _config())
+        batch = BatchedFrontEndSimulator(chunk_records=512)
+        batch.add_lane(kernel, CompiledTrace.from_records(micro_trace[:2_000]),
+                       warmup=500)
+        [lane] = batch._lanes
+        assert lane.rows is None
+        batch.run()
+        assert rendered == []
 
     def test_default_run_records_no_profiler_sections(self, micro_program,
                                                       micro_trace):
