@@ -54,12 +54,8 @@ clean:
 	rm -rf .pytest_cache benchmarks/bench_results .repro_cache
 	rm -f BENCH_*.json.tmp
 	find . -name __pycache__ -type d -exec rm -rf {} +
-	# Compiled-trace artifacts: shared-memory segments orphaned by a
-	# killed run (normal exits unlink their own) and spill-file strays.
-	rm -f /dev/shm/repro_ctrace_* 2>/dev/null || true
 
-# Drop only the persistent result store (force cold re-simulation);
-# includes the compiled-trace spill area (.repro_cache/compiled).
+# Drop only the persistent result store (force cold re-simulation).
 clean-cache:
 	rm -rf .repro_cache
 

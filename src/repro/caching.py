@@ -63,9 +63,9 @@ class LRUCache:
     ``on_evict`` (when given) is called as ``on_evict(key, value)`` for
     every value displaced from the cache -- capacity evictions and
     overwrites of an existing key with a *different* value -- so values
-    owning external resources (e.g. shared-memory segments) can release
-    them.  ``clear()`` does not invoke it; call-sites that clear must
-    dispose of live values themselves (see ``WorkloadCache.clear``).
+    owning external resources can release them.  ``clear()`` does not
+    invoke it; call-sites that clear must dispose of live values
+    themselves.
     """
 
     COUNTERS = ("hits", "misses", "evictions")

@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.stats import SimStats
-from repro.harness.parallel import Cell, ParallelRunner
+from repro.harness.parallel import Cell
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale, current_scale
 from repro.workloads.cache import WorkloadCache
@@ -64,27 +64,19 @@ def sweep_seeds(workload: str, metric: Callable[[SimStats, SimStats], float],
 
     Each seed gets its own program *and* trace (both derive from the
     seed), so the sweep measures workload-generation variance, not just
-    trace noise.  Seeds are independent simulations, so ``jobs != 1``
-    fans the 2 x len(seeds) cells out over a process pool with results
+    trace noise.  The 2 x len(seeds) cells run as one
+    :meth:`~repro.harness.runner.ExperimentRunner.run_cells` batch, so
+    ``jobs != 1`` fans the seeds out over a process pool with results
     bit-identical to the serial sweep.
     """
-    scale = scale or current_scale()
-    if jobs != 1:
-        parallel = ParallelRunner(scale=scale, jobs=jobs)
-        cells = [Cell(workload, config, seed)
-                 for seed in seeds
-                 for config in (config_a, config_b)]
-        stats = parallel.run_batch(cells)
-        values = [metric(stats[index], stats[index + 1])
-                  for index in range(0, len(stats), 2)]
-        return SeedSweepResult(values=tuple(values), seeds=tuple(seeds))
-    values = []
-    for seed in seeds:
-        runner = ExperimentRunner(scale=scale, seed=seed,
-                                  cache=WorkloadCache())
-        stats_a = runner.run(workload, config_a)
-        stats_b = runner.run(workload, config_b)
-        values.append(metric(stats_a, stats_b))
+    cells = [Cell(workload, config, seed)
+             for seed in seeds
+             for config in (config_a, config_b)]
+    runner = ExperimentRunner(scale=scale or current_scale(),
+                              cache=WorkloadCache())
+    stats = runner.run_cells(cells, jobs=jobs)
+    values = [metric(stats[index], stats[index + 1])
+              for index in range(0, len(stats), 2)]
     return SeedSweepResult(values=tuple(values), seeds=tuple(seeds))
 
 

@@ -6,10 +6,10 @@ runner hashes a canonical key for each cell and runs each distinct cell
 once per process.
 
 Every cell runs through one body, :meth:`ExperimentRunner.run_group`:
-``run`` hands it a one-cell group, ``run_cells(jobs=1)`` each
-(workload, seed, bolted) group of its missing cells, pool workers
-(:func:`repro.harness.parallel.simulate_cell`) a one-cell group, and
-``repro stats run`` a one-cell group with its trace/timeline set-up.
+``run`` hands it a one-cell group, ``run_cells`` each (workload, seed,
+bolted) group of its missing cells -- serially, or as one pool task per
+group (:func:`repro.harness.parallel.simulate_group`) -- and ``repro
+stats run`` a one-cell group with its trace/timeline set-up.
 So the store probe, the backfill rule, the persisted artifacts and the
 run-ledger lifecycle are the same on every path.
 
@@ -21,9 +21,9 @@ Two layers sit under the in-memory memo:
   ``REPRO_NO_STORE=1`` or ``store=None``.
 * the **process pool** (:mod:`repro.harness.parallel`): the batch APIs
   (:meth:`ExperimentRunner.run_cells` / :meth:`run_many`) fan distinct
-  cells out over workers when ``jobs != 1``.  ``jobs=1`` (the default)
-  never spawns a pool and stays bit-identical to the historical serial
-  behaviour.
+  cell groups out over workers when more than one worker resolves.
+  ``jobs=1`` (the default) never spawns a pool; both paths are
+  bit-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.frontend.plan import plan_engine, run_planned
 from repro.frontend.stats import SimStats
-from repro.harness.parallel import Cell, ParallelRunner
+from repro.harness.parallel import (Cell, ParallelRunner, group_cells,
+                                    resolve_jobs)
 from repro.harness.progress import ProgressReporter, progress_enabled
 from repro.harness.scale import Scale, current_scale
 from repro.harness.store import ResultStore, config_key, default_store
@@ -45,7 +46,6 @@ from repro.obs import ledger as ledger_mod
 from repro.obs.invariants import check_snapshot
 from repro.obs.profiler import PROFILER
 from repro.workloads.cache import GLOBAL_CACHE, WorkloadCache
-from repro.workloads.compiled import CompiledTrace
 
 __all__ = ["ExperimentRunner", "config_key"]
 
@@ -223,7 +223,6 @@ class ExperimentRunner:
 
     def run_group(self, cells: Sequence[Cell],
                   setup: Callable[[FrontEndSimulator], None] | None = None,
-                  compiled: CompiledTrace | None = None,
                   progress: ProgressReporter | None = None
                   ) -> list[SimStats]:
         """Run distinct resolved cells sharing one (workload, seed,
@@ -239,9 +238,8 @@ class ExperimentRunner:
            nothing else; an incomplete entry re-simulates and the
            rewrite backfills the missing artifact.
         2. Open one ``harness.cell`` span (one ``group`` ledger record)
-           over the misses and prepare the program and trace --
-           ``compiled`` when the caller attached one (a pool worker),
-           else the workload cache's.
+           over the misses and prepare the program and compiled trace
+           from the workload cache.
         3. Build each simulator, attach attribution when recorded, then
            apply ``setup``.  :func:`plan_engine` puts it on a lane of
            one shared kernel batch, or it runs on ``run_planned`` right
@@ -282,11 +280,10 @@ class ExperimentRunner:
             pending.append((cell, key, cell_id, store_key))
         PROFILER.set_cell(None)
         if pending:
-            self._simulate_group(pending, setup, compiled, progress, ledger,
-                                 record)
+            self._simulate_group(pending, setup, progress, ledger, record)
         return [self._results[key] for key in keys]
 
-    def _simulate_group(self, pending, setup, compiled, progress, ledger,
+    def _simulate_group(self, pending, setup, progress, ledger,
                         record) -> None:
         """Steps 2-4 of :meth:`run_group`, for the cells the store lacks."""
         first = pending[0][0]
@@ -327,17 +324,15 @@ class ExperimentRunner:
             with PROFILER.section("harness.cell"):
                 if ledger is not None:
                     ledger.group([entry[2] for entry in pending])
-                source = "compile" if compiled is None else "attach"
                 with PROFILER.section("harness.workload"):
                     program = self.cache.program(workload, seed=seed,
                                                  bolted=bolted)
-                    if compiled is None:
-                        compiled = self.cache.compiled(
-                            workload, self.scale.records, seed=seed,
-                            bolted=bolted)
+                    compiled = self.cache.compiled(
+                        workload, self.scale.records, seed=seed,
+                        bolted=bolted)
                 batch = BatchedFrontEndSimulator()
                 for entry in pending:
-                    record(entry[2], "prepare", source=source)
+                    record(entry[2], "prepare")
                     simulator = FrontEndSimulator(program, entry[0].config,
                                                   seed=seed)
                     if self.record_attribution:
@@ -378,20 +373,22 @@ class ExperimentRunner:
 
     def run_cells(self, cells: Sequence[Cell],
                   jobs: int | None = None) -> list[SimStats]:
-        """Simulate a batch of cells, in parallel when ``jobs != 1``.
+        """Simulate a batch of cells, in parallel when ``jobs`` resolves
+        to more than one worker.
 
         Results merge into the in-memory memo, so subsequent ``run``
         calls for the same cells are hits.  ``jobs`` falls back to the
-        runner's default, then to serial.  Serially, each (workload,
-        seed, bolted) group of missing cells is one :meth:`run_group`,
-        so its kernel-eligible cells share one lane batch.
+        runner's default, then to serial.  Each (workload, seed,
+        bolted) group of missing cells is one :meth:`run_group` --
+        in this process, or as one pool task -- so its kernel-eligible
+        cells share one lane batch.
         """
-        jobs = jobs if jobs is not None else (self.jobs or 1)
+        jobs = resolve_jobs(jobs if jobs is not None else (self.jobs or 1))
         resolved = [cell.resolved(self.seed) for cell in cells]
         keys = [cell.identity(self.scale) for cell in resolved]
         missing = {key: cell for key, cell in zip(keys, resolved)
                    if key not in self._results}
-        if missing and jobs == 1:
+        if missing and jobs <= 1:
             ledger = ledger_mod.active_ledger()
             progress = None
             if ledger is not None:
@@ -399,11 +396,7 @@ class ExperimentRunner:
                               submitted=len(resolved), jobs=1)
                 if progress_enabled():
                     progress = ProgressReporter(len(missing), ledger=ledger)
-            groups: dict[tuple, list[Cell]] = {}
-            for cell in missing.values():
-                groups.setdefault((cell.workload, cell.seed, cell.bolted),
-                                  []).append(cell)
-            for group in groups.values():
+            for group in group_cells(missing.values()):
                 self.run_group(group, progress=progress)
             if progress is not None:
                 progress.finish()

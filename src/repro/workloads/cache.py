@@ -26,11 +26,9 @@ class WorkloadCache:
 
     Programs are small and kept unbounded; traces are large, so only the
     ``max_traces`` most recently *used* survive (genuine LRU: a cache hit
-    refreshes the trace's recency).  Compiled traces share the same bound
-    and additionally own OS resources (shared-memory segments once
-    published), so eviction *closes* them -- no ``/dev/shm`` handle
-    outlives its cache entry.  All caches count hits, misses and
-    evictions -- see :meth:`stats`.
+    refreshes the trace's recency).  Compiled traces share the same
+    bound.  All caches count hits, misses and evictions -- see
+    :meth:`stats`.
 
     A materialised record list lives only until it is compiled: the
     simulators read the compiled columns, so :meth:`compiled` drops the
@@ -42,10 +40,7 @@ class WorkloadCache:
     def __init__(self, max_traces: int = 4):
         self._programs = LRUCache(maxsize=None)
         self._traces = LRUCache(maxsize=max_traces)
-        self._compiled = LRUCache(
-            maxsize=max_traces,
-            on_evict=lambda _key, trace: trace.close())
-        self._max_traces = max_traces
+        self._compiled = LRUCache(maxsize=max_traces)
 
     def program(self, workload: str, seed: int = 0,
                 bolted: bool = False) -> Program:
@@ -87,7 +82,7 @@ class WorkloadCache:
         """
         key = (workload, seed, bolted, trace_seed, n_records)
         cached = self._compiled.get(key)
-        if cached is None or cached.closed:
+        if cached is None:
             records = self.trace(workload, n_records, seed=seed,
                                  trace_seed=trace_seed, bolted=bolted)
             cached = CompiledTrace.from_records(
@@ -105,12 +100,6 @@ class WorkloadCache:
     def clear(self) -> None:
         self._programs.clear()
         self._traces.clear()
-        # LRUCache.clear does not run eviction callbacks; close the
-        # compiled traces first so shared-memory segments are released.
-        for key in list(self._compiled):
-            trace = self._compiled.peek(key)
-            if trace is not None:
-                trace.close()
         self._compiled.clear()
 
 

@@ -420,8 +420,8 @@ class TestHarnessPaths:
     def _reference(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "0")
         try:
-            runner = ParallelRunner(scale=self.SCALE, jobs=1, store=None)
-            return runner.run_batch(self.CELLS)
+            runner = ExperimentRunner(scale=self.SCALE, store=None)
+            return runner.run_cells(self.CELLS, jobs=1)
         finally:
             monkeypatch.delenv("REPRO_BATCH")
 

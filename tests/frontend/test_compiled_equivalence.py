@@ -3,8 +3,8 @@
 ``FrontEndSimulator.run`` lowers its records itself, with no line
 columns precomputed (they are derived for the config's line size on
 first use).  The harness instead replays the workload cache's compiled
-traces, whose 64-byte line columns ship precompiled -- and which pool
-workers attach zero-copy from the parent's published buffer.  These
+traces, whose 64-byte line columns are precompiled -- and each pool
+worker compiles the traces of its own groups.  These
 tests pin that every path yields the same ``SimStats``, metric snapshot,
 event stream, timeline and attribution artifact over the Figure-14
 grid, and that the serial and parallel harness paths match direct
@@ -90,7 +90,7 @@ class TestHarnessPaths:
         self._assert_match_direct_runs(runner.run_cells(self.CELLS, jobs=1))
 
     def test_parallel_zero_copy_matches_object_path(self, monkeypatch):
-        # Pool workers attach the parent's published trace zero-copy.
+        # Each pool worker compiles its own group's trace.
         monkeypatch.setenv("REPRO_BATCH", "0")
         runner = ParallelRunner(scale=self.SCALE, jobs=2, store=None)
         self._assert_match_direct_runs(runner.run_batch(self.CELLS))

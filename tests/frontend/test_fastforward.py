@@ -20,7 +20,8 @@ from repro.frontend import fastforward, plan
 from repro.frontend.batch import run_compiled_batched
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.harness.parallel import Cell, ParallelRunner
+from repro.harness.parallel import Cell
+from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.obs import EventTrace, TimelineRecorder, digests, divergence
 from repro.workloads import (
@@ -30,7 +31,6 @@ from repro.workloads import (
     compile_trace,
 )
 from repro.workloads.cache import WorkloadCache
-from repro.workloads.compiled import CompiledTrace
 
 #: The exactly-periodic workload (round-robin dispatch, no stochastic
 #: branches) whose cells actually engage a skip.
@@ -85,16 +85,6 @@ class TestPeriodDetection:
         # The detected period really is a column-level cycle.
         for index in range(period, min(len(records), 2 * period + 64)):
             assert records[index] == records[index - period]
-
-    def test_record_and_column_paths_agree(self, steady):
-        # Pool workers detect over zero-copy int64 views of the shared
-        # buffer; that must agree with freshly compiled array columns.
-        _, records, compiled = steady
-        view = CompiledTrace.from_buffer(compiled.to_bytes())
-        try:
-            assert view.period() == compile_trace(records).period()
-        finally:
-            view.close()
 
     def test_period_is_cached_on_the_trace(self, steady):
         _, _, compiled = steady
@@ -574,8 +564,8 @@ class TestHarnessGrid:
 
     def _stats(self, jobs, monkeypatch, on):
         monkeypatch.setenv("REPRO_FASTFORWARD", "1" if on else "0")
-        runner = ParallelRunner(scale=self.SCALE, jobs=jobs, store=None)
-        return runner.run_batch(self.CELLS)
+        runner = ExperimentRunner(scale=self.SCALE, store=None)
+        return runner.run_cells(self.CELLS, jobs=jobs)
 
     def test_serial_identity(self, monkeypatch):
         reference = self._stats(1, monkeypatch, False)

@@ -1,8 +1,10 @@
 """The parallel execution layer and the persistent result store.
 
-Covers the three contract points of the performance layer:
+Covers the contract points of the performance layer:
 
 * parallel (``jobs > 1``) results are bit-identical to serial runs;
+* the pool runs one task per (workload, seed, bolted) group, so each
+  trace is generated once across all processes;
 * the persistent store round-trips ``SimStats`` exactly and
   self-invalidates when its schema/version fingerprints change;
 * ``config_key`` is order-stable for dict/list-valued config fields.
@@ -11,6 +13,7 @@ Covers the three contract points of the performance layer:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -23,6 +26,8 @@ from repro.harness.parallel import (
     ParallelRunner,
     available_cpus,
     default_jobs,
+    group_cells,
+    pool_tasks,
 )
 from repro.harness.runner import ExperimentRunner, config_key
 from repro.harness.scale import Scale
@@ -36,6 +41,7 @@ from repro.harness.store import (
     store_enabled,
 )
 from repro.isa.branch import BranchKind
+from repro.workloads import WORKLOAD_NAMES
 from repro.workloads.cache import WorkloadCache
 
 TINY = Scale("test", records=6_000, warmup=2_000)
@@ -131,84 +137,95 @@ class TestJobsResolution:
 
 
 # ----------------------------------------------------------------------
-# (a') zero-copy compiled-trace distribution
+# (a') one pool task per (workload, seed, bolted) group
 # ----------------------------------------------------------------------
 
-class TestZeroCopyDistribution:
-    def test_publish_skipped_for_serial(self):
-        runner = ParallelRunner(scale=TINY, jobs=1, store=None)
-        ordered = [(cell.resolved(0).identity(TINY), cell.resolved(0))
-                   for cell in GRID]
-        assert runner._publish_traces(ordered, workers=1) == {}
+#: A record count no other test uses, so the parent's global workload
+#: cache (which forked workers inherit) holds none of these traces.
+GROUPS = Scale("groups", records=4_321, warmup=1_000)
 
-    def test_publish_one_ref_per_workload(self):
-        runner = ParallelRunner(scale=TINY, jobs=2, store=None)
-        ordered = [(cell.resolved(0).identity(TINY), cell.resolved(0))
-                   for cell in GRID]
-        refs = runner._publish_traces(ordered, workers=2)
-        assert set(refs) == {(workload, 0, False)
-                             for workload in WORKLOADS}
-        for kind, _ in refs.values():
-            assert kind in ("shm", "file")
 
-    def test_publish_skips_fully_stored_groups(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        # Pre-fill every cell of one workload.
-        for config in CONFIGS:
-            store.put(result_key("noop", config, 0, TINY), make_stats())
-        runner = ParallelRunner(scale=TINY, jobs=2, store=store)
-        ordered = [(cell.resolved(0).identity(TINY), cell.resolved(0))
-                   for cell in GRID]
-        refs = runner._publish_traces(ordered, workers=2)
-        assert ("noop", 0, False) not in refs
-        assert ("voter", 0, False) in refs
+@pytest.fixture
+def generation_log(tmp_path, monkeypatch):
+    """Count ``TraceGenerator.records`` calls in this process and every
+    forked worker: one ``O_APPEND`` line (the program name) per call."""
+    import multiprocessing
+    import os
 
-    def test_attributed_warm_batch_publishes_nothing(self, tmp_path,
-                                                     monkeypatch):
-        """Publishing uses the cell body's completeness rule: a store
-        already holding every attributed entry needs no trace."""
-        from repro.workloads.compiled import CompiledTrace
+    from repro.workloads.trace import TraceGenerator
 
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers must inherit the counting patch (fork)")
+    path = tmp_path / "generated.log"
+    records = TraceGenerator.records
+
+    def counting(generator, n_records):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{generator.program.name}\n".encode())
+        finally:
+            os.close(fd)
+        return records(generator, n_records)
+
+    monkeypatch.setattr(TraceGenerator, "records", counting)
+    return lambda: (Counter(path.read_text().split())
+                    if path.exists() else Counter())
+
+
+class TestGroupTasks:
+    def test_each_trace_generated_once_across_processes(self,
+                                                        generation_log):
+        # Six groups: more than the workload cache's 4-trace bound.
+        workloads = WORKLOAD_NAMES[:6]
+        cells = [Cell(workload, config) for workload in workloads
+                 for config in CONFIGS]
+        ParallelRunner(scale=GROUPS, jobs=2, store=None).run_batch(cells)
+        assert generation_log() == Counter(workloads)
+
+    def test_warm_attributed_batch_generates_nothing(self, tmp_path,
+                                                     generation_log):
+        """Workers probe the store first: a store already holding every
+        attributed entry needs no trace."""
         store = ResultStore(tmp_path / "cache")
         cells = [Cell(workload, config) for workload in ("noop", "voter")
                  for config in CONFIGS]
-        ExperimentRunner(scale=TINY, cache=WorkloadCache(), store=store,
+        ExperimentRunner(scale=GROUPS, cache=WorkloadCache(), store=store,
                          record_attribution=True).run_cells(cells, jobs=1)
-        published = []
-        shared_ref = CompiledTrace.shared_ref
+        before = generation_log()
+        ParallelRunner(scale=GROUPS, jobs=2, store=store,
+                       record_attribution=True).run_batch(cells)
+        assert generation_log() == before
 
-        def counting_shared_ref(trace, *args, **kwargs):
-            published.append(trace)
-            return shared_ref(trace, *args, **kwargs)
+    def test_single_group_split_for_idle_worker(self):
+        configs = [FrontEndConfig(btb_entries=entries, skia=skia)
+                   for entries in (1024, 2048, 4096, 8192)
+                   for skia in (SkiaConfig.disabled(), SkiaConfig())]
+        cells = [Cell("voter", config, 0) for config in configs]
+        tasks = pool_tasks(cells, workers=2)
+        assert [len(task) for task in tasks] == [4, 4]
+        serial = ExperimentRunner(scale=TINY, cache=WorkloadCache(),
+                                  store=None).run_cells(cells, jobs=1)
+        parallel = ParallelRunner(scale=TINY, jobs=2,
+                                  store=None).run_batch(cells)
+        assert parallel == serial
 
-        monkeypatch.setattr(CompiledTrace, "shared_ref", counting_shared_ref)
-        runner = ParallelRunner(scale=TINY, jobs=2, store=store,
-                                record_attribution=True)
-        runner.run_batch(cells)
-        assert published == []
-
-    def test_worker_falls_back_when_ref_vanishes(self):
-        """A dead ref must not fail the cell -- local compile instead."""
-        from repro.harness.parallel import simulate_cell
-
-        serial = simulate_cell("noop", CONFIGS[0], 0, False, TINY)
-        via_dead_ref = simulate_cell(
-            "noop", CONFIGS[0], 0, False, TINY,
-            trace_ref=("shm", "repro_ctrace_gone_000000000000"))
-        assert via_dead_ref == serial
-
-    def test_worker_attach_memoised(self, micro_trace):
-        from repro.harness.parallel import _ATTACHED_TRACES, _attached_trace
-        from repro.workloads.compiled import compile_trace
-
-        published = compile_trace(micro_trace[:200])
-        ref = published.shared_ref()
-        try:
-            first = _attached_trace(ref)
-            assert _attached_trace(ref) is first
-        finally:
-            _ATTACHED_TRACES.pop(ref, None)
-            published.close()
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 16])
+    def test_tasks_partition_cells_by_group(self, workers):
+        cells = [Cell(workload, config, seed, bolted)
+                 for workload in ("noop", "voter")
+                 for seed in (0, 1)
+                 for bolted in (False, True)
+                 for config in CONFIGS][:-3]
+        tasks = pool_tasks(cells, workers)
+        flat = [cell for task in tasks for cell in task]
+        assert sorted(flat, key=cells.index) == cells
+        for task in tasks:
+            assert task
+            assert len({(cell.workload, cell.seed, cell.bolted)
+                        for cell in task}) == 1
+        groups = group_cells(cells)
+        assert len(tasks) == max(len(groups),
+                                 min(workers, len(cells)))
 
 
 # ----------------------------------------------------------------------
