@@ -23,11 +23,13 @@ bench:
 bench-smoke:
 	REPRO_SCALE=smoke REPRO_JOBS=$(JOBS) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Record a benchmark-trajectory point (BENCH_<date>.json at repo root).
-# Compare against the blessed baseline with:
-#   python -m repro bench compare
+# Record a benchmark-trajectory point (BENCH_<date>.json at repo root):
+# every BENCHMARK.json workload through bench/run.py, untraced and
+# traced.  bench/run.py refuses to run with any REPRO_* variable set.
+# Check it against an earlier point with:
+#   python -m repro bench compare BENCH_<before>.json BENCH_<after>.json
 bench-trajectory:
-	REPRO_SCALE=$(SCALE) PYTHONPATH=src $(PYTHON) -m repro bench run --jobs $(JOBS)
+	PYTHONPATH=src $(PYTHON) -m repro bench run
 
 # Produce a Perfetto-loadable pipeline timeline + event trace for one
 # smoke-scale Skia run (see docs/observability.md).
@@ -52,7 +54,7 @@ clean:
 	# sweeping ledgers even if the cache layout changes.
 	rm -rf .repro_cache/runs
 	rm -rf .pytest_cache benchmarks/bench_results .repro_cache
-	rm -f BENCH_*.json.tmp
+	rm -f BENCH_ci.json
 	find . -name __pycache__ -type d -exec rm -rf {} +
 
 # Drop only the persistent result store (force cold re-simulation).

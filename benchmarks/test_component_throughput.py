@@ -18,7 +18,7 @@ from repro.frontend.predictor import ITTageLite, TageLite
 from repro.harness.experiments import exhibit_cells
 from repro.harness.parallel import Cell
 from repro.harness.runner import ExperimentRunner
-from repro.harness.scale import Scale
+from repro.harness.scale import Scale, current_scale
 from repro.harness.store import ResultStore
 from repro.isa.decoder import Decoder, decode_at
 from repro.isa.encoder import Encoder
@@ -261,6 +261,54 @@ def test_batched_kernel_speedup_gate(benchmark, program, trace):
         f"batched kernel only {ratio:.2f}x run_compiled "
         f"(oracle {min(oracle_s):.3f}s, batched {min(batched_s):.3f}s); "
         f"the floor is 2x")
+
+
+def test_fastforward_speedup_gate(benchmark, monkeypatch):
+    """Hard floor: cycle fast-forwarding must make one long periodic
+    cell >= 5x faster than stepping every record.
+
+    ``steady-stream``'s trace repeats exactly (round-robin dispatch, no
+    stochastic branches), and the cell replays far more records than a
+    grid cell with a short warm-up, so skipped whole periods -- not
+    period detection -- dominate.  The skip arithmetic is O(1) per run:
+    anything under 5x means probing overhead regressed or the skip
+    stopped engaging.  Like the kernel gate, both settings are timed
+    warm, interleaved, min-of-3, in this one process; the trace build
+    is outside the timed runs.
+    """
+    import time as _time
+
+    scale = current_scale()
+    records = max(scale.records * 8, 48_000)
+    warmup = max(min(scale.warmup, records // 12), 256)
+    cache = WorkloadCache()
+    program = cache.program("steady-stream", seed=0)
+    compiled = cache.compiled("steady-stream", records, seed=0)
+
+    def replay(fastforward: str) -> FrontEndSimulator:
+        monkeypatch.setenv("REPRO_FASTFORWARD", fastforward)
+        simulator = FrontEndSimulator(program, FrontEndConfig(), seed=0)
+        simulator.run_compiled(compiled, warmup=warmup)
+        return simulator
+
+    summary = replay("1").fastforward_summary
+    replay("0")
+    on_s, off_s = [], []
+    for _ in range(3):
+        start = _time.perf_counter()
+        replay("1")
+        on_s.append(_time.perf_counter() - start)
+        start = _time.perf_counter()
+        replay("0")
+        off_s.append(_time.perf_counter() - start)
+    ratio = min(off_s) / min(on_s)
+    benchmark.extra_info["speedup_vs_full_replay"] = round(ratio, 3)
+    benchmark.pedantic(replay, args=("1",), rounds=2, iterations=1)
+    assert summary.get("skipped_records", 0) > 0, "the skip never engaged"
+    assert ratio >= 5.0, (
+        f"fast-forward only {ratio:.2f}x the full replay over {records} "
+        f"records (on {min(on_s):.3f}s, off {min(off_s):.3f}s); the "
+        f"floor is 5x")
 
 
 def test_warm_store_pass_throughput(benchmark, tmp_path):

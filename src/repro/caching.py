@@ -14,7 +14,7 @@ and re-inserting a key on every touch; both operations are O(1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Hashable, Iterator
 
 _MISSING = object()
 
@@ -59,23 +59,14 @@ class LRUCache:
     ``hits + misses == gets``,
     ``evictions == new-key stores - popped keys - size``,
     and ``size <= maxsize``.
-
-    ``on_evict`` (when given) is called as ``on_evict(key, value)`` for
-    every value displaced from the cache -- capacity evictions and
-    overwrites of an existing key with a *different* value -- so values
-    owning external resources can release them.  ``clear()`` does not
-    invoke it; call-sites that clear must dispose of live values
-    themselves.
     """
 
     COUNTERS = ("hits", "misses", "evictions")
 
-    def __init__(self, maxsize: int | None = None,
-                 on_evict: Callable[[Hashable, Any], None] | None = None):
+    def __init__(self, maxsize: int | None = None):
         if maxsize is not None and maxsize < 0:
             raise ValueError("maxsize must be non-negative or None")
         self.maxsize = maxsize
-        self.on_evict = on_evict
         self._data: dict[Hashable, Any] = {}
         self.hits = 0
         self.misses = 0
@@ -96,17 +87,11 @@ class LRUCache:
         return value
 
     def __setitem__(self, key: Hashable, value: Any) -> None:
-        if key in self._data:
-            displaced = self._data.pop(key)
-            if self.on_evict is not None and displaced is not value:
-                self.on_evict(key, displaced)
+        self._data.pop(key, None)
         self._data[key] = value
         if self.maxsize is not None and len(self._data) > self.maxsize:
-            oldest = next(iter(self._data))
-            evicted = self._data.pop(oldest)
+            del self._data[next(iter(self._data))]
             self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(oldest, evicted)
 
     def __contains__(self, key: Hashable) -> bool:
         """Uncounted, recency-neutral membership probe."""
@@ -124,8 +109,7 @@ class LRUCache:
         return self._data.get(key, default)
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
-        """Uncounted removal: not an eviction, and ``on_evict`` is not
-        called (the caller takes the value)."""
+        """Uncounted removal: not an eviction."""
         return self._data.pop(key, default)
 
     def state(self, base: float) -> tuple:

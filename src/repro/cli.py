@@ -18,9 +18,10 @@ Commands
                   render its offender tables as markdown/HTML
                   (``attrib report``), and compare two artifacts with
                   per-branch regression gates (``attrib diff``).
-``bench``      -- benchmark trajectory: time the fixed cell grid into a
-                  ``BENCH_<date>.json`` (``bench run``) and diff two
-                  trajectory files with regression gates
+``bench``      -- benchmark trajectory: run every ``BENCHMARK.json``
+                  workload through ``bench/run.py`` into a
+                  ``BENCH_<date>.json`` (``bench run``) and check two
+                  such files against the end-to-end bounds
                   (``bench compare``).
 ``runs``       -- the run ledger: list recorded harness runs
                   (``runs list``) or inspect one (``runs show``) --
@@ -38,7 +39,7 @@ Commands
                   record where two sides disagree.
 
 Harness commands that simulate (``experiment``, ``stats run/check``,
-``attrib run``, ``bench run``, ``intervals run``) record a run ledger
+``attrib run``, ``intervals run``) record a run ledger
 under
 ``.repro_cache/runs/<run_id>/`` by default; set ``REPRO_LEDGER=0`` to
 disable.
@@ -49,6 +50,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 from repro import quick_compare
 from repro.harness import experiments
@@ -267,33 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
     bench_run = bench_sub.add_parser(
-        "run", help="time the fixed cell grid into BENCH_<date>.json")
+        "run", help="run every BENCHMARK.json workload through "
+                    "bench/run.py into BENCH_<date>.json")
     bench_run.add_argument("--out", metavar="PATH", default=None,
                            help="output file (default BENCH_<YYYYMMDD>"
                                 ".json in the current directory)")
-    bench_run.add_argument("--workloads", nargs="+", default=None,
-                           metavar="NAME", choices=sorted(WORKLOAD_NAMES),
-                           help="override the default bench workloads")
-    _add_common_options(bench_run, suppress=True)
+    bench_run.add_argument("--seconds", type=float, default=None,
+                           metavar="S",
+                           help="measuring time per run (default "
+                                "BENCHMARK.json's run_seconds)")
 
     bench_compare = bench_sub.add_parser(
-        "compare", help="diff two trajectory files; non-zero on "
-                        "regression")
-    bench_compare.add_argument("before", nargs="?", default=None)
-    bench_compare.add_argument("after", nargs="?", default=None)
-    bench_compare.add_argument("--baseline", metavar="PATH",
-                               default=None,
-                               help="baseline when no 'before' is given "
-                                    "(default benchmarks/baseline_smoke"
-                                    ".json)")
-    bench_compare.add_argument("--threshold", type=float, default=None,
-                               metavar="PCT",
-                               help="max tolerated throughput drop "
-                                    "(default 25)")
-    bench_compare.add_argument("--figure-threshold", type=float,
-                               default=None, metavar="PCT",
-                               help="also gate per-figure runtime "
-                                    "growth (off by default)")
+        "compare", help="check AFTER against BEFORE with BENCHMARK.json's "
+                        "end-to-end bounds; exit 1 on a breach")
+    bench_compare.add_argument("before")
+    bench_compare.add_argument("after")
 
     trace = sub.add_parser("trace", help="dump or inspect binary traces")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -653,16 +643,13 @@ def _run_stats_check(args) -> int:
     scale = SCALES[args.scale] if args.scale else current_scale()
     store = None if args.no_store else "default"
     runner = ExperimentRunner(scale=scale, store=store)
-    # Parallel workers hand snapshots back through the store; without
-    # one, run serially so snapshots stay in the in-memory memo.
-    jobs = args.jobs if runner.store is not None else 1
     workloads = args.workloads or list(WORKLOAD_NAMES)
     configs = {name: _stats_config(name)
                for name in ("base", "head", "tail", "skia")}
 
     cells = [Cell(workload, config)
              for workload in workloads for config in configs.values()]
-    runner.run_cells(cells, jobs=jobs)
+    runner.run_cells(cells, jobs=args.jobs)
 
     failures = 0
     unavailable = 0
@@ -832,66 +819,128 @@ def _run_attrib(args) -> int:
     return _run_attrib_diff(args)
 
 
-def _run_bench(args) -> int:
-    from pathlib import Path
+#: The checkout root: ``bench/`` and ``BENCHMARK.json`` sit beside
+#: ``src/``.
+CHECKOUT = Path(__file__).resolve().parents[2]
 
-    from repro.harness import bench
 
-    if args.bench_command == "run":
-        scale = SCALES[args.scale] if args.scale else current_scale()
-        payload, path = bench.run_bench(scale, workloads=args.workloads,
-                                        jobs=args.jobs, out=args.out)
-        throughput = payload["throughput"]
-        print(f"bench: {payload['cells']} cells @ {scale.name} scale, "
-              f"{throughput['records_per_sec']:.0f} records/sec cold, "
-              f"warm replay {throughput['warm_wall_s']:.2f}s")
-        print(f"trajectory -> {path}")
-        return 0
+def _benchmark_spec() -> dict:
+    import json
 
-    # bench compare
-    before_path = args.before
-    after_path = args.after
-    if before_path is not None and after_path is None:
-        # One positional: it is the 'after'; baseline fills 'before'.
-        before_path, after_path = None, before_path
-    if after_path is None:
-        latest = bench.latest_bench_file()
-        if latest is None:
-            print("no BENCH_*.json found; run `repro bench run` first")
-            return 2
-        after_path = latest
-    if before_path is None:
-        before_path = args.baseline or bench.DEFAULT_BASELINE
-        if not Path(before_path).exists():
-            print(f"no baseline at {before_path}; first run -- bless one "
-                  f"by copying {after_path} there")
-            return 0
-    threshold = (args.threshold if args.threshold is not None
-                 else bench.DEFAULT_THRESHOLD_PCT)
+    return json.loads((CHECKOUT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))
+
+
+def _run_bench_run(args) -> int:
+    """Run ``bench/run.py`` once per workload with ``--trace 0`` and once
+    with ``--trace 1``, each in its own process (so ``peak_rss_mb`` is
+    per run), and write their result lines to one trajectory point."""
+    import json
+    import subprocess
+    import time
+
+    spec = _benchmark_spec()
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    command = [sys.executable, *spec["command"][1:]]
+    point: dict = {"host": None, "seconds": seconds, "seed": 0,
+                   "workloads": {}}
+    correct = True
+    for workload in (entry["name"] for entry in spec["workloads"]):
+        runs = point["workloads"][workload] = {}
+        for trace, part in ((0, "end_to_end"), (1, "per_layer")):
+            argv = ["--workload", workload, "--seed", "0",
+                    "--seconds", f"{seconds:g}", "--trace", str(trace)]
+            done = subprocess.run(command + argv, cwd=CHECKOUT,
+                                  stdout=subprocess.PIPE, text=True)
+            if done.returncode:
+                # A refusal (e.g. REPRO_* set) already explained itself
+                # on stderr, which is passed through.
+                print(f"bench/run.py {' '.join(argv)} exited "
+                      f"{done.returncode}", file=sys.stderr)
+                return done.returncode
+            report, result = map(json.loads, done.stdout.splitlines()[-2:])
+            point["host"] = report["host"]
+            runs[part] = result
+            correct = correct and result["correct"] and not result["failed"]
+            shown = "" if trace else "; " + ", ".join(
+                f"{name} {metric['value']:.4g}"
+                for name, metric in result["metrics"].items())
+            print(f"{workload} --trace {trace}: "
+                  f"{'correct' if result['correct'] else 'INCORRECT'}, "
+                  f"{result['failed']}/{result['attempted']} cells "
+                  f"failed{shown}")
+    path = Path(args.out or f"BENCH_{time.strftime('%Y%m%d')}.json")
+    path.write_text(json.dumps(point, indent=1) + "\n",
+                    encoding="utf-8")
+    print(f"trajectory point -> {path}")
+    return 0 if correct else 1
+
+
+def compare_points(before: dict, after: dict, spec: dict
+                   ) -> tuple[list[str], list[str]]:
+    """``(breaches, report lines)`` of ``after`` against ``before``.
+
+    A breach is an end-to-end metric worse than before by more than its
+    ``BENCHMARK.json`` bound (relative, in its ``better`` direction), or
+    a run that is not correct or fails a larger share of its cells.
+    Raises ``KeyError``/``TypeError`` when either point lacks a
+    workload, run or metric the spec names.
+    """
+    breaches: list[str] = []
+    lines: list[str] = []
+
+    def note(line: str, breach: bool) -> None:
+        if breach:
+            line += "  BREACH"
+            breaches.append(line)
+        lines.append(line)
+
+    for workload in (entry["name"] for entry in spec["workloads"]):
+        runs = before["workloads"][workload], after["workloads"][workload]
+        for part in ("end_to_end", "per_layer"):
+            old, new = (run[part] for run in runs)
+            shares = [run["failed"] / max(run["attempted"], 1)
+                      for run in (old, new)]
+            note(f"{workload} {part}: {old['failed']}/{old['attempted']} "
+                 f"-> {new['failed']}/{new['attempted']} cells failed",
+                 not new["correct"] or shares[1] > shares[0])
+        for metric in spec["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            old, new = (run["end_to_end"]["metrics"][name]["value"]
+                        for run in runs)
+            change = (new - old) / old if old else 0.0
+            worse = change if metric["better"] == "lower" else -change
+            note(f"{workload} {name}: {old:.4g} -> {new:.4g} "
+                 f"{metric['unit']} ({change:+.1%}, bound {bound:.0%})",
+                 worse > bound)
+    return breaches, lines
+
+
+def _run_bench_compare(args) -> int:
+    import json
+
     try:
-        regressions, lines = bench.compare_bench(
-            bench.load_bench(before_path), bench.load_bench(after_path),
-            threshold_pct=threshold,
-            figure_threshold_pct=args.figure_threshold)
-    except bench.BenchSchemaMismatch as mismatch:
-        print(f"cannot compare {before_path} (schema "
-              f"{mismatch.before_schema}) with {after_path} (schema "
-              f"{mismatch.after_schema}): the files use different bench "
-              f"payload schemas")
-        print("re-record both sides with this build (`repro bench run`) "
-              "or re-bless the baseline from a fresh run")
+        points = [json.loads(Path(path).read_text(encoding="utf-8"))
+                  for path in (args.before, args.after)]
+        breaches, lines = compare_points(*points, _benchmark_spec())
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        print(f"cannot compare {args.before} with {args.after}: "
+              f"{type(error).__name__}: {error}")
         return 2
-    except ValueError as error:
-        print(f"cannot compare: {error}")
-        return 2
-    print(f"comparing {before_path} -> {after_path}")
+    print(f"comparing {args.before} -> {args.after}")
     for line in lines:
         print(line)
-    if regressions:
-        print(f"{len(regressions)} regression(s) beyond thresholds")
+    if breaches:
+        print(f"{len(breaches)} breach(es) of BENCHMARK.json bounds")
         return 1
-    print("no regressions beyond thresholds")
+    print("every end-to-end metric within its bound")
     return 0
+
+
+def _run_bench(args) -> int:
+    if args.bench_command == "run":
+        return _run_bench_run(args)
+    return _run_bench_compare(args)
 
 
 def _run_trace(args) -> int:
@@ -1226,8 +1275,6 @@ def _ledgered_command(args) -> str | None:
     if (args.command == "workloads"
             and getattr(args, "workloads_command", None) == "period"):
         return f"workloads period {args.workload}"
-    if args.command == "bench" and args.bench_command == "run":
-        return "bench run"
     if args.command == "intervals" and args.intervals_command == "run":
         return (f"intervals run {args.workload} --config {args.config} "
                 f"--window {args.window}")

@@ -6,7 +6,10 @@ embarrassingly parallel.  :class:`ParallelRunner` deduplicates a batch of
 cells by their canonical identity (the same key the serial runner memos
 on), groups them by (workload, seed, bolted) exactly as the serial path
 does (:func:`group_cells`), and maps one pool task per group over a
-``ProcessPoolExecutor``, returning ``SimStats`` in input order.
+``ProcessPoolExecutor``.  Each task sends back every cell's
+:data:`CellResult` -- stats plus the attribution, interval and metric
+artifacts -- so the parent's memo holds what a serial run would, with or
+without a store.
 
 Determinism: a worker runs each task through the serial path's own body
 (:meth:`~repro.harness.runner.ExperimentRunner.run_group`) -- same store
@@ -40,6 +43,12 @@ from repro.harness.scale import Scale, current_scale
 from repro.harness.store import ResultStore, default_store
 from repro.obs import ledger as ledger_mod
 from repro.obs.profiler import PROFILER
+
+
+#: One finished cell as a runner memoises it: ``(stats, attribution,
+#: intervals, metrics)``, the artifacts ``None`` when not produced.
+CellResult = tuple[SimStats, dict | None, dict | None,
+                   dict[str, float] | None]
 
 
 @dataclass(frozen=True)
@@ -167,10 +176,11 @@ def pool_tasks(cells: Iterable[Cell], workers: int) -> list[list[Cell]]:
 def simulate_group(cells: Sequence[Cell], scale: Scale,
                    store_root: str | None = None,
                    record_attribution: bool = False,
-                   run_dir: str | None = None) -> list[SimStats]:
+                   run_dir: str | None = None) -> list[CellResult]:
     """Run one pool task -- resolved cells sharing a (workload, seed,
     bolted) -- through :meth:`ExperimentRunner.run_group
-    <repro.harness.runner.ExperimentRunner.run_group>`.
+    <repro.harness.runner.ExperimentRunner.run_group>`; returns each
+    cell's :data:`CellResult`.
 
     Module-level so it pickles into pool workers.  The group runs with
     the same store probe, lane batch, persistence and ledger lifecycle
@@ -191,7 +201,8 @@ def simulate_group(cells: Sequence[Cell], scale: Scale,
         store=ResultStore(store_root) if store_root else None,
         record_attribution=record_attribution)
     try:
-        return runner.run_group(cells)
+        runner.run_group(cells)
+        return [runner.result(cell) for cell in cells]
     finally:
         if ledger is not None:
             ledger.heartbeat(cells=len(cells))
@@ -217,13 +228,18 @@ class ParallelRunner:
         self.scale = scale or current_scale()
         self.jobs = resolve_jobs(jobs)
         self.store = default_store() if store == "default" else store
-        #: Workers hand attribution artifacts back through the store, so
-        #: recording without a store silently discards them.
         self.record_attribution = record_attribution
 
     def run_batch(self, cells: Sequence[Cell],
                   default_seed: int = 0) -> list[SimStats]:
-        """Simulate ``cells``; returns stats aligned with the input.
+        """Simulate ``cells``; returns stats aligned with the input."""
+        return [result[0] for result in self.run_results(cells,
+                                                         default_seed)]
+
+    def run_results(self, cells: Sequence[Cell],
+                    default_seed: int = 0) -> list[CellResult]:
+        """Simulate ``cells``; returns each one's :data:`CellResult`,
+        aligned with the input.
 
         Duplicate cells (same canonical identity) are simulated once.
         """
@@ -250,7 +266,7 @@ class ParallelRunner:
             simulate_group, scale=self.scale,
             store_root=None if self.store is None else str(self.store.root),
             record_attribution=self.record_attribution, run_dir=run_dir)
-        by_identity: dict[tuple, SimStats] = {}
+        by_identity: dict[tuple, CellResult] = {}
         if tasks:
             # Workers profile into their own PROFILER (discarded unless
             # a run is active, in which case each worker writes its own
@@ -258,10 +274,10 @@ class ParallelRunner:
             # collection layer.
             with PROFILER.section("harness.parallel_batch"):
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for task, stats_list in zip(tasks, pool.map(
+                    for task, results in zip(tasks, pool.map(
                             simulate, tasks, chunksize=1)):
-                        for cell, stats in zip(task, stats_list):
-                            by_identity[cell.identity(self.scale)] = stats
+                        for cell, result in zip(task, results):
+                            by_identity[cell.identity(self.scale)] = result
                         if progress is not None:
                             progress.update(len(task))
         if progress is not None:

@@ -10,11 +10,12 @@ lines instead so logs stay readable.
 Straggler detection: a completed cell whose wall time exceeds
 ``straggler_factor`` x the running median (with at least ``min_samples``
 walls observed) is flagged -- a ``straggler`` record in the run ledger
-plus a ``repro.progress`` log warning.  This live path covers serial
-runs, where the reporter observes every wall as it lands; parallel runs
-get the equivalent post-hoc pass (:func:`repro.obs.ledger.flag_stragglers`)
-over worker-appended ledger walls, so both modes converge on the same
-flags.
+plus a ``repro.progress`` log warning.  This live path covers the
+individually timed cells of serial runs, where the reporter observes
+every wall as it lands.  After every batch, serial or parallel, the
+post-hoc pass (:func:`repro.obs.ledger.flag_stragglers`) judges one
+wall per group from the ledger, which also covers kernel lanes that
+share a wall.
 
 Both the wall clock and the monotonic clock are injectable, so ETA and
 straggler arithmetic are tested with synthetic clocks -- no sleeping.

@@ -37,8 +37,8 @@ from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.frontend.plan import plan_engine, run_planned
 from repro.frontend.stats import SimStats
-from repro.harness.parallel import (Cell, ParallelRunner, group_cells,
-                                    resolve_jobs)
+from repro.harness.parallel import (Cell, CellResult, ParallelRunner,
+                                    group_cells, resolve_jobs)
 from repro.harness.progress import ProgressReporter, progress_enabled
 from repro.harness.scale import Scale, current_scale
 from repro.harness.store import ResultStore, config_key, default_store
@@ -206,6 +206,13 @@ class ExperimentRunner:
         stats, payload = self._run_for_artifact(
             self.intervals_for, workload, config, bolted)
         return stats, IntervalSeries.from_jsonable(payload)
+
+    def result(self, cell: Cell) -> CellResult:
+        """A memoised cell's stats and artifacts, as :meth:`_remember`
+        takes them."""
+        key = cell.identity(self.scale)
+        return (self._results[key], self._attribution.get(key),
+                self._intervals.get(key), self._metrics.get(key))
 
     def _remember(self, key: tuple, stats: SimStats, attribution,
                   intervals, metrics: dict[str, float] | None) -> None:
@@ -400,12 +407,17 @@ class ExperimentRunner:
                 self.run_group(group, progress=progress)
             if progress is not None:
                 progress.finish()
+            if ledger is not None:
+                # Kernel lanes share one wall, which the live reporter
+                # cannot judge per cell; flag slow groups from the ledger.
+                ledger_mod.flag_stragglers(ledger)
         elif missing:
-            parallel = ParallelRunner(
+            pool = ParallelRunner(
                 scale=self.scale, jobs=jobs, store=self.store,
                 record_attribution=self.record_attribution)
-            self._results.update(zip(
-                missing, parallel.run_batch(list(missing.values()))))
+            for key, result in zip(missing, pool.run_results(
+                    list(missing.values()))):
+                self._remember(key, *result)
         return [self._results[key] for key in keys]
 
     def run_many(self, workloads: list[str], config: FrontEndConfig,

@@ -37,14 +37,14 @@ subsystem:
 * :mod:`repro.obs.profiler` -- a host-side section profiler
   (``perf_counter_ns``, nesting, self time) threaded through the
   harness; each timed section becomes one span, the only host-timing
-  record, and ``repro bench`` reports per-section rollups of them.
+  record.
 * :mod:`repro.obs.ledger` -- the run ledger: every ledgered harness
   invocation gets a run id and an append-only JSONL manifest under
   ``.repro_cache/runs/<run_id>/`` with a lifecycle record per cell,
   diagnosable even for crashed runs; ``repro runs list/show``.
-* :mod:`repro.obs.spans` -- reading a run's ``spans.jsonl``: per-section
-  rollups, the cell-conservation check against the manifest, and the
-  merge with pipeline timelines into one Perfetto-loadable trace.
+* :mod:`repro.obs.spans` -- reading a run's ``spans.jsonl``: the
+  cell-conservation check against the manifest, and the merge with
+  pipeline timelines into one Perfetto-loadable trace.
 
 Nothing here is on the simulation hot path unless enabled: gauges are
 sampled lazily at snapshot time from counters the components already
@@ -106,7 +106,6 @@ from repro.obs.spans import (
     check_cell_conservation,
     merge_run_trace,
     read_spans,
-    span_rollup,
 )
 from repro.obs.timeline import (
     TimelineRecorder,
@@ -159,7 +158,6 @@ __all__ = [
     "save_snapshot",
     "snapshot_from_stats",
     "snapshot_to_prometheus",
-    "span_rollup",
     "sparkline",
     "start_run",
     "state_digest",

@@ -443,38 +443,51 @@ def latest_run_id(root: str | os.PathLike | None = None) -> str | None:
 def flag_stragglers(ledger: RunLedger,
                     factor: float = STRAGGLER_FACTOR,
                     min_samples: int = STRAGGLER_MIN_SAMPLES) -> list[str]:
-    """Flag completed cells whose wall exceeds ``factor`` x median.
+    """Flag the cells of groups whose wall exceeds ``factor`` x median.
 
     Reads the run's own manifest (workers already appended their
-    ``done`` records with per-cell walls), computes the median over
-    individually-timed cells (shared kernel-batch walls are excluded:
-    one wall covers N lanes) and appends a ``straggler`` record per
-    offender not already flagged live by the progress reporter.
+    ``done`` records with walls).  Kernel lanes of one ``harness.cell``
+    section share one wall (``shared_wall``), so they count as one
+    group timed by its longest ``done`` wall; every other timed cell is
+    a group of one.  The median is over group walls, and every cell of
+    an outlier group not already flagged live by the progress reporter
+    gets a ``straggler`` record.
     """
     import logging
 
     records = read_manifest(ledger.manifest_path)
-    walls: dict[str, float] = {}
+    section_of: dict[str, int] = {}
+    groups: dict[object, tuple[float, list[str]]] = {}
     flagged: set[str] = set()
-    for record in records:
+    for index, record in enumerate(records):
+        if record.get("kind") == "group":
+            for cell_id in record.get("cells", ()):
+                section_of[str(cell_id)] = index
         if record.get("kind") != "cell":
             continue
         cell_id = str(record.get("cell"))
         phase = record.get("phase")
         if phase == "straggler":
             flagged.add(cell_id)
-        elif (phase == "done" and record.get("wall_s") is not None
-                and not record.get("shared_wall")):
-            walls[cell_id] = float(record["wall_s"])
-    if len(walls) < min_samples:
+        elif phase == "done" and record.get("wall_s") is not None:
+            key = (section_of.get(cell_id, cell_id)
+                   if record.get("shared_wall") else cell_id)
+            wall, cells = groups.get(key, (0.0, []))
+            groups[key] = (max(wall, float(record["wall_s"])),
+                           cells + [cell_id])
+    if len(groups) < min_samples:
         return []
-    median = statistics.median(walls.values())
+    median = statistics.median(wall for wall, _ in groups.values())
     if median <= 0:
         return []
     newly = []
     log = logging.getLogger("repro.ledger")
-    for cell_id, wall in sorted(walls.items()):
-        if wall > factor * median and cell_id not in flagged:
+    for wall, cells in groups.values():
+        if wall <= factor * median:
+            continue
+        for cell_id in sorted(cells):
+            if cell_id in flagged:
+                continue
             ledger.cell(cell_id, "straggler", wall_s=round(wall, 6),
                         median_s=round(median, 6), factor=factor)
             log.warning("straggler cell %s: %.3fs vs median %.3fs "

@@ -3,13 +3,12 @@
 The simulator's own metrics (:mod:`repro.obs.registry`) count *simulated*
 events; this module times the *host* Python code that produces them --
 the experiment runner, the persistent store, the shadow-decode memo
-misses -- so ``repro bench`` and the run ledger can report where a
-cell's wall-clock is actually spent.
+misses -- so the run ledger can report where a cell's wall-clock is
+actually spent.
 
 Every timed section becomes one **span**, the only host-timing record:
 ``(name, start_ns, dur_ns, self_ns, cell, pid)`` in :data:`SPAN_FIELDS`
-order.  Per-section totals are not stored; they are a rollup view over
-spans (:func:`repro.obs.spans.span_rollup`).
+order.  Per-section totals are not stored; sum the spans of one name.
 
 Design constraints mirror the rest of ``repro.obs``:
 
@@ -27,8 +26,8 @@ Design constraints mirror the rest of ``repro.obs``:
 * **Process-local.**  The module-level :data:`PROFILER` is what the
   harness threads through.  It records only while enabled: the run
   ledger (:func:`repro.obs.ledger.start_run`) attaches it to the run's
-  ``spans.jsonl``, each pool worker attaches its own copy to the same
-  file, and ``repro bench run`` enables it for the bench's duration.
+  ``spans.jsonl``, and each pool worker attaches its own copy to the
+  same file.
 """
 
 from __future__ import annotations

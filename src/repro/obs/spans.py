@@ -1,15 +1,14 @@
-"""Harness spans: reading, rollups, cell conservation, trace merge.
+"""Harness spans: reading, cell conservation, trace merge.
 
 The section profiler (:mod:`repro.obs.profiler`) records one span per
 timed section -- stamped with the active cell and the recording pid --
 and, inside a run (:func:`repro.obs.ledger.start_run`), flushes them
 next to the run ledger as append-only JSONL.  Spans are the only
-host-timing record: per-section totals are :func:`span_rollup` over
-them.  Spans from every process of a run (the serial harness, each pool
-worker) land in one ``spans.jsonl``, so a grid run's harness-level
-timeline can be merged with the per-cycle pipeline timelines
-(:mod:`repro.obs.timeline`) into a single Perfetto-loadable trace:
-harness spans and simulated-cycle tracks open in one viewer.
+host-timing record.  Spans from every process of a run (the serial
+harness, each pool worker) land in one ``spans.jsonl``, so a grid run's
+harness-level timeline can be merged with the per-cycle pipeline
+timelines (:mod:`repro.obs.timeline`) into a single Perfetto-loadable
+trace: harness spans and simulated-cycle tracks open in one viewer.
 
 :func:`check_cell_conservation` checks the spans against independent
 data, the run manifest: every covered cell is accounted to exactly one
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -59,24 +57,6 @@ def read_spans(path: str | os.PathLike) -> list[dict]:
             if isinstance(span, dict):
                 spans.append(span)
     return spans
-
-
-def span_rollup(spans: Iterable[Mapping]) -> dict[str, dict[str, int]]:
-    """Per-section totals over span rows, sorted by section name.
-
-    ``{section: {calls, total_ns, exclusive_ns}}``: the span count, the
-    summed durations and the summed self times.  This is the only
-    profiler "totals" view; pass the rows of one pid for one process.
-    """
-    totals: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
-    for span in spans:
-        entry = totals[str(span["name"])]
-        entry[0] += 1
-        entry[1] += int(span["dur_ns"])
-        entry[2] += int(span["self_ns"])
-    return {name: {"calls": calls, "total_ns": total,
-                   "exclusive_ns": exclusive}
-            for name, (calls, total, exclusive) in sorted(totals.items())}
 
 
 def check_cell_conservation(ledger_records: Iterable[Mapping],

@@ -69,3 +69,16 @@ def encoder() -> Encoder:
 def make_profile(**overrides) -> WorkloadProfile:
     """Micro profile with overrides (helper for workload tests)."""
     return dataclasses.replace(MICRO_PROFILE, **overrides)
+
+
+def span_totals(rows) -> dict[str, dict[str, int]]:
+    """Per-section ``{calls, total_ns, exclusive_ns}`` over span rows,
+    sorted by section name."""
+    totals: dict[str, dict[str, int]] = {}
+    for row in rows:
+        entry = totals.setdefault(
+            str(row["name"]), {"calls": 0, "total_ns": 0, "exclusive_ns": 0})
+        entry["calls"] += 1
+        entry["total_ns"] += int(row["dur_ns"])
+        entry["exclusive_ns"] += int(row["self_ns"])
+    return dict(sorted(totals.items()))

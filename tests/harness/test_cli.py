@@ -110,6 +110,12 @@ class TestStatsParser:
         assert fdip8.comparator == "fdip"
         assert fdip8.fdip_depth == 8
 
+    def test_parser_accepts_stats_trace(self):
+        args = build_parser().parse_args(
+            ["stats", "trace", "events.jsonl", "--chrome", "out.json"])
+        assert args.stats_command == "trace"
+        assert args.chrome == "out.json"
+
     def test_check_validates_workload_names(self):
         # Regression: --workloads used to accept any string silently.
         with pytest.raises(SystemExit):
@@ -160,6 +166,16 @@ class TestStatsCommands:
         assert code == 0
         assert "checked 4 cells" in out
         assert "0 failing" in out
+
+    def test_check_parallel_without_store(self, capsys):
+        # Pool tasks send every cell's metric snapshot back, so a
+        # store-less parallel check has a snapshot for every cell.
+        code = main(["--scale", "smoke", "stats", "check", "--workloads",
+                     "noop", "voter", "--no-store", "-j", "2"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "checked 8 cells" in out
+        assert "0 failing, 0 without snapshots" in out
 
 
 class TestAttribParser:

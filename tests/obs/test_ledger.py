@@ -312,6 +312,25 @@ class TestFlagStragglers:
         assert flag_stragglers(ledger) == []  # already flagged
         ledger.close()
 
+    def test_flags_every_lane_of_a_slow_group(self, tmp_path):
+        # Kernel lanes share their group's wall: the median is over one
+        # wall per group (a lone cell is a group of one), and an
+        # outlier group flags all of its lanes.
+        ledger = RunLedger.create("t", root=tmp_path)
+        for group, wall in enumerate((1.0, 1.1, 0.9, 1.0, 12.0)):
+            lanes = [f"g{group}.{lane}" for lane in range(3)]
+            ledger.group(lanes)
+            for lane, cell in enumerate(lanes):
+                self._done(ledger, cell, wall + lane * 0.01,
+                           shared_wall=True)
+        self._done(ledger, "lone", 1.0)
+        assert flag_stragglers(ledger) == ["g4.0", "g4.1", "g4.2"]
+        records = read_manifest(ledger.manifest_path)
+        straggler = [r for r in records if r.get("phase") == "straggler"]
+        assert {r["wall_s"] for r in straggler} == {12.02}
+        assert {r["median_s"] for r in straggler} == {1.02}
+        ledger.close()
+
     def test_needs_min_samples(self, tmp_path):
         ledger = RunLedger.create("t", root=tmp_path)
         self._done(ledger, "a", 1.0)
@@ -320,11 +339,15 @@ class TestFlagStragglers:
         ledger.close()
 
     def test_shared_walls_excluded_from_median(self, tmp_path):
-        # Batched-group cells share one wall; they must not skew the
-        # median nor be flagged themselves.
+        # Batched-group cells share one wall; its lanes must not skew
+        # the median one sample each: twenty fast lanes are one group
+        # wall, so the lone 1 s cells stay at the median.
         ledger = RunLedger.create("t", root=tmp_path)
         for index in range(5):
             self._done(ledger, f"c{index}", 1.0)
-        self._done(ledger, "groupcell", 50.0, shared_wall=True)
+        lanes = [f"lane{index}" for index in range(20)]
+        ledger.group(lanes)
+        for cell in lanes:
+            self._done(ledger, cell, 0.2, shared_wall=True)
         assert flag_stragglers(ledger) == []
         ledger.close()

@@ -4,7 +4,8 @@ import json
 import os
 
 from repro.obs.profiler import PROFILER, SectionProfiler, span_row
-from repro.obs.spans import read_spans, span_rollup
+from repro.obs.spans import read_spans
+from tests.conftest import span_totals
 
 
 class FakeClock:
@@ -26,7 +27,7 @@ def make() -> tuple[SectionProfiler, FakeClock]:
 
 
 def rollup(profiler: SectionProfiler) -> dict:
-    return span_rollup(map(span_row, profiler.spans))
+    return span_totals(map(span_row, profiler.spans))
 
 
 def self_ns(profiler: SectionProfiler, name: str) -> list[int]:

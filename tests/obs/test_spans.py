@@ -20,9 +20,9 @@ from repro.obs.spans import (
     check_cell_conservation,
     merge_run_trace,
     read_spans,
-    span_rollup,
     spans_to_chrome,
 )
+from tests.conftest import span_totals
 
 
 @pytest.fixture()
@@ -93,8 +93,8 @@ class TestSpanConservation:
         # per-section totals read back from it equal the in-memory ones.
         spans, in_memory = recorded
         assert spans == in_memory
-        rollup = span_rollup(spans)
-        assert rollup == span_rollup(in_memory)
+        rollup = span_totals(spans)
+        assert rollup == span_totals(in_memory)
         assert rollup["t.outer"]["calls"] == 4
         assert rollup["t.inner"]["calls"] == 3
         assert rollup["t.outer"]["total_ns"] == (

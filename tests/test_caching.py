@@ -125,38 +125,3 @@ def test_counter_invariants_hold_under_random_ops(maxsize):
             assert cache.evictions == 0
         # Contents must match the reference model exactly.
         assert dict((k, cache.peek(k)) for k in cache) == shadow
-
-
-class TestOnEvict:
-    """The eviction callback that lets cached values own resources."""
-
-    def test_fires_on_lru_displacement(self):
-        seen = []
-        cache = LRUCache(maxsize=1, on_evict=lambda k, v: seen.append((k, v)))
-        cache["a"] = 1
-        cache["b"] = 2
-        assert seen == [("a", 1)]
-
-    def test_fires_on_overwrite_with_new_value(self):
-        seen = []
-        cache = LRUCache(maxsize=2, on_evict=lambda k, v: seen.append((k, v)))
-        cache["a"] = 1
-        cache["a"] = 2
-        assert seen == [("a", 1)]
-
-    def test_silent_on_overwrite_with_same_object(self):
-        seen = []
-        value = object()
-        cache = LRUCache(maxsize=2, on_evict=lambda k, v: seen.append((k, v)))
-        cache["a"] = value
-        cache["a"] = value
-        assert seen == []
-
-    def test_clear_does_not_fire(self):
-        # clear() drops entries without the callback: callers that need
-        # teardown-on-clear (WorkloadCache) walk entries themselves first.
-        seen = []
-        cache = LRUCache(maxsize=4, on_evict=lambda k, v: seen.append(k))
-        cache["a"] = 1
-        cache.clear()
-        assert seen == []

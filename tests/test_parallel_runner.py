@@ -94,6 +94,24 @@ class TestParallelMatchesSerial:
         assert stats is serial_results[GRID.index(Cell("voter", CONFIGS[1]))] \
             or stats == serial_results[GRID.index(Cell("voter", CONFIGS[1]))]
 
+    def test_storeless_batch_keeps_artifacts(self):
+        """Without a store, a jobs=2 batch memoises the same metric
+        snapshots and attribution artifacts as a serial one."""
+        runners = {jobs: ExperimentRunner(scale=TINY, cache=WorkloadCache(),
+                                          store=None,
+                                          record_attribution=True)
+                   for jobs in (1, 2)}
+        for jobs, runner in runners.items():
+            runner.run_cells(GRID, jobs=jobs)
+        serial, pooled = runners[1], runners[2]
+        for cell in GRID:
+            metrics = serial.metrics_for(cell.workload, cell.config)
+            attribution = serial.attribution_for(cell.workload, cell.config)
+            assert metrics is not None and attribution is not None
+            assert pooled.metrics_for(cell.workload, cell.config) == metrics
+            assert pooled.attribution_for(cell.workload,
+                                          cell.config) == attribution
+
     def test_run_many_parallel(self, batch_runner, serial_results):
         results = batch_runner.run_many(list(WORKLOADS), CONFIGS[0], jobs=2)
         assert set(results) == set(WORKLOADS)
