@@ -124,11 +124,6 @@ class LRUCache:
         """Drop all entries; counters are preserved."""
         self._data.clear()
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     @property
     def stats(self) -> CacheStats:
         return CacheStats(hits=self.hits, misses=self.misses,

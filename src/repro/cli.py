@@ -1272,9 +1272,6 @@ def _ledgered_command(args) -> str | None:
         return None
     if args.command == "attrib" and args.attrib_command == "run":
         return f"attrib run {args.workload} --config {args.config}"
-    if (args.command == "workloads"
-            and getattr(args, "workloads_command", None) == "period"):
-        return f"workloads period {args.workload}"
     if args.command == "intervals" and args.intervals_command == "run":
         return (f"intervals run {args.workload} --config {args.config} "
                 f"--window {args.window}")

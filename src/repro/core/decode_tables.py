@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.caching import CacheStats, LRUCache
+from repro.caching import LRUCache
 
 #: Images whose tables are retained; evicting wholesale keeps the bound
 #: simple and an 8-image working set covers every stock grid.
@@ -66,10 +66,6 @@ class SharedDecodeTables:
             table = self._heads[key] = {}
         return table
 
-    def result_count(self) -> int:
-        return (len(self.lines) + len(self.tails)
-                + sum(len(t) for t in self._heads.values()))
-
 
 _REGISTRY = LRUCache(maxsize=MAX_IMAGES)
 
@@ -88,16 +84,6 @@ def shared_tables(image: bytes, base_address: int,
         tables = SharedDecodeTables(key)
         _REGISTRY[key] = tables
     return tables
-
-
-def registry_stats() -> CacheStats:
-    """Hit/miss/eviction counters of the image registry."""
-    return _REGISTRY.stats
-
-
-def shared_result_count() -> int:
-    """Total decode results currently shared (bench/debug surface)."""
-    return sum(_REGISTRY.peek(key).result_count() for key in _REGISTRY)
 
 
 def reset() -> None:

@@ -47,10 +47,6 @@ class Skia:
                                        line_size=line_size)
         self.sbb = ShadowBranchBuffer(config)
         self.boundary_oracle = boundary_oracle
-        #: Optional repro.obs.TimelineRecorder; attached by the engine,
-        #: which sets ``timeline.now`` to the entry's prefetch-completion
-        #: cycle before calling :meth:`on_ftq_entry`.
-        self.timeline = None
 
     # ------------------------------------------------------------------
     # Fill path (FTQ-entry prefetch completion)
@@ -74,19 +70,12 @@ class Skia:
         if (self.config.decode_heads and entered_by_taken_branch
                 and entry_pc % self.line_size != 0
                 and line_present(entry_pc)):
-            result = head = self.sbd.decode_head(entry_pc)
+            head = self.sbd.decode_head(entry_pc)
             if stats is not None:
                 stats.sbd_head_decodes += 1
-                if result.discarded:
+                if head.discarded:
                     stats.sbd_head_discarded += 1
-            if self.timeline is not None:
-                self.timeline.span(
-                    "sbd.head", f"0x{entry_pc:x}", self.timeline.now, 1.0,
-                    branches=len(result.branches),
-                    decoded=len(result.decoded_pcs),
-                    valid_paths=result.valid_paths,
-                    discarded=result.discarded)
-            self._insert_all(result.branches, stats)
+            self._insert_all(head.branches, stats)
 
         if (self.config.decode_tails and exit_pc is not None
                 and line_present(exit_pc - 1)):
@@ -95,11 +84,6 @@ class Skia:
                 tail = result
                 if stats is not None:
                     stats.sbd_tail_decodes += 1
-                if self.timeline is not None:
-                    self.timeline.span(
-                        "sbd.tail", f"0x{exit_pc:x}", self.timeline.now,
-                        1.0, branches=len(result.branches),
-                        decoded=len(result.decoded_pcs))
             self._insert_all(result.branches, stats)
         return head, tail
 

@@ -33,19 +33,14 @@ operations, in the same order, with the same counter updates as
 ``run_compiled`` -- final ``SimStats`` and metric snapshots are
 bit-identical (enforced over the full Figure-14 grid by
 ``tests/frontend/test_batch_equivalence.py``).  A lane observed by
-attribution or an event trace appends the oracle's outcome row per
-record and renders the rows when it finishes, as ``run_compiled``
-does.  ``run_compiled`` stays the oracle:
-:meth:`BatchedFrontEndSimulator.add_lane` refuses what the engine plan
-(:func:`repro.frontend.plan.plan_engine`) keeps off the kernel -- an
-attached timeline recorder -- and the harness runs those cells on
-``run_compiled``, each fallback counted.  Section 7.1 comparator cells
-run on the kernel: the comparator's ``lookup``/``record``/
-``on_btb_miss`` hooks are bound locals called at exactly the oracle's
-call sites.
-
-Enabled by default; ``REPRO_BATCH=0`` keeps every harness cell on
-``run_compiled`` (see :func:`repro.workloads.compiled.batch_enabled`).
+attribution, an event trace or a timeline recorder appends the oracle's
+outcome row (and, for a timeline, stage-time row) per record and renders
+the rows when it finishes, as ``run_compiled`` does; an unobserved lane
+pays one ``None`` check per record.  So every harness cell runs here,
+and ``run_compiled`` stays the oracle it is tested against.  Section 7.1
+comparator cells run on the kernel too: the comparator's ``lookup``/
+``record``/``on_btb_miss`` hooks are bound locals called at exactly the
+oracle's call sites.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from repro.core.sbb import SBBEntry
 from repro.frontend.btb import BTBEntry
 from repro.frontend.engine import FrontEndSimulator
 from repro.frontend.fastforward import plan_compiled
-from repro.frontend.plan import plan_engine
 from repro.frontend.stats import SimStats
 from repro.isa.branch import BranchKind
 from repro.obs.profiler import PROFILER
@@ -80,10 +74,6 @@ _K_COND = BranchKind.DIRECT_COND
 _K_UNCOND = BranchKind.DIRECT_UNCOND
 _K_CALL = BranchKind.CALL
 _K_RETURN = BranchKind.RETURN
-
-
-class BatchUnsupported(ValueError):
-    """The lane needs instrumentation only ``run_compiled`` drives."""
 
 
 def _geometry(simulator) -> tuple:
@@ -231,9 +221,10 @@ class _Lane:
         self.cycles_at_count_start = 0.0
         self.wp_at_count_start = 0
         self.processed = 0
-        #: Outcome rows when attribution or an event trace observes the
-        #: lane (fast-forward then never engages, so row i is record i).
-        self.rows = simulator._outcome_rows()
+        #: Outcome rows when an observer is attached, and stage-time
+        #: rows for a timeline recorder (fast-forward then never
+        #: engages, so row i is record i).
+        self.rows, self.times = simulator._outcome_rows()
 
         # Interval telemetry: boundaries are record indices, so the lane
         # splits its chunks there and emits between kernel invocations
@@ -420,6 +411,7 @@ class _Lane:
         resteer_causes_d = stats_obj.resteer_causes
         hist_record = sim._resteer_latency.record
         rows_append = None if self.rows is None else self.rows.append
+        times_append = None if self.times is None else self.times.append
         hres = tres = None
 
         # Scheduler state, locals-bound.
@@ -434,6 +426,10 @@ class _Lane:
         counting = self.counting
         counted_instructions = self.counted_instructions
         counted_blocks = self.counted_blocks
+        # The fetch and decode clocks a record starts with, kept only
+        # for stage-time rows (the oracle's fetch stall and decoder idle).
+        times_fetch_free = fetch_free
+        times_decode_free = decode_free
 
         # Chunk-local stat accumulators, flushed once at the end.
         s_btb_lookups = 0
@@ -873,6 +869,18 @@ class _Lane:
                              centry is not None, sbb_which, hres, tres,
                              resteer, cause,
                              None if resteer is None else restart - iag_t))
+                if times_append is not None:
+                    # ``other`` becomes the fetch start before any stall.
+                    if times_fetch_free > other:
+                        other = times_fetch_free
+                    times_append((
+                        iag_t, lines_ready, fetch_start, fetch_done,
+                        fetch_start - other, decode_start, decode_done,
+                        decode_start - times_decode_free, retire_start,
+                        retire_free, None if resteer is None else detect,
+                        used_sbb))
+                    times_fetch_free = fetch_free
+                    times_decode_free = decode_free
             if counting:
                 counted_instructions += n_instr
                 counted_blocks += 1
@@ -944,8 +952,9 @@ class _Lane:
         if self.ff is not None:
             self.ff.finalize()
         if self.rows is not None:
-            sim._render_outcomes(self.compiled, self.rows, self.warmup)
-            self.rows = None
+            sim._render_outcomes(self.compiled, self.rows, self.times,
+                                 self.warmup)
+            self.rows = self.times = None
         if self.intervals is not None:
             self.intervals.finish(
                 self.processed, stats, self.counted_instructions,
@@ -986,14 +995,10 @@ class BatchedFrontEndSimulator:
 
     def add_lane(self, simulator: FrontEndSimulator,
                  compiled: CompiledTrace, warmup: int = 0) -> None:
-        """Register one cell; raises :class:`BatchUnsupported` when its
-        engine plan keeps it on ``run_compiled``, and ``RuntimeError``
-        once :meth:`run` has started."""
+        """Register one cell; raises ``RuntimeError`` once :meth:`run`
+        has started."""
         if self._ran:
             raise RuntimeError("add_lane() after run(); build a new batch")
-        reason = plan_engine(simulator).kernel_reason
-        if reason is not None:
-            raise BatchUnsupported(f"{reason}; run the cell on run_compiled")
         ff = plan_compiled(simulator, compiled, warmup)
         self._lanes.append(_Lane(simulator, compiled, warmup, ff=ff))
 

@@ -24,12 +24,13 @@ with the BTB, and the SBD runs when an FTQ entry's prefetch completes.
 The model is written twice: :meth:`FrontEndSimulator.run_compiled` is
 the readable per-record oracle, and the lane kernel in
 :mod:`repro.frontend.batch` is the same model written to be fast and
-bit-identical to it.  :meth:`FrontEndSimulator.run` lowers object
-records and calls the oracle; :func:`repro.frontend.plan.plan_engine`
-picks between oracle and kernel.  With attribution or an event trace
-attached, both engines append one outcome row per record and render
-the rows into them after the run (``_render_outcomes``); only the
-timeline recorder still observes the oracle live.
+bit-identical to it.  The harness runs every cell on the kernel;
+:meth:`FrontEndSimulator.run` lowers object records and calls the
+oracle, which stays the reference the kernel is tested against.
+Neither engine calls an observer while it runs: with attribution, an
+event trace or a timeline recorder attached, both append one outcome
+row per record (plus one stage-time row for a timeline) and render the
+rows into the observers after the run (``_render_outcomes``).
 """
 
 from __future__ import annotations
@@ -120,8 +121,6 @@ class FrontEndSimulator:
     def attach_timeline(self, timeline: TimelineRecorder) -> None:
         """Enable pipeline timeline recording for subsequent ``run`` calls."""
         self.timeline = timeline
-        if self.skia is not None:
-            self.skia.timeline = timeline
 
     def attach_attribution(self, aggregator=None):
         """Enable per-branch/per-line attribution for subsequent runs.
@@ -153,16 +152,22 @@ class FrontEndSimulator:
         self.intervals = collector
         return collector
 
-    def _outcome_rows(self) -> list | None:
-        """A fresh outcome-row list when attribution or an event trace
-        observes the next run, else ``None``."""
-        return None if self.attribution is None and self.trace is None \
-            else []
+    def _outcome_rows(self) -> tuple[list | None, list | None]:
+        """Fresh ``(outcome rows, stage-time rows)`` lists for the next
+        run: outcome rows when any observer is attached, stage times
+        only for a timeline recorder; ``None`` for each one unneeded."""
+        if self.timeline is not None:
+            return [], []
+        if self.attribution is None and self.trace is None:
+            return None, None
+        return [], None
 
-    def _render_outcomes(self, compiled, rows: list, warmup: int) -> None:
+    def _render_outcomes(self, compiled, rows: list, times: list | None,
+                         warmup: int) -> None:
         """Render one finished run's outcome rows (layout in
         :func:`repro.obs.trace.outcome_events`) into the attribution
-        aggregator and the event trace."""
+        aggregator and the event trace, and its stage-time rows into
+        the timeline recorder."""
         flags = (self.bpu.comparator is not None, self.skia is not None)
         if self.attribution is not None:
             # The aggregator applies the same warm-up gate as SimStats.
@@ -171,6 +176,9 @@ class FrontEndSimulator:
                 outcome_events(compiled, rows, *flags))
         if self.trace is not None:
             self.trace.render(outcome_events(compiled, rows, *flags))
+        if self.timeline is not None:
+            self.timeline.render(compiled, rows, times,
+                                 self.config.line_size)
 
     def metrics_snapshot(self) -> dict[str, float]:
         """One flat dict: structure gauges + post-warm-up ``sim.*``
@@ -238,8 +246,8 @@ class FrontEndSimulator:
         per-record line spans and calls the BPU's field-based entry
         point, so no ``BlockRecord`` is ever constructed.  The lane
         kernel of :mod:`repro.frontend.batch` replicates it bit-for-bit,
-        outcome rows included, for every run without a timeline
-        recorder (``tests/frontend/test_batch_equivalence.py``).
+        outcome and stage-time rows included
+        (``tests/frontend/test_batch_equivalence.py``).
         """
         config = self.config
         hierarchy = self.hierarchy
@@ -261,8 +269,7 @@ class FrontEndSimulator:
         backend_width = config.backend_effective_width
         pollution_max = config.pollution_max_lines
 
-        timeline = self.timeline
-        rows = self._outcome_rows()
+        rows, times = self._outcome_rows()
         resteer_latency = self._resteer_latency
         records_seen = self._records_seen
 
@@ -357,10 +364,6 @@ class FrontEndSimulator:
                 # ----- Skia: shadow-decode this entry's lines --------------
                 head = tail = None
                 if skia is not None:
-                    if timeline is not None:
-                        # SBD runs when the entry's prefetch completes; give
-                        # its span emitter that timestamp.
-                        timeline.now = lines_ready
                     exit_pc = branch_pc + col_branch_len[index] if taken else None
                     head, tail = skia.on_ftq_entry(
                         entry_pc=block_start,
@@ -395,26 +398,6 @@ class FrontEndSimulator:
                 retire_start = max(retire_free, decode_done + 1)
                 retire_free = retire_start + n_instr / backend_width
 
-                # ----- Timeline: one span per stage, instants for BPU events
-                if timeline is not None:
-                    name = f"0x{block_start:x}"
-                    timeline.span("iag", name, iag_t, 1.0, index=index)
-                    if not prediction.btb_hit:
-                        timeline.instant("iag", "btb_miss", iag_t,
-                                         pc=branch_pc)
-                    if prediction.sbb_hit is not None:
-                        timeline.instant(
-                            "iag", f"sbb_hit:{prediction.sbb_hit}", iag_t,
-                            pc=branch_pc, used=prediction.used_sbb)
-                    timeline.span("fetch", name, fetch_start,
-                                  fetch_done - fetch_start, lines=n_lines,
-                                  stall=fetch_stall)
-                    timeline.span("decode", name, decode_start,
-                                  decode_done - decode_start,
-                                  instructions=n_instr, idle=decode_idle)
-                    timeline.span("retire", name, retire_start,
-                                  retire_free - retire_start)
-
                 # ----- Resteer / next-entry scheduling ---------------------
                 if prediction.resteer is None:
                     iag_free = iag_t + 1
@@ -435,11 +418,6 @@ class FrontEndSimulator:
                         stats.resteer_causes[cause] = (
                             stats.resteer_causes.get(cause, 0) + 1)
                         resteer_latency.record(restart - iag_t)
-                    if timeline is not None:
-                        timeline.instant("iag", f"resteer:{cause}", detect,
-                                         stage=prediction.resteer,
-                                         cause=cause, pc=branch_pc,
-                                         latency=restart - iag_t)
                     # Wrong-path prefetches issued between iag_t and restart
                     # pollute the L1-I with sequential lines.
                     if prediction.wrong_path_pc is not None:
@@ -458,7 +436,7 @@ class FrontEndSimulator:
                     ftq_inflight.clear()
                     fetch_free = max(fetch_free, restart)
 
-                # ----- Outcome row (attribution / event trace) ----------
+                # ----- Outcome and stage-time rows (observers) ----------
                 if rows is not None:
                     rows.append((
                         prediction.btb_hit, branch_line_present,
@@ -466,6 +444,13 @@ class FrontEndSimulator:
                         tail, prediction.resteer, prediction.resteer_cause,
                         None if prediction.resteer is None
                         else restart - iag_t))
+                    if times is not None:
+                        times.append((
+                            iag_t, lines_ready, fetch_start, fetch_done,
+                            fetch_stall, decode_start, decode_done,
+                            decode_idle, retire_start, retire_free,
+                            None if prediction.resteer is None else detect,
+                            prediction.used_sbb))
                 if counting:
                     counted_instructions += n_instr
                     counted_blocks += 1
@@ -498,7 +483,7 @@ class FrontEndSimulator:
         if ff is not None:
             ff.finalize()
         if rows is not None:
-            self._render_outcomes(compiled, rows, warmup)
+            self._render_outcomes(compiled, rows, times, warmup)
         if intervals is not None:
             intervals.finish(
                 records_seen - self._records_seen, stats,

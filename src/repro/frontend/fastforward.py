@@ -8,11 +8,11 @@ every subsequent period produces byte-identical counter deltas and a
 uniform clock shift.  This module detects that fixed point and replays
 the remaining whole periods analytically:
 
-1. **Plan** -- :func:`plan_compiled` reads the run's engine plan
-   (:func:`repro.frontend.plan.plan_engine`: dense artefacts like
-   event traces need every record) and :meth:`CompiledTrace.period`;
-   ineligible runs fall back to plain stepping with a reason counted
-   by :func:`repro.frontend.plan.note_reason`.
+1. **Plan** -- :func:`plan_compiled` asks :func:`fastforward_reason`
+   whether the run may skip (observers that need a row for every
+   record, comparators and state probes keep it stepping) and reads
+   :meth:`CompiledTrace.period`; ineligible runs fall back to plain
+   stepping with the reason counted by :func:`note_reason`.
 2. **Probe** -- the engine calls :meth:`FastForward.on_probe` between
    records at indices ``r0 + k*quantum`` (``r0`` past both warm-up and
    the preamble; ``quantum`` a common multiple of the period and the
@@ -42,34 +42,89 @@ Exactness notes (why the skip is *byte*-identical, not approximate):
   min/max are already fixed points of that multiset and stay put.
 
 Disable with ``REPRO_FASTFORWARD=0``.  Each run's outcome is published
-on the simulator's ``fastforward_summary`` attribute -- never as metric
-gauges, which would break fast-forward on/off snapshot identity.
+on the simulator's ``fastforward_summary`` attribute, and each declined
+run is counted in one process-wide reason counter (:func:`reason_counts`)
+-- never as metric gauges, which would break fast-forward on/off
+snapshot identity.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
 from collections import deque
 
 from repro.frontend.caches import shifted_time
-from repro.frontend.plan import note_reason, plan_engine
 from repro.obs.digests import probe_digest
+
+logger = logging.getLogger(__name__)
 
 #: Stop probing after this many unmatched digests: a state orbit that
 #: has not closed within 64 quanta is treated as non-converging.
 MAX_PROBES = 64
 
 
+_reason_counts: dict[str, int] = {}
+
+
+def note_reason(reason: str) -> None:
+    """Count one run that could not fast-forward for ``reason``; log
+    each reason once."""
+    count = _reason_counts.get(reason, 0)
+    _reason_counts[reason] = count + 1
+    if not count:
+        logger.info("fastforward unavailable: %s", reason)
+
+
+def reason_counts() -> dict[str, int]:
+    """``{reason: count}`` of runs that could not fast-forward in this
+    process."""
+    return dict(sorted(_reason_counts.items()))
+
+
+def reset_reasons() -> None:
+    """Clear the counter (and re-arm the one-time log lines)."""
+    _reason_counts.clear()
+
+
+def fastforward_reason(simulator) -> str | None:
+    """Why ``simulator``'s next run may not fast-forward, or ``None``
+    (pure: counts nothing).
+
+    ``REPRO_FASTFORWARD=0`` keeps every run stepping all records.
+    Observers rendered from per-record rows (a timeline recorder,
+    attribution, an event trace) need a row for every record;
+    comparator state is not covered by the probe digest; the divergence
+    bisector's per-window state probe observes every window.
+    """
+    intervals = simulator.intervals
+    if os.environ.get("REPRO_FASTFORWARD", "").lower() in (
+            "0", "false", "no", "off"):
+        return "disabled by env"
+    if simulator.timeline is not None:
+        return "timeline recorder attached"
+    if simulator.attribution is not None:
+        return "attribution attached"
+    if simulator.trace is not None:
+        return "event trace attached"
+    if simulator.bpu.comparator is not None:
+        return "comparator attached"
+    if intervals is not None and intervals.state_probe is not None:
+        return "state probe attached"
+    return None
+
+
 def _declined(simulator, reason: str) -> None:
-    note_reason("fastforward", reason)
+    note_reason(reason)
     simulator.fastforward_summary = {"engaged": False, "reason": reason}
 
 
 def plan_compiled(simulator, compiled, warmup: int) -> "FastForward | None":
     """A :class:`FastForward` for one run over ``compiled``, or None."""
-    plan = plan_engine(simulator)
-    if not plan.fastforward:
-        _declined(simulator, plan.fastforward_reason)
+    reason = fastforward_reason(simulator)
+    if reason is not None:
+        _declined(simulator, reason)
         return None
     detected = compiled.period()
     if detected is None:
@@ -202,7 +257,7 @@ class FastForward:
         reason = None
         if not self.matched:
             reason = "digest never repeated"
-            note_reason("fastforward", reason)
+            note_reason(reason)
         self.sim.fastforward_summary = {
             "engaged": True,
             "reason": reason,

@@ -35,7 +35,6 @@ from typing import Callable, Sequence
 from repro.frontend.batch import BatchedFrontEndSimulator
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.frontend.plan import plan_engine, run_planned
 from repro.frontend.stats import SimStats
 from repro.harness.parallel import (Cell, CellResult, ParallelRunner,
                                     group_cells, resolve_jobs)
@@ -248,15 +247,14 @@ class ExperimentRunner:
            over the misses and prepare the program and compiled trace
            from the workload cache.
         3. Build each simulator, attach attribution when recorded, then
-           apply ``setup``.  :func:`plan_engine` puts it on a lane of
-           one shared kernel batch, or it runs on ``run_planned`` right
-           away: those cells are built, run, persisted and released one
-           at a time, so only kernel lanes are alive together.
-        4. Snapshot metrics, export the attribution and interval
-           artifacts, ``store.put`` them, and record
-           ``prepare -> simulate -> invariants -> store_write -> done``.
-           ``done`` carries the cell's own wall; kernel lanes of a
-           multi-lane batch share one (``shared_wall=True``).
+           apply ``setup``, and add it as a lane of one shared kernel
+           batch.
+        4. Run the batch.  Per cell, snapshot metrics, export the
+           attribution and interval artifacts, ``store.put`` them, and
+           record ``prepare -> simulate -> invariants -> store_write ->
+           done``.  ``simulate`` and ``done`` carry the run's
+           fast-forward summary; the lanes of a multi-lane batch share
+           one wall (``shared_wall=True``).
 
         Callers record ``queued`` (``RunLedger.submit``) beforehand.
         """
@@ -302,7 +300,7 @@ class ExperimentRunner:
         PROFILER.set_cell(label)
         mark = time.monotonic()
 
-        def finish(entry, simulator, stats, plan, shared=False) -> None:
+        def finish(entry, simulator, stats, shared) -> None:
             _, key, cell_id, store_key = entry
             metrics = simulator.metrics_snapshot()
             attribution = intervals = None
@@ -310,7 +308,8 @@ class ExperimentRunner:
                 attribution = simulator.attribution.to_jsonable()
             if simulator.intervals is not None:
                 intervals = simulator.intervals.series().to_jsonable()
-            record(cell_id, "simulate", **plan.ledger_fields(simulator))
+            fastforward = simulator.fastforward_summary
+            record(cell_id, "simulate", fastforward=fastforward)
             if ledger is not None:
                 record(cell_id, "invariants", violations=[
                     v.invariant for v in check_snapshot(metrics)])
@@ -320,7 +319,8 @@ class ExperimentRunner:
                 record(cell_id, "store_write", stored=True)
             wall_s = round(time.monotonic() - mark, 6)
             record(cell_id, "done", spanned=True, wall_s=wall_s,
-                   shared_wall=shared, **plan.outcome(simulator))
+                   shared_wall=shared, result="simulated",
+                   fastforward=fastforward)
             if progress is not None:
                 progress.update(1, cell_id=None if shared else cell_id,
                                 wall_s=wall_s)
@@ -346,25 +346,12 @@ class ExperimentRunner:
                         simulator.attach_attribution()
                     if setup is not None:
                         setup(simulator)
-                    plan = plan_engine(simulator)
-                    if plan.engine == "batched":
-                        batch.add_lane(simulator, compiled, warmup=warmup)
-                        lanes.append((entry, simulator, plan))
-                        continue
-                    with PROFILER.section("harness.simulate"):
-                        stats, plan = run_planned(simulator, compiled,
-                                                  warmup=warmup)
-                    finish(entry, simulator, stats, plan)
-                    # Released before the next cell's simulator is built.
-                    del simulator
-                    mark = time.monotonic()
-                if lanes:
-                    with PROFILER.section("harness.simulate"):
-                        results = batch.run()
-                    for (entry, simulator, plan), stats in zip(lanes,
-                                                               results):
-                        finish(entry, simulator, stats, plan,
-                               shared=len(lanes) > 1)
+                    batch.add_lane(simulator, compiled, warmup=warmup)
+                    lanes.append((entry, simulator))
+                with PROFILER.section("harness.simulate"):
+                    results = batch.run()
+                for (entry, simulator), stats in zip(lanes, results):
+                    finish(entry, simulator, stats, len(lanes) > 1)
         except Exception as exc:
             for _, key, cell_id, _ in pending:
                 if key not in self._results:
@@ -387,8 +374,8 @@ class ExperimentRunner:
         calls for the same cells are hits.  ``jobs`` falls back to the
         runner's default, then to serial.  Each (workload, seed,
         bolted) group of missing cells is one :meth:`run_group` --
-        in this process, or as one pool task -- so its kernel-eligible
-        cells share one lane batch.
+        in this process, or as one pool task -- so its cells share one
+        lane batch.
         """
         jobs = resolve_jobs(jobs if jobs is not None else (self.jobs or 1))
         resolved = [cell.resolved(self.seed) for cell in cells]

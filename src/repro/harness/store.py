@@ -337,11 +337,6 @@ class ResultStore:
             except OSError:
                 pass
 
-    def render_stats(self) -> str:
-        return (f"result store at {self.root}: {self.hits} hits / "
-                f"{self.misses} misses, {self.writes} writes, "
-                f"{len(self)} entries")
-
 
 def store_enabled() -> bool:
     """False when ``REPRO_NO_STORE`` is set to a truthy value."""

@@ -52,10 +52,6 @@ class BranchKind(enum.Enum):
         return self in (BranchKind.CALL, BranchKind.INDIRECT_CALL)
 
     @property
-    def is_return(self) -> bool:
-        return self is BranchKind.RETURN
-
-    @property
     def sbb_eligible(self) -> bool:
         """True when Skia's shadow decoder may capture this branch.
 

@@ -244,18 +244,6 @@ class Decoder:
         return self._base_pc
 
     @property
-    def memo_hits(self) -> int:
-        return self._memo.hits
-
-    @property
-    def memo_misses(self) -> int:
-        return self._memo.misses
-
-    @property
-    def memo_evictions(self) -> int:
-        return self._memo.evictions
-
-    @property
     def memo_stats(self) -> CacheStats:
         return self._memo.stats
 

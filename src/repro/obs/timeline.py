@@ -11,10 +11,11 @@ the decoder-idle gaps of Figure 18 and the FDIP runahead of Figure 2 are
 visible as literal gaps between spans.
 
 Like :class:`repro.obs.trace.EventTrace`, the recorder is a bounded ring
-buffer and is entirely opt-in: the engine pays one ``None`` check per
-record when no recorder is attached (enable per-run with
-``FrontEndConfig(record_timeline=True)`` or
-``simulator.attach_timeline(...)``).
+buffer, entirely opt-in (``FrontEndConfig(record_timeline=True)`` or
+``simulator.attach_timeline(...)``), and filled after the run: with a
+recorder attached, either engine keeps one stage-time row per record
+next to its outcome row, and :meth:`TimelineRecorder.render` turns the
+two into spans and instants once the run ends.
 
 :func:`chrome_from_trace_events` additionally converts an *event trace*
 (the JSONL ring buffer of :mod:`repro.obs.trace`) into the same format,
@@ -81,9 +82,7 @@ class TimelineRecorder:
     """Ring-buffered pipeline span/instant recorder.
 
     Events are stored as compact tuples and only expanded to Chrome
-    dicts at export time, so recording stays cheap.  ``now`` is a
-    scratch timestamp the engine sets before handing control to
-    components (the SBD) that emit events but do not own a clock.
+    dicts at export time, so recording stays cheap.
     """
 
     def __init__(self, capacity: int = 262_144):
@@ -93,8 +92,6 @@ class TimelineRecorder:
         # ("X"|"i", track, name, ts, dur, args-or-None)
         self._events: deque[tuple] = deque(maxlen=capacity)
         self.emitted = 0
-        #: Timestamp context for componentized emitters (set by the engine).
-        self.now: float = 0.0
 
     def span(self, track: str, name: str, start: float, duration: float,
              **args) -> None:
@@ -107,6 +104,63 @@ class TimelineRecorder:
         """A thread-scoped instant ("i") event."""
         self._events.append(("i", track, name, ts, 0.0, args or None))
         self.emitted += 1
+
+    def render(self, compiled, rows, times, line_size: int) -> None:
+        """Record one finished run's events from its per-record rows.
+
+        ``rows[i]`` is record ``i``'s outcome row (layout in
+        :func:`repro.obs.trace.outcome_events`); ``times[i]`` its stage
+        times ``(iag_t, lines_ready, fetch_start, fetch_done,
+        fetch_stall, decode_start, decode_done, decode_idle,
+        retire_start, retire_end, detect, used_sbb)``: the FTQ entry's
+        allocation cycle, its prefetch completion (when the SBD runs),
+        each stage's clocks, the resteer detect cycle (``None`` without
+        one) and whether the SBB supplied the next fetch address.  Per
+        record the events are the SBD head and tail spans, the IAG span,
+        the BTB-miss and SBB-hit instants, the fetch, decode and retire
+        spans, then the resteer instant.
+        """
+        span = self.span
+        instant = self.instant
+        starts = compiled.column("block_start")
+        n_instrs = compiled.column("n_instr")
+        branch_pcs = compiled.column("branch_pc")
+        lengths = compiled.column("branch_len")
+        n_lines = compiled.derived(line_size)[1]
+        for index, (row, stage_times) in enumerate(zip(rows, times)):
+            (btb_hit, _, _, sbb, head, tail, stage, cause,
+             latency) = row
+            (iag_t, lines_ready, fetch_start, fetch_done, fetch_stall,
+             decode_start, decode_done, decode_idle, retire_start,
+             retire_end, detect, used_sbb) = stage_times
+            block_start = starts[index]
+            branch_pc = branch_pcs[index]
+            if head is not None:
+                span("sbd.head", f"0x{block_start:x}", lines_ready, 1.0,
+                     branches=len(head.branches),
+                     decoded=len(head.decoded_pcs),
+                     valid_paths=head.valid_paths,
+                     discarded=head.discarded)
+            if tail is not None:
+                span("sbd.tail", f"0x{branch_pc + lengths[index]:x}",
+                     lines_ready, 1.0, branches=len(tail.branches),
+                     decoded=len(tail.decoded_pcs))
+            name = f"0x{block_start:x}"
+            span("iag", name, iag_t, 1.0, index=index)
+            if not btb_hit:
+                instant("iag", "btb_miss", iag_t, pc=branch_pc)
+            if sbb is not None:
+                instant("iag", f"sbb_hit:{sbb}", iag_t, pc=branch_pc,
+                        used=used_sbb)
+            span("fetch", name, fetch_start, fetch_done - fetch_start,
+                 lines=n_lines[index], stall=fetch_stall)
+            span("decode", name, decode_start, decode_done - decode_start,
+                 instructions=n_instrs[index], idle=decode_idle)
+            span("retire", name, retire_start, retire_end - retire_start)
+            if stage is not None:
+                cause = cause or "unattributed"
+                instant("iag", f"resteer:{cause}", detect, stage=stage,
+                        cause=cause, pc=branch_pc, latency=latency)
 
     @property
     def dropped(self) -> int:

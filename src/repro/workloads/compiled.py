@@ -27,7 +27,6 @@ lowers object records with :meth:`CompiledTrace.from_records` and calls
 from __future__ import annotations
 
 import hashlib
-import os
 from array import array
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -59,30 +58,6 @@ DEFAULT_LINE_SIZES: tuple[int, ...] = (64,)
 
 _ITEM = array("q").itemsize
 assert _ITEM == 8, "compiled traces require 64-bit array('q') items"
-
-
-def batch_enabled() -> bool:
-    """Whether the batched simulation kernel may be used (default on).
-
-    ``REPRO_BATCH=0`` keeps every harness cell on the per-record
-    ``run_compiled`` loop.  The flag lives here rather than in
-    ``frontend`` because :meth:`CompiledTrace.from_records` consults it
-    (decode tables are only built for the kernel) and ``workloads`` must
-    not import ``frontend``.
-    """
-    return os.environ.get("REPRO_BATCH", "").lower() not in (
-        "0", "false", "no", "off")
-
-
-def fastforward_enabled() -> bool:
-    """Whether steady-state fast-forwarding may be used (default on).
-
-    ``REPRO_FASTFORWARD=0`` forces every cell to step all records.  Like
-    :func:`batch_enabled`, the flag lives here because the harness and
-    CLI consult it next to the other trace-path gates.
-    """
-    return os.environ.get("REPRO_FASTFORWARD", "").lower() not in (
-        "0", "false", "no", "off")
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +297,7 @@ class CompiledTrace:
             trace = cls(n, cols)
             for line_size in line_sizes:
                 trace.derived(line_size)
-                if batch_enabled():
-                    trace.decode_table(line_size)
+                trace.decode_table(line_size)
         return trace
 
     @cached_property

@@ -8,8 +8,8 @@ cell of the Figure-14 grid, the kernel's ``SimStats`` *and* metric
 snapshot (structure counters, cache gauges, SBB/RAS/predictor state)
 are bit-identical to the oracle -- across seeds, with and without
 numpy, through lane sharing, and through the harness plumbing that
-routes cells onto the kernel -- and one engine plan decides which
-engine runs a cell.
+runs every cell on the kernel -- and one gate decides whether a run may
+fast-forward.
 """
 
 import dataclasses
@@ -20,21 +20,15 @@ import repro.frontend.batch as batch_mod
 import repro.workloads.compiled as compiled_mod
 from repro.frontend.batch import (
     BatchedFrontEndSimulator,
-    BatchUnsupported,
     run_compiled_batched,
 )
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.frontend.plan import (
-    plan_engine,
-    reason_counts,
-    reset_reasons,
-    run_planned,
-)
+from repro.frontend.fastforward import fastforward_reason
 from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
-from repro.obs import EventTrace, TimelineRecorder
+from repro.obs import EventTrace
 from repro.obs.intervals import IntervalCollector
 from repro.workloads import (
     WORKLOAD_NAMES,
@@ -42,6 +36,7 @@ from repro.workloads import (
     build_trace,
     compile_trace,
 )
+from tests.frontend.oracle import oracle_cells, refuse_oracle
 
 RECORDS = 1_000
 WARMUP = 150
@@ -319,31 +314,37 @@ class TestLazyFusion:
 
 
 #: One row per engine-plan case: (config, attach, REPRO_FASTFORWARD,
-#: expected (engine, fastforward, kernel_reason, fastforward_reason)).
+#: expected fast-forward reason).  Every case runs on the kernel.
 PLAN_CASES = {
-    "plain": (FrontEndConfig(), None, "1", ("batched", True, None, None)),
-    "env-off": (FrontEndConfig(), None, "0",
-                ("batched", False, None, "disabled by env")),
+    "plain": (FrontEndConfig(), None, "1", None),
+    "env-off": (FrontEndConfig(), None, "0", "disabled by env"),
     "event-trace": (FrontEndConfig(),
                     lambda sim: sim.attach_trace(EventTrace()), "1",
-                    ("batched", False, None, "event trace attached")),
+                    "event trace attached"),
     "timeline": (FrontEndConfig(record_timeline=True), None, "1",
-                 ("compiled", False, "timeline recorder attached",
-                  "timeline recorder attached")),
+                 "timeline recorder attached"),
     "attribution": (FrontEndConfig(),
                     lambda sim: sim.attach_attribution(), "1",
-                    ("batched", False, None, "attribution attached")),
+                    "attribution attached"),
     "comparator": (FrontEndConfig().with_comparator("airbtb"), None, "1",
-                   ("batched", False, None, "comparator attached")),
+                   "comparator attached"),
     "state-probe": (FrontEndConfig(),
                     lambda sim: sim.attach_intervals(IntervalCollector(
                         100, state_probe=lambda: "")), "1",
-                    ("batched", False, None, "state probe attached")),
+                    "state probe attached"),
 }
 
 
+@pytest.fixture()
+def no_oracle(monkeypatch):
+    refuse_oracle(monkeypatch)
+
+
 class TestSupportGating:
-    """One engine plan decides the engine, fast-forward and why."""
+    """Every harness cell runs on the kernel, observed or not; one gate
+    decides whether its run may fast-forward, and why not."""
+
+    SCALE = Scale("supportgating", records=RECORDS, warmup=WARMUP)
 
     def _simulator(self, config=None):
         program = build_program("voter", seed=0)
@@ -351,65 +352,56 @@ class TestSupportGating:
                                  seed=0)
 
     @pytest.mark.parametrize("case", sorted(PLAN_CASES))
-    def test_plan_engine(self, case, monkeypatch):
+    def test_plan_engine(self, case, monkeypatch, no_oracle):
         config, attach, fastforward, expected = PLAN_CASES[case]
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
         monkeypatch.setenv("REPRO_FASTFORWARD", fastforward)
         simulator = self._simulator(config)
         if attach is not None:
             attach(simulator)
-        assert plan_engine(simulator) == expected
+        assert fastforward_reason(simulator) == expected
+        simulator, stats = self._run_harness(attach, config)
+        assert stats.blocks == RECORDS - WARMUP
+        if expected is not None:
+            assert simulator.fastforward_summary == {
+                "engaged": False, "reason": expected}
 
-    def _run_planned(self, attach=None):
-        reset_reasons()
-        simulator = self._simulator()
-        if attach is not None:
-            attach(simulator)
-        compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
-        stats, plan = run_planned(simulator, compiled, warmup=WARMUP)
-        counts = reason_counts("kernel")
-        reset_reasons()
-        return simulator, stats, plan, counts
+    def _run_harness(self, attach=None, config=FrontEndConfig()):
+        """One voter cell through ``run_group``; ``(simulator, stats)``."""
+        runner = ExperimentRunner(scale=self.SCALE, store=None)
+        simulators = []
 
-    def test_attribution_runs_on_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        simulator, stats, plan, counts = self._run_planned(
+        def setup(sim):
+            if attach is not None:
+                attach(sim)
+            simulators.append(sim)
+
+        (stats,) = runner.run_group([Cell("voter", config, 0, False)],
+                                    setup=setup)
+        return simulators[0], stats
+
+    def test_attribution_runs_on_kernel(self, no_oracle):
+        simulator, stats = self._run_harness(
             lambda sim: sim.attach_attribution())
-        assert plan.engine == "batched"
-        assert counts == {}
         assert simulator.attribution.events_counted > 0
         assert stats.blocks == RECORDS - WARMUP
 
-    def test_event_trace_runs_on_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
+    def test_event_trace_runs_on_kernel(self, no_oracle):
         trace = EventTrace()
-        _, _, plan, counts = self._run_planned(
-            lambda sim: sim.attach_trace(trace))
-        assert plan.engine == "batched"
-        assert counts == {}
+        self._run_harness(lambda sim: sim.attach_trace(trace))
         assert len(trace) > 0
 
-    def test_plain_simulator_is_supported(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        simulator, stats, plan, counts = self._run_planned()
-        assert plan.engine == "batched"
-        assert plan.kernel_reason is None
-        assert counts == {}
+    def test_plain_simulator_is_supported(self):
+        simulator = self._simulator()
+        compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
+        assert fastforward_reason(simulator) is None
+        stats = run_compiled_batched(simulator, compiled, warmup=WARMUP)
         expected, _ = _oracle_run(simulator.program, build_trace(
             "voter", RECORDS, seed=0), simulator.config)
         assert dataclasses.asdict(stats) == expected
 
-    def test_add_lane_raises_on_unsupported(self):
-        simulator = self._simulator()
-        simulator.attach_timeline(TimelineRecorder())
-        compiled = compile_trace(build_trace("voter", 10, seed=0))
-        batch = BatchedFrontEndSimulator()
-        with pytest.raises(BatchUnsupported):
-            batch.add_lane(simulator, compiled, warmup=0)
-
 
 class TestHarnessPaths:
-    """REPRO_BATCH routing keeps serial/parallel results bit-identical."""
+    """Serial and parallel harness cells match per-cell ``run_compiled``."""
 
     SCALE = Scale("batchequiv", records=RECORDS, warmup=WARMUP)
     CELLS = [Cell(workload, config, seed, False)
@@ -417,24 +409,16 @@ class TestHarnessPaths:
              for config in CONFIGS.values()
              for seed in (0, 1)]
 
-    def _reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        try:
-            runner = ExperimentRunner(scale=self.SCALE, store=None)
-            return runner.run_cells(self.CELLS, jobs=1)
-        finally:
-            monkeypatch.delenv("REPRO_BATCH")
-
-    def test_serial_batched_matches_object_path(self, monkeypatch):
-        reference = self._reference(monkeypatch)
+    def test_serial_batched_matches_object_path(self):
+        reference = oracle_cells(self.SCALE, self.CELLS)
         runner = ExperimentRunner(scale=self.SCALE, store=None)
         batched = runner.run_cells(self.CELLS)
         for expect, got, cell in zip(reference, batched, self.CELLS):
             assert dataclasses.asdict(got) == dataclasses.asdict(expect), \
                 cell
 
-    def test_worker_batched_matches_object_path(self, monkeypatch):
-        reference = self._reference(monkeypatch)
+    def test_worker_batched_matches_object_path(self):
+        reference = oracle_cells(self.SCALE, self.CELLS)
         runner = ParallelRunner(scale=self.SCALE, jobs=2, store=None)
         batched = runner.run_batch(self.CELLS)
         for expect, got, cell in zip(reference, batched, self.CELLS):
@@ -445,20 +429,21 @@ class TestHarnessPaths:
         """record_attribution cells run on the kernel and store the
         artifact the run_compiled oracle renders."""
         config = FrontEndConfig(skia=SkiaConfig())
-        oracle_runs = []
         oracle = FrontEndSimulator.run_compiled
+        oracle_runs = []
         monkeypatch.setattr(
             FrontEndSimulator, "run_compiled",
             lambda *args, **kwargs: oracle_runs.append(1) or oracle(
                 *args, **kwargs))
-        artifacts = {}
-        for batch in ("0", "1"):
-            monkeypatch.setenv("REPRO_BATCH", batch)
-            oracle_runs.clear()
-            runner = ExperimentRunner(scale=self.SCALE, store=None,
-                                      record_attribution=True)
-            stats, _ = runner.run_with_attribution("voter", config)
-            assert stats.blocks > 0
-            assert len(oracle_runs) == (batch == "0")
-            artifacts[batch] = runner.attribution_for("voter", config)
-        assert artifacts["1"] == artifacts["0"]
+        runner = ExperimentRunner(scale=self.SCALE, store=None,
+                                  record_attribution=True)
+        stats, _ = runner.run_with_attribution("voter", config)
+        assert stats.blocks > 0
+        assert oracle_runs == []
+        simulator = FrontEndSimulator(build_program("voter", seed=0), config,
+                                      seed=0)
+        aggregator = simulator.attach_attribution()
+        oracle(simulator, compile_trace(build_trace("voter", RECORDS,
+                                                    seed=0)), warmup=WARMUP)
+        assert runner.attribution_for("voter", config) == \
+            aggregator.to_jsonable()

@@ -5,11 +5,10 @@ The contract:
 * every registered comparator design runs on the kernel bit-identically
   to the ``run_compiled`` oracle (SimStats *and* metric snapshot), alone
   and stacked with Skia;
-* the harness routes comparator grids onto the kernel in both serial
-  and parallel modes without changing a single counter;
-* cells that *do* leave the kernel (trace/timeline/attribution) are
-  counted and logged once per reason by the engine plan -- never
-  silently, and never as a metric-snapshot gauge.
+* the harness runs comparator grids on the kernel in both serial and
+  parallel modes without changing a single counter;
+* runs that cannot fast-forward are counted and logged once per reason
+  -- never silently, and never as a metric-snapshot gauge.
 """
 
 import dataclasses
@@ -24,9 +23,8 @@ from repro.frontend.batch import (
 from repro.frontend.comparators import COMPARATOR_NAMES
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.frontend.plan import (
+from repro.frontend.fastforward import (
     note_reason,
-    plan_engine,
     reason_counts,
     reset_reasons,
 )
@@ -34,6 +32,7 @@ from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.workloads import build_program, build_trace, compile_trace
+from tests.frontend.oracle import oracle_cells, refuse_oracle
 
 RECORDS = 1_000
 WARMUP = 150
@@ -110,14 +109,14 @@ def test_comparator_lane_sharing():
 
 
 def test_comparator_cells_are_batch_supported(monkeypatch):
-    """A comparator alone never keeps a cell off the kernel (only
-    trace/timeline/attribution instrumentation does)."""
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    program = build_program("voter", seed=0)
-    for name, config in COMPARATOR_CONFIGS.items():
-        plan = plan_engine(FrontEndSimulator(program, config, seed=0))
-        assert plan.engine == "batched", name
-        assert plan.kernel_reason is None, name
+    """The harness runs every comparator cell on the kernel."""
+    refuse_oracle(monkeypatch)
+    runner = ExperimentRunner(scale=Scale("comparatorsupported",
+                                          records=200, warmup=50),
+                              store=None)
+    cells = [Cell("voter", config, 0, False)
+             for config in COMPARATOR_CONFIGS.values()]
+    assert all(stats.blocks == 150 for stats in runner.run_cells(cells))
 
 
 class TestHarnessPaths:
@@ -129,24 +128,16 @@ class TestHarnessPaths:
              for config in COMPARATOR_CONFIGS.values()
              for seed in (0, 1)]
 
-    def _reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        try:
-            runner = ExperimentRunner(scale=self.SCALE, store=None)
-            return runner.run_cells(self.CELLS, jobs=1)
-        finally:
-            monkeypatch.delenv("REPRO_BATCH")
-
-    def test_serial_batched_matches_object_path(self, monkeypatch):
-        reference = self._reference(monkeypatch)
+    def test_serial_batched_matches_object_path(self):
+        reference = oracle_cells(self.SCALE, self.CELLS)
         runner = ExperimentRunner(scale=self.SCALE, store=None)
         batched = runner.run_cells(self.CELLS)
         for expect, got, cell in zip(reference, batched, self.CELLS):
             assert dataclasses.asdict(got) == dataclasses.asdict(expect), \
                 cell
 
-    def test_worker_batched_matches_object_path(self, monkeypatch):
-        reference = self._reference(monkeypatch)
+    def test_worker_batched_matches_object_path(self):
+        reference = oracle_cells(self.SCALE, self.CELLS)
         runner = ParallelRunner(scale=self.SCALE, jobs=2, store=None)
         batched = runner.run_batch(self.CELLS)
         for expect, got, cell in zip(reference, batched, self.CELLS):
@@ -155,35 +146,37 @@ class TestHarnessPaths:
 
 
 class TestFallbackObservability:
-    """Cells that leave the kernel are counted and logged once per
-    reason, and never flagged in their metric snapshot."""
+    """Every harness cell runs on the kernel; runs that cannot
+    fast-forward are counted and logged once per reason, and never
+    flagged in their metric snapshot."""
 
     SCALE = Scale("fallbackobs", records=200, warmup=50)
 
     @pytest.fixture(autouse=True)
-    def _clean_counters(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
+    def _clean_counters(self):
         reset_reasons()
         yield
         reset_reasons()
 
-    def test_supported_cells_never_trip_the_fallback(self):
+    def test_supported_cells_never_trip_the_fallback(self, monkeypatch):
+        refuse_oracle(monkeypatch)
         runner = ExperimentRunner(scale=self.SCALE, store=None)
         cells = [Cell("voter", config, 0, False)
                  for config in (FrontEndConfig(),
                                 _SMALL_BTB.with_comparator("microbtb"),
                                 FrontEndConfig(skia=SkiaConfig()))]
         runner.run_cells(cells)
-        assert reason_counts("kernel") == {}
+        assert reason_counts()["comparator attached"] == 1
 
-    def test_attribution_cell_counts_and_gauges(self):
-        """Runs on the kernel (nothing counted), and no gauge in the
-        cell's own snapshot."""
+    def test_attribution_cell_counts_and_gauges(self, monkeypatch):
+        """Runs on the kernel (counted only as a fast-forward reason),
+        and no gauge in the cell's own snapshot."""
+        refuse_oracle(monkeypatch)
         runner = ExperimentRunner(scale=self.SCALE, store=None,
                                   record_attribution=True)
         config = FrontEndConfig(skia=SkiaConfig())
         runner.run("voter", config)
-        assert reason_counts("kernel") == {}
+        assert reason_counts()["attribution attached"] == 1
         metrics = runner.metrics_for("voter", config)
         assert not any(key.startswith("batch.") for key in metrics)
 
@@ -194,10 +187,11 @@ class TestFallbackObservability:
         assert not any(key.startswith("batch.") for key in metrics)
 
     def test_reason_logged_once(self, caplog):
-        with caplog.at_level(logging.INFO, logger="repro.frontend.plan"):
+        with caplog.at_level(logging.INFO,
+                             logger="repro.frontend.fastforward"):
             for _ in range(3):
-                note_reason("kernel", "timeline recorder attached")
+                note_reason("timeline recorder attached")
         messages = [record for record in caplog.records
                     if "timeline recorder attached" in record.getMessage()]
         assert len(messages) == 1
-        assert reason_counts("kernel") == {"timeline recorder attached": 3}
+        assert reason_counts() == {"timeline recorder attached": 3}

@@ -3,10 +3,10 @@
 Small generated programs are replayed under random ``FrontEndConfig``
 draws -- BTB and SBB geometry, head/tail decoding on or off, a
 Section 7.1 comparator or none, lockstep chunks down to one record and
-a warm-up boundary anywhere, usually inside a chunk.  With attribution
-and an event trace attached, both engines must keep the same outcome
-row for every record and render the same attribution artifact and the
-same events; the artifact folded from the rows must equal the one the
+a warm-up boundary anywhere, usually inside a chunk.  With attribution,
+an event trace and a timeline recorder attached, both engines must keep
+the same outcome and stage-time rows for every record and render the
+same attribution artifact, events and timeline; the artifact folded from the rows must equal the one the
 events rebuild; and observing a run must not change it: ``SimStats``
 and the metric snapshot of an observed run equal an unobserved kernel
 run outside the ``trace.`` scope.
@@ -22,7 +22,7 @@ from repro.frontend.batch import BatchedFrontEndSimulator
 from repro.frontend.comparators import COMPARATOR_NAMES
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.obs import AttributionAggregator, EventTrace
+from repro.obs import AttributionAggregator, EventTrace, TimelineRecorder
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import TraceGenerator
@@ -65,18 +65,20 @@ def configs(draw) -> FrontEndConfig:
 
 
 def _observed(simulator: FrontEndSimulator):
-    """Attach attribution and an event trace, and keep the rows the
-    run renders them from."""
+    """Attach attribution, an event trace and a timeline recorder, and
+    keep the outcome and stage-time rows the run renders them from."""
     simulator.attach_attribution()
     simulator.attach_trace(EventTrace(capacity=1_000_000))
-    kept = []
+    simulator.attach_timeline(TimelineRecorder(capacity=1_000_000))
+    kept_rows, kept_times = [], []
     render = simulator._render_outcomes
 
-    def keep(compiled, rows, warmup):
-        kept.extend(rows)
-        render(compiled, rows, warmup)
+    def keep(compiled, rows, times, warmup):
+        kept_rows.extend(rows)
+        kept_times.extend(times)
+        render(compiled, rows, times, warmup)
     simulator._render_outcomes = keep
-    return kept
+    return kept_rows, kept_times
 
 
 def _kernel(simulator, compiled, warmup, chunk):
@@ -99,11 +101,11 @@ def test_kernel_matches_oracle_outcomes(seed, config, chunk, warmup):
     program, compiled = _workload(seed)
 
     oracle = FrontEndSimulator(program, config, seed=seed)
-    oracle_rows = _observed(oracle)
+    oracle_rows, oracle_times = _observed(oracle)
     oracle_stats = oracle.run_compiled(compiled, warmup=warmup)
 
     kernel = FrontEndSimulator(program, config, seed=seed)
-    kernel_rows = _observed(kernel)
+    kernel_rows, kernel_times = _observed(kernel)
     kernel_stats = _kernel(kernel, compiled, warmup, chunk)
 
     plain = FrontEndSimulator(program, config, seed=seed)
@@ -111,6 +113,9 @@ def test_kernel_matches_oracle_outcomes(seed, config, chunk, warmup):
 
     assert len(kernel_rows) == compiled.n_records
     assert kernel_rows == oracle_rows
+    assert kernel_times == oracle_times
+    assert list(kernel.timeline) == list(oracle.timeline)
+    assert kernel.timeline.emitted == oracle.timeline.emitted
     assert (kernel.attribution.to_jsonable()
             == oracle.attribution.to_jsonable())
     assert kernel.trace.events() == oracle.trace.events()

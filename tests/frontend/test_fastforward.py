@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.frontend import fastforward, plan
+from repro.frontend import fastforward
 from repro.frontend.batch import run_compiled_batched
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
@@ -486,11 +486,11 @@ class TestFallbacks:
 
     def test_fallbacks_are_counted(self, steady, monkeypatch):
         program, records, compiled = steady
-        plan.reset_reasons()
+        fastforward.reset_reasons()
         _run(program, compiled, CONFIGS["base"], "compiled", monkeypatch,
              False)
-        assert plan.reason_counts("fastforward") == {"disabled by env": 1}
-        plan.reset_reasons()
+        assert fastforward.reason_counts() == {"disabled by env": 1}
+        fastforward.reset_reasons()
 
     def test_dense_artifacts_disable_fast_forward(self, steady,
                                                   monkeypatch):

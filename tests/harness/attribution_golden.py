@@ -32,9 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.frontend.batch import run_compiled_batched
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.frontend.plan import run_planned
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import SCALES
 from repro.obs import EventTrace
@@ -116,7 +116,7 @@ def trace_digests() -> dict[str, str]:
             simulator = FrontEndSimulator(program, CONFIGS[label], seed=0)
             trace = EventTrace()
             simulator.attach_trace(trace)
-            run_planned(simulator, compiled, warmup=SCALE.warmup)
+            run_compiled_batched(simulator, compiled, warmup=SCALE.warmup)
             path = trace.to_jsonl(Path(tmp) / "trace.jsonl")
             out[f"{workload}/{label}"] = _sha(path.read_bytes())
     return out

@@ -47,11 +47,10 @@ class TestStructuralGuard:
         assert simulator.timeline is None
         assert simulator.intervals is None
         assert simulator.attribution is None
-        assert simulator.skia.timeline is None
 
     def test_default_runs_keep_no_outcome_rows(self, micro_program,
                                                micro_trace, monkeypatch):
-        # Rows exist only for attribution or an event trace: a default
+        # Rows exist only for an attached observer: a default
         # run_compiled allocates none and renders nothing, and a default
         # kernel lane binds no row list, so its per-record row branch is
         # a single failed None test.
@@ -59,14 +58,14 @@ class TestStructuralGuard:
         monkeypatch.setattr(FrontEndSimulator, "_render_outcomes",
                             lambda *args: rendered.append(args))
         oracle = FrontEndSimulator(micro_program, _config())
-        assert oracle._outcome_rows() is None
+        assert oracle._outcome_rows() == (None, None)
         oracle.run(micro_trace[:2_000], warmup=500)
         kernel = FrontEndSimulator(micro_program, _config())
         batch = BatchedFrontEndSimulator(chunk_records=512)
         batch.add_lane(kernel, CompiledTrace.from_records(micro_trace[:2_000]),
                        warmup=500)
         [lane] = batch._lanes
-        assert lane.rows is None
+        assert lane.rows is None and lane.times is None
         batch.run()
         assert rendered == []
 

@@ -40,7 +40,6 @@ def chrome_payload(traced_sim, tmp_path_factory):
 class TestRecorder:
     def test_config_flag_attaches_recorder(self, traced_sim):
         assert isinstance(traced_sim.timeline, TimelineRecorder)
-        assert traced_sim.skia.timeline is traced_sim.timeline
 
     def test_ring_buffer_bounds_and_counts(self):
         recorder = TimelineRecorder(capacity=4)

@@ -11,8 +11,9 @@ Chrome trace-event export (which also carries ``emitted``/``dropped``):
   64K-event ring that drops its oldest events.
 
 The digests were taken when the recorder was driven live from the
-per-record oracle; every engine that replays a cell with a timeline
-attached must reproduce them.  Run directly to recompute every digest
+per-record oracle.  Both engines now render the timeline after the run
+from per-record outcome and stage-time rows, and each must reproduce
+them.  Run directly to recompute every digest
 (exit status 1 on any mismatch)::
 
     PYTHONPATH=src python tests/obs/test_timeline_golden.py
@@ -27,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.frontend.batch import run_compiled_batched
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.harness.scale import SCALES
@@ -62,6 +64,8 @@ GOLDEN: dict[str, tuple[str, str]] = {
 ENGINES = {
     "run_compiled": lambda simulator, compiled: simulator.run_compiled(
         compiled, warmup=SCALE.warmup),
+    "kernel": lambda simulator, compiled: run_compiled_batched(
+        simulator, compiled, warmup=SCALE.warmup),
 }
 
 _CACHE = WorkloadCache()
