@@ -5,6 +5,8 @@ generator's final Mersenne-Twister state are fixed by (profile, seed).
 The digests below pin all three, so any change to how the generator
 draws random numbers -- including a CPython change to ``random`` --
 shows up as a mismatch instead of silently changing every program.
+Compiled-trace fingerprints pin the trace generator the same way: its
+draws decide every executed block and branch outcome.
 
 ``test_generation_golden.py`` checks the table under pytest.  This
 module needs neither pytest nor hypothesis, so it also runs on
@@ -26,6 +28,7 @@ from typing import Iterator
 from repro.isa.encoder import Encoder, _imm, choice, randbelow
 from repro.isa.opcodes import MAX_INSTRUCTION_LENGTH
 from repro.workloads import build_compiled_trace, build_program
+from repro.workloads.cache import WorkloadCache
 from repro.workloads.codegen import ProgramGenerator, weighted_choice
 from repro.workloads.profiles import DEFAULT_LENGTH_MIX, PROFILES, get_profile
 
@@ -96,6 +99,68 @@ GOLDEN_ENCODER = (
 GOLDEN_VOTER_TRACE = (
     "31d024561fbd202d33491196c240750c663219c74b4abccbecde3df4be049899")
 VOTER_TRACE_RECORDS = 20_000
+
+#: ``(workload, records, seed, trace_seed, bolted)`` of each pinned
+#: trace: every profile at seed 0, voter under another program seed and
+#: another trace seed, the bolted verilator program, and steady-stream
+#: at the benchmark's 200k records.
+TRACE_CASES: dict[str, tuple[str, int, int, int, bool]] = {
+    **{name: (name, 5_000, 0, 0, False) for name in sorted(PROFILES)},
+    "voter seed=1": ("voter", 5_000, 1, 0, False),
+    "voter trace_seed=3": ("voter", 5_000, 0, 3, False),
+    "verilator-bolted bolted": ("verilator-bolted", 5_000, 0, 0, True),
+    "steady-stream 200k": ("steady-stream", 200_000, 0, 0, False),
+}
+
+#: ``CompiledTrace.fingerprint`` of each :data:`TRACE_CASES` trace.
+GOLDEN_TRACES: dict[str, str] = {
+    "cassandra":
+        "be3cde6056b14223dedeb9f7f8f770b62bbb86f44eab9830d10bf57a82b1718e",
+    "dotty":
+        "6ed7670f70097ff467922ae2afe4300e97b04ce05bfc528ddd7eac3026c92737",
+    "finagle-chirper":
+        "acedc7fc15f0378b4308f124e65e69dba45bdd95d80e9c7af71485bc2f69df21",
+    "finagle-http":
+        "c33fcdf0506bc824c5e9bb9f83b7a8aa216c04d8f48de960afb6f5bdcc6475e4",
+    "kafka":
+        "cbfc4c7c28df7cb1357929341379effaae91a9e87a0a37144ef8f158d7655388",
+    "noop":
+        "c161eebc02ca498b32d8023450278cac11d39d66d74d2ec6dc43def59eca0bfc",
+    "sibench":
+        "b995bf09ee08c373999fa90a95a6ab9f698fd43fd487cc3e27da4628cfdd6859",
+    "smallbank":
+        "dc9d8b059961c382c009f7772f0bf1b7027f5dcb39808f9f91902439e380b5e0",
+    "speedometer2.0":
+        "02002fac25cb160282cafdddfa84ff46fcc79135f5307751e7f2d2340f087443",
+    "steady-loop":
+        "364b7aad762c85c58aee24d876347098a78757650c2469569c8f0e0f865f4b24",
+    "steady-stream":
+        "c4bf83e25995a33a2211531d560891cb918d08e1d10145b8ec4eaf0131f1e402",
+    "tatp":
+        "b6ebd4e5e3bd4d2cb538f4769f42029f8275ff21d9f4c87a17bd811bc049eea4",
+    "tomcat":
+        "823d104b8b5aef3fa0dacd45fff7d37cbd9a973b6c1001336f7acbf93958ffe7",
+    "tpcc":
+        "aa081b3d12a107c7c5906607f6e5fc3b2dcfc32f2be9b63df0e2429eafca4cdc",
+    "twitter":
+        "ac64cc6f8b1df3562c8df46e4fde2a3f65f23aed1f96d03278faf75c0096c554",
+    "verilator-bolted":
+        "7e0b856edbe2eb15c1419b4df33138bd6bc11a6dfb0d85fd71241ff0da12b6a3",
+    "verilator-prebolt":
+        "ce1d0b9917d3850c91b51a432973ca21df10641354dfd41921db8087f7a7b47b",
+    "voter":
+        "c196f2c457dd8bea5c6315106cef793302c616b1cc4730296c1e270acc426418",
+    "ycsb":
+        "d174714a697576c87ef276fdd184ad2c418ba87cc18068876541f5d4b844f77d",
+    "voter seed=1":
+        "c68b998fdcc39ee96f2f7c38e01340adff839e193ee76d96543048be7a75a9c9",
+    "voter trace_seed=3":
+        "062b658b6e25a091ee1d5c0a8dc0ae5e2f6c34573aa8c918a3a940dc09b98052",
+    "verilator-bolted bolted":
+        "4aecfb912d7cb8817449e22af91ada051c00bab19bee04640fd9f618085fd9a2",
+    "steady-stream 200k":
+        "94d05bc20a98ce7d8e03546b42a593881a1a1866accce4c3d4dc7af3f9dbdbdc",
+}
 
 
 def program_digest(program, rng_state=None) -> str:
@@ -186,6 +251,15 @@ def voter_trace_digest() -> str:
     return build_compiled_trace("voter", VOTER_TRACE_RECORDS).fingerprint
 
 
+def trace_digest(label: str) -> str:
+    """Fingerprint of the :data:`TRACE_CASES` trace ``label``, built in
+    a fresh cache so no other caller's memo is involved."""
+    workload, records, seed, trace_seed, bolted = TRACE_CASES[label]
+    return WorkloadCache().compiled(workload, records, seed=seed,
+                                    trace_seed=trace_seed,
+                                    bolted=bolted).fingerprint
+
+
 def exact_stream_mismatches(seeds=range(20)) -> list[str]:
     """The draw helpers against the ``random.Random`` methods they stand
     for, value by value and by final state (the hypothesis properties
@@ -224,10 +298,15 @@ def main() -> int:
             ("voter trace", voter_trace_digest(), GOLDEN_VOTER_TRACE)):
         if got != want:
             failures.append(f"{label}: {got}")
+    for label in TRACE_CASES:
+        got = trace_digest(label)
+        if got != GOLDEN_TRACES.get(label):
+            failures.append(f"trace {label}: {got}")
     for line in failures:
         print(f"MISMATCH {line}")
     print(f"Python {sys.version.split()[0]}: "
-          f"{'FAIL' if failures else 'OK'} ({len(PROFILES) + 3} golden "
+          f"{'FAIL' if failures else 'OK'} "
+          f"({len(PROFILES) + len(TRACE_CASES) + 3} golden "
           f"digests, exact-stream draws)")
     return 1 if failures else 0
 

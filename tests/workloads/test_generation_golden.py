@@ -11,10 +11,13 @@ from tests.workloads.generation_golden import (
     GOLDEN_BOLTED,
     GOLDEN_ENCODER,
     GOLDEN_PROGRAMS,
+    GOLDEN_TRACES,
     GOLDEN_VOTER_TRACE,
+    TRACE_CASES,
     bolted_digest,
     encoder_digest,
     generated_digest,
+    trace_digest,
     voter_trace_digest,
 )
 
@@ -38,3 +41,13 @@ def test_bolted_program_golden():
 
 def test_compiled_trace_golden():
     assert voter_trace_digest() == GOLDEN_VOTER_TRACE
+
+
+def test_trace_table_covers_every_case():
+    assert sorted(GOLDEN_TRACES) == sorted(TRACE_CASES)
+    assert set(PROFILES) <= set(TRACE_CASES)
+
+
+@pytest.mark.parametrize("label", sorted(TRACE_CASES))
+def test_trace_golden(label):
+    assert trace_digest(label) == GOLDEN_TRACES[label]
