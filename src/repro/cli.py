@@ -146,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace length (default: current scale's)")
     period.add_argument("--warmup", type=int, default=None, metavar="N",
                         help="warm-up records (default: current scale's)")
-    period.add_argument("--scale", choices=sorted(SCALES), default=None,
+    # SUPPRESS, as in _add_common_options: a default here would
+    # overwrite a --scale given before the subcommand.
+    period.add_argument("--scale", choices=sorted(SCALES),
+                        default=argparse.SUPPRESS,
                         help="take records/warmup from this scale preset")
 
     describe = sub.add_parser("describe",
@@ -469,14 +472,12 @@ def _run_workloads() -> int:
 
 def _run_workloads_period(args) -> int:
     """``repro workloads period``: trace periodicity + skip forecast."""
-    from repro.workloads import compile_trace
-    from repro.workloads.cache import build_trace
+    from repro.workloads.cache import build_compiled_trace
 
     scale = SCALES[args.scale] if args.scale else current_scale()
     n_records = args.records if args.records is not None else scale.records
     warmup = args.warmup if args.warmup is not None else scale.warmup
-    records = build_trace(args.workload, n_records)
-    detected = compile_trace(records).period()
+    detected = build_compiled_trace(args.workload, n_records).period()
     if detected is None:
         print(f"{args.workload}: no detected period over {n_records} "
               f"records (aperiodic trace; fast-forward falls back to "

@@ -84,3 +84,9 @@ REPORTED_KINDS = (
     BranchKind.INDIRECT_UNCOND,
     BranchKind.INDIRECT_CALL,
 )
+
+#: Small-integer kind codes: compiled trace columns and a program's
+#: block columns store indices into this tuple.
+KIND_BY_CODE: tuple[BranchKind, ...] = tuple(BranchKind)
+CODE_BY_KIND: dict[BranchKind, int] = {
+    kind: code for code, kind in enumerate(KIND_BY_CODE)}

@@ -74,7 +74,7 @@ def test_bisector_leaves_no_cyclic_garbage(cache):
     reference counting: an engine-vs-engine bisection (state probes on
     every window) and a cross-config one (fine pass, oracle events)."""
     program = cache.program("noop", seed=0)
-    records = cache.trace("noop", SCALE.records, seed=0)
+    records = cache.compiled("noop", SCALE.records, seed=0).records()
     config = FrontEndConfig(skia=SkiaConfig())
 
     def bisect() -> None:

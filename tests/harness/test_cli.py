@@ -81,6 +81,19 @@ class TestCommands:
         assert main(["--scale", "smoke", "compare", "noop"]) == 0
         assert "speedup" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["--scale", "smoke", "workloads", "period", "voter"],
+        ["workloads", "period", "voter", "--scale", "smoke"],
+    ])
+    def test_workloads_period_takes_scale_either_side(self, argv, capsys,
+                                                       monkeypatch):
+        # The subcommand's own --scale must not reset a global one.
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "40000 records" in out
+        assert "160000" not in out
+
 
 class TestStatsParser:
     def test_run_defaults(self):

@@ -165,8 +165,9 @@ GROUPS = Scale("groups", records=4_321, warmup=1_000)
 
 @pytest.fixture
 def generation_log(tmp_path, monkeypatch):
-    """Count ``TraceGenerator.records`` calls in this process and every
-    forked worker: one ``O_APPEND`` line (the program name) per call."""
+    """Count ``TraceGenerator.stream`` calls (trace generations) in this
+    process and every forked worker: one ``O_APPEND`` line (the program
+    name) per call."""
     import multiprocessing
     import os
 
@@ -175,7 +176,7 @@ def generation_log(tmp_path, monkeypatch):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers must inherit the counting patch (fork)")
     path = tmp_path / "generated.log"
-    records = TraceGenerator.records
+    stream = TraceGenerator.stream
 
     def counting(generator, n_records):
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
@@ -183,9 +184,9 @@ def generation_log(tmp_path, monkeypatch):
             os.write(fd, f"{generator.program.name}\n".encode())
         finally:
             os.close(fd)
-        return records(generator, n_records)
+        return stream(generator, n_records)
 
-    monkeypatch.setattr(TraceGenerator, "records", counting)
+    monkeypatch.setattr(TraceGenerator, "stream", counting)
     return lambda: (Counter(path.read_text().split())
                     if path.exists() else Counter())
 

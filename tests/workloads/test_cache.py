@@ -34,12 +34,22 @@ class TestWorkloadCache:
 
     def test_trace_eviction(self):
         cache = WorkloadCache(max_traces=2)
-        first = cache.trace("noop", 1_000)
-        cache.trace("noop", 1_100)
-        cache.trace("noop", 1_200)  # evicts the 1_000 trace
-        again = cache.trace("noop", 1_000)
+        first = cache.compiled("noop", 1_000)
+        cache.compiled("noop", 1_100)
+        cache.compiled("noop", 1_200)  # evicts the 1_000 trace
+        again = cache.compiled("noop", 1_000)
         assert again is not first
-        assert again == first  # deterministic regeneration
+        # deterministic regeneration
+        assert again.records() == first.records()
+
+    def test_trace_is_compiled(self):
+        """``trace()`` is the memoised compiled trace itself: one cache,
+        one entry per key."""
+        cache = WorkloadCache()
+        first = cache.trace("noop", 1_000, seed=1)
+        assert cache.compiled("noop", 1_000, seed=1) is first
+        assert set(cache.stats()) == {"programs", "compiled"}
+        assert cache.stats()["compiled"].size == 1
 
     def test_clear(self):
         cache = WorkloadCache()
@@ -65,7 +75,7 @@ class TestWorkloadCacheStats:
         cache.trace("noop", 1_000)  # hit
         cache.trace("noop", 1_100)
         cache.trace("noop", 1_200)  # evicts one
-        stats = cache.stats()["traces"]
+        stats = cache.stats()["compiled"]
         assert stats.hits == 1
         assert stats.misses == 3
         assert stats.evictions == 1
@@ -81,7 +91,7 @@ class TestWorkloadCacheStats:
         assert cache.trace("noop", 1_000) is first  # touch on hit
         cache.trace("noop", 1_200)  # must evict the 1_100 trace
         assert cache.trace("noop", 1_000) is first  # survived eviction
-        assert cache.stats()["traces"].evictions == 1
+        assert cache.stats()["compiled"].evictions == 1
 
     def test_clear_preserves_counters(self):
         cache = WorkloadCache()

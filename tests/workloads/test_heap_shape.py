@@ -5,7 +5,8 @@ Every full collection walks every GC-tracked object, so a cold grid
 pays for the program heap once per collection.  A block holds one
 tracked object of its own (a slotted ``BasicBlock``) and one for its
 terminator; its fillers are a ``bytes`` run, which the collector does
-not track.  Record lists live only until compiled.
+not track.  A trace is compiled from its block-index stream without
+building a record list.
 """
 
 from __future__ import annotations
@@ -76,22 +77,40 @@ def live_records() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is BlockRecord)
 
 
-def test_record_list_dropped_once_compiled():
+def test_record_list_dropped_once_compiled(monkeypatch):
+    """``trace()`` then ``compiled()`` (the benchmark's set-up) builds no
+    :class:`BlockRecord`: the trace is compiled from its block-index
+    stream.  Records exist only as a view built on request."""
+    made = []
+    init = BlockRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockRecord, "__init__", counting_init)
     gc.collect()
     before = live_records()  # other tests' fixtures and caches
     cache = WorkloadCache()
-    records = cache.trace("noop", 2_000)
-    # Holding a BranchKind, a record stays tracked, so a heap scan
-    # finds every live one.
+    trace = cache.trace("noop", 2_000)
+    compiled = cache.compiled("noop", 2_000)
+    assert compiled is trace
+    assert made == []
+    assert live_records() == before
+    # The view: holding a BranchKind, a record stays tracked, so a heap
+    # scan finds every live one, and dropping the list frees them all.
+    records = compiled.records()
+    assert len(made) == 2_000
     assert gc.is_tracked(records[0])
     assert live_records() == before + 2_000
-    compiled = cache.compiled("noop", 2_000)
     del records
     gc.collect()
     assert live_records() == before
-    # A later trace() regenerates an equal list.
+    # A later trace() is the memoised compiled trace, equal to a fresh
+    # cache's.
     again = cache.trace("noop", 2_000)
+    assert again is compiled
     assert len(again) == 2_000
-    assert again == WorkloadCache().trace("noop", 2_000)
+    assert again.fingerprint == WorkloadCache().trace("noop", 2_000).fingerprint
     assert cache.compiled("noop", 2_000) is compiled
     cache.clear()
