@@ -1,4 +1,4 @@
-"""Batched simulation kernel over compiled-trace decode tables.
+"""Batched simulation kernel over compiled traces' executed blocks.
 
 ``FrontEndSimulator.run_compiled`` is the timing model written to be
 read, and it spends most of its time in interpreter dispatch: attribute
@@ -7,10 +7,11 @@ attribute store per counter event.  This module is the same model
 written to be fast: a **lane kernel**, one fully inlined replay loop per
 (workload, config, seed) cell that
 
-* reads records from a shared :class:`~repro.workloads.compiled
-  .TraceDecodeTable` (plain Python lists: kinds already objects, takens
-  already bools, line arithmetic already done) instead of re-deriving
-  fields per record per cell;
+* reads, per record, only the compiled trace's block index, taken bit
+  and target, and unpacks one fused **block row** (see
+  :func:`_block_rows`: kind object, line arithmetic, BTB set/tag, L1
+  set numbers, decode cycles -- everything fixed by the block and the
+  structure geometry);
 * inlines the BTB probe/insert, the L1-I hit path, the BPU decision
   tree, the Skia FTQ-entry gates and the SBB insert walk into one
   function body with locals-bound structures;
@@ -18,15 +19,13 @@ written to be fast: a **lane kernel**, one fully inlined replay loop per
   them once per chunk.
 
 A :class:`BatchedFrontEndSimulator` steps N independent lanes in
-**chunked lockstep** over their (typically shared) decode tables: all
-lanes advance through records ``[k*C, (k+1)*C)`` before any lane moves
-on.  Lanes over the same trace therefore touch the same table rows and
-the same process-wide shadow-decode tables (:mod:`repro.core
-.decode_tables`) while they are hot.  The kernel's per-record row
-tuples are fused one round at a time, by the first lane that steps
-records of the round, and shared by every lane with the same table and
-structure geometry until the round ends; rounds that fast-forward has
-skipped for every such lane are never fused.
+**chunked lockstep** over their (typically shared) traces: all lanes
+advance through records ``[k*C, (k+1)*C)`` before any lane moves on, so
+lanes over the same trace touch the same records and the same
+process-wide shadow-decode tables (:mod:`repro.core.decode_tables`)
+while they are hot.  Block rows are built once per (trace, structure
+geometry) per batch, over the trace's executed blocks only, and shared
+by every lane of that geometry.
 
 Bit-exactness contract: a lane performs *exactly* the same structure
 operations, in the same order, with the same counter updates as
@@ -54,12 +53,11 @@ from repro.frontend.fastforward import plan_compiled
 from repro.frontend.stats import SimStats
 from repro.isa.branch import BranchKind
 from repro.obs.profiler import PROFILER
-from repro.workloads import compiled as _compiled
 from repro.workloads.compiled import KIND_BY_CODE, CompiledTrace
 
 #: Records each lane advances per lockstep round.  Large enough to
 #: amortise the per-chunk local bind/flush, small enough that lanes
-#: sharing a trace revisit the same table rows while they are cached.
+#: sharing a trace revisit the same records while they are cached.
 CHUNK_RECORDS = 4096
 
 # Per-kind flags as tuples indexed by the compiled kind *code*: tuple
@@ -77,129 +75,72 @@ _K_RETURN = BranchKind.RETURN
 
 
 def _geometry(simulator) -> tuple:
-    """The structure geometry a lane's fused rows depend on."""
+    """The structure geometry a lane's block rows depend on."""
     btb = simulator.bpu.btb
     config = simulator.config
-    return (btb.infinite, btb.n_sets, btb.tag_bits,
+    return (config.line_size, btb.infinite, btb.n_sets, btb.tag_bits,
             simulator.hierarchy.l1i.n_sets, config.decode_width,
             config.backend_effective_width)
 
 
-def _lane_rows(table, geometry, start: int, stop: int) -> list:
-    """Fused row tuples for records ``[start, stop)`` of one geometry.
+def _block_rows(trace: CompiledTrace, geometry: tuple) -> list:
+    """One fused kernel row per executed block of ``trace``.
 
-    The kernel loop unpacks ONE tuple per record instead of indexing
-    ~20 parallel columns: zip-fusing the table columns with the
-    geometry-dependent derived columns (BTB set/tag fold, L1 set number
-    of the branch / first / tail lines, decode cycles, retire delta)
-    turns per-record address arithmetic into a single C-level
-    ``UNPACK_SEQUENCE``.  Rows depend only on the trace and the
-    structure geometry, so lanes stepping the same lockstep round share
-    them: :class:`_Round` fuses a round's rows on first use and they go
-    with the round, so only chunks some lane actually steps are ever
-    built.  The derived columns come from ``numpy.frombuffer`` slices
-    of the compiled int64 buffers when numpy is present, from the
-    table's lists otherwise.
+    Row ``b`` holds everything the kernel reads about block ``b`` of
+    ``trace.block_table`` under one structure geometry: the kind (object
+    and code), branch pc, fallthrough and instruction count, plus the
+    geometry-dependent fields -- the branch line and its L1 set, BTB set
+    and partial tag, first line, its L1 set and the line count, entry
+    offset, whether the exit is line-aligned, exit pc, tail line and
+    its L1 set, decode cycles and retire delta.  The kernel unpacks one
+    row per record (a single C-level ``UNPACK_SEQUENCE`` instead of ~20
+    column subscripts); only the taken bit and the target are read per
+    record.
     """
-    (btb_infinite, btb_n_sets, btb_tag_bits, l1_n_sets, decode_width,
-     backend_width) = geometry
-    line_size = table.line_size
-    n = stop - start
-    np = _compiled._np
-    if np is not None:
-        def i64(name):
-            return np.frombuffer(table.int64[name], dtype=np.int64,
-                                 count=n, offset=start * 8)
-        branch_pc = i64("branch_pc")
-        if btb_infinite:
-            bidx = btag = [0] * n
-        else:
-            word = branch_pc >> 1
-            bidx = (((word ^ (word >> 11) ^ (word >> 23))
-                     % btb_n_sets).tolist())
-            btag = ((word // btb_n_sets)
-                    & ((1 << btb_tag_bits) - 1)).tolist()
-        bls = ((branch_pc // line_size) % l1_n_sets).tolist()
-        fls = ((i64("first_line") // line_size) % l1_n_sets).tolist()
-        tail_line = ((branch_pc + i64("branch_len") - 1)
-                     & ~(line_size - 1))
-        tls = ((tail_line // line_size) % l1_n_sets).tolist()
-        tl = tail_line.tolist()
-        ni = i64("n_instr")
-        dcyc = ((ni + (decode_width - 1)) // decode_width).tolist()
-        nbw = (ni / backend_width).tolist()
+    (line_size, btb_infinite, btb_n_sets, btb_tag_bits, l1_n_sets,
+     decode_width, backend_width) = geometry
+    table = trace.block_table
+    line_mask = ~(line_size - 1)
+    block_start = table["block_start"]
+    branch_pc = table["branch_pc"]
+    n_instr = table["n_instr"]
+    kind_code = table["kind"].tolist()
+    exit_pc = branch_pc + table["branch_len"]
+    if btb_infinite:
+        bidx = btag = [0] * trace.n_blocks
     else:
-        if btb_infinite:
-            bidx = btag = [0] * n
-        else:
-            tag_mask = (1 << btb_tag_bits) - 1
-            bidx = []
-            btag = []
-            for pc in table.branch_pc[start:stop]:
-                word = pc >> 1
-                bidx.append((word ^ (word >> 11) ^ (word >> 23))
-                            % btb_n_sets)
-                btag.append((word // btb_n_sets) & tag_mask)
-        bls = [(line // line_size) % l1_n_sets
-               for line in table.branch_line[start:stop]]
-        fls = [(line // line_size) % l1_n_sets
-               for line in table.first_line[start:stop]]
-        mask = ~(line_size - 1)
-        tl = [(pc - 1) & mask for pc in table.exit_pc[start:stop]]
-        tls = [(line // line_size) % l1_n_sets for line in tl]
-        n_instr = table.n_instr[start:stop]
-        dcyc = [(count + decode_width - 1) // decode_width
-                for count in n_instr]
-        nbw = [count / backend_width for count in n_instr]
-    return list(zip(table.kind[start:stop], table.kind_code[start:stop],
-                    table.taken[start:stop], table.branch_pc[start:stop],
-                    table.target[start:stop],
-                    table.fallthrough[start:stop],
-                    table.n_instr[start:stop],
-                    table.branch_line[start:stop], bls, bidx, btag,
-                    table.first_line[start:stop], fls,
-                    table.n_lines[start:stop],
-                    table.entry_offset[start:stop],
-                    table.tail_aligned[start:stop],
-                    table.exit_pc[start:stop], tl, tls, dcyc, nbw))
-
-
-class _Round:
-    """One lockstep round ``[start, stop)`` and the rows fused for it.
-
-    Rows are keyed by (decode table, geometry): the first lane that
-    steps records of the round fuses them, every later lane over the
-    same table and geometry reuses them, and they go with the round.
-    """
-
-    __slots__ = ("start", "stop", "_rows")
-
-    def __init__(self, start: int, stop: int):
-        self.start = start
-        self.stop = stop
-        self._rows: dict = {}
-
-    def rows(self, table, geometry) -> list:
-        key = (table, geometry)
-        rows = self._rows.get(key)
-        if rows is None:
-            rows = self._rows[key] = _lane_rows(
-                table, geometry, self.start,
-                min(self.stop, table.n_records))
-        return rows
+        word = branch_pc >> 1
+        bidx = ((word ^ (word >> 11) ^ (word >> 23)) % btb_n_sets).tolist()
+        btag = ((word // btb_n_sets) & ((1 << btb_tag_bits) - 1)).tolist()
+    branch_line = branch_pc & line_mask
+    first_line = block_start & line_mask
+    tail_line = (exit_pc - 1) & line_mask
+    return list(zip(
+        [KIND_BY_CODE[code] for code in kind_code], kind_code,
+        branch_pc.tolist(), table["fallthrough"].tolist(), n_instr.tolist(),
+        branch_line.tolist(), ((branch_line // line_size) % l1_n_sets).tolist(),
+        bidx, btag,
+        first_line.tolist(), ((first_line // line_size) % l1_n_sets).tolist(),
+        ((tail_line - first_line) // line_size + 1).tolist(),
+        (block_start & (line_size - 1)).tolist(),
+        (exit_pc & (line_size - 1) == 0).tolist(),
+        exit_pc.tolist(), tail_line.tolist(),
+        ((tail_line // line_size) % l1_n_sets).tolist(),
+        ((n_instr + (decode_width - 1)) // decode_width).tolist(),
+        (n_instr / backend_width).tolist()))
 
 
 class _Lane:
     """One cell's replay state, advanced chunk by chunk."""
 
     def __init__(self, simulator: FrontEndSimulator, compiled, warmup: int,
-                 ff=None):
+                 block_rows: list, ff=None):
         self.sim = simulator
         self.compiled = compiled
-        self.table = compiled.decode_table(simulator.config.line_size)
+        #: The trace's block rows for this lane's geometry (shared).
+        self.block_rows = block_rows
         self.warmup = warmup
-        self.n_records = self.table.n_records
-        self.geometry = _geometry(simulator)
+        self.n_records = compiled.n_records
 
         # Fast-forward controller (repro.frontend.fastforward); the lane
         # passes *itself* as the probe's state carrier -- its attribute
@@ -237,18 +178,16 @@ class _Lane:
             self.intervals.warmup = warmup
             self.next_boundary = self.intervals.interval_size
 
-    def advance(self, round_: _Round) -> None:
-        """Advance through this lane's records of one lockstep round,
-        probing for skips.
+    def advance(self, start: int, stop: int) -> None:
+        """Advance through records ``[start, stop)`` of one lockstep
+        round, probing for skips.
 
         Chunks at or before a fast-forward skip's landing point are
-        already accounted for and no-op (and never fuse rows); otherwise
-        the segment splits at the controller's probe indices.  The
-        kernel flushes every chunk-local accumulator at the end of each
-        ``_advance``, so the state a probe digests is exact.
+        already accounted for and no-op; otherwise the segment splits
+        at the controller's probe indices.  The kernel flushes every
+        chunk-local accumulator at the end of each ``_advance``, so the
+        state a probe digests is exact.
         """
-        start = round_.start
-        stop = min(round_.stop, self.n_records)
         if start < self._resume:
             start = self._resume
             if start >= stop:
@@ -258,16 +197,15 @@ class _Lane:
             while ff.active and start <= ff.next_probe < stop:
                 probe = ff.next_probe
                 if probe > start:
-                    self._advance_segment(start, probe, round_)
+                    self._advance_segment(start, probe)
                 start = ff.on_probe(probe, self)
                 self.processed = start
                 self._resume = start
                 if start >= stop:
                     return
-        self._advance_segment(start, stop, round_)
+        self._advance_segment(start, stop)
 
-    def _advance_segment(self, start: int, stop: int,
-                         round_: _Round) -> None:
+    def _advance_segment(self, start: int, stop: int) -> None:
         """Advance through records [start, stop).
 
         Splits the segment at interval-window boundaries (emitting one
@@ -278,14 +216,14 @@ class _Lane:
         """
         intervals = self.intervals
         if intervals is None:
-            self._advance_warm(start, stop, round_)
+            self._advance_warm(start, stop)
             return
         size = intervals.interval_size
         cursor = start
         while cursor < stop:
             boundary = self.next_boundary
             if boundary <= stop:
-                self._advance_warm(cursor, boundary, round_)
+                self._advance_warm(cursor, boundary)
                 intervals.boundary(
                     boundary, self.sim.stats, self.counted_instructions,
                     self.counted_blocks,
@@ -294,25 +232,25 @@ class _Lane:
                 self.next_boundary = boundary + size
                 cursor = boundary
             else:
-                self._advance_warm(cursor, stop, round_)
+                self._advance_warm(cursor, stop)
                 cursor = stop
 
-    def _advance_warm(self, start: int, stop: int, round_: _Round) -> None:
+    def _advance_warm(self, start: int, stop: int) -> None:
         """One segment, split at the warmup boundary."""
         if not self.counting:
             warmup = self.warmup
             if start < warmup < stop:
-                self._advance(start, warmup, round_)
-                self._advance(warmup, stop, round_)
+                self._advance(start, warmup)
+                self._advance(warmup, stop)
                 return
-        self._advance(start, stop, round_)
+        self._advance(start, stop)
 
     # The kernel: one fully inlined replay of records [start, stop).
     # Every structure operation and counter update below replicates the
     # oracle (engine.run_compiled + bpu.process_fields +
     # skia.on_ftq_entry) operation-for-operation; only the dispatch
     # around them is flattened.
-    def _advance(self, start: int, stop: int, round_: _Round) -> None:
+    def _advance(self, start: int, stop: int) -> None:
         sim = self.sim
         config = sim.config
         stats_obj = sim.stats
@@ -336,12 +274,12 @@ class _Lane:
             self.cycles_at_count_start = self.retire_free
             self.wp_at_count_start = hierarchy.wrong_path_fills
 
-        # Fused per-record rows of this round (see _lane_rows); segments
-        # never cross a round, so the slice lies inside the fused chunk.
-        chunk_rows = round_.rows(self.table, self.geometry)
-        base = round_.start
-        assert base <= start <= stop <= base + len(chunk_rows)
-        rows = chunk_rows[start - base:stop - base]
+        # Per record: its block's row (see _block_rows), taken bit and
+        # target.
+        trace = self.compiled
+        block_rows = self.block_rows
+        records = zip(trace.blocks[start:stop], trace.taken[start:stop],
+                      trace.target[start:stop])
 
         # Structures, locals-bound.
         l1i = hierarchy.l1i
@@ -473,10 +411,11 @@ class _Lane:
         cnt_branches = [0] * _N_KINDS
         cnt_btb_misses = [0] * _N_KINDS
 
-        for (kind, kcode, taken, branch_pc, target, fallthrough, n_instr,
-             branch_line, bl_set, bidx, btag, first_line, fl_set, n_lines,
-             entry_offset, tail_aligned, exit_pc, tail_line, tl_set,
-             decode_cycles, retire_delta) in rows:
+        for block, taken, target in records:
+            (kind, kcode, branch_pc, fallthrough, n_instr, branch_line,
+             bl_set, bidx, btag, first_line, fl_set, n_lines, entry_offset,
+             tail_aligned, exit_pc, tail_line, tl_set, decode_cycles,
+             retire_delta) = block_rows[block]
             # ----- IAG: allocate the FTQ entry ------------------------
             iag_t = iag_free
             while ftq_inflight and ftq_inflight[0] <= iag_t:
@@ -939,7 +878,8 @@ class _Lane:
         self.fetch_free = fetch_free
         self.decode_free = decode_free
         self.retire_free = retire_free
-        self.prev_taken = prev_taken
+        # ``taken`` is a 0/1 int here; the probe digest hashes the bool.
+        self.prev_taken = bool(prev_taken)
         self.counting = counting
         self.counted_instructions = counted_instructions
         self.counted_blocks = counted_blocks
@@ -975,7 +915,7 @@ class BatchedFrontEndSimulator:
     Add one lane per (workload, config, seed) cell with
     :meth:`add_lane`, then :meth:`run` steps every lane through records
     ``[0, C)``, ``[C, 2C)``, ... so lanes sharing a trace reuse its
-    decode table and the process-wide shadow-decode tables while hot.
+    block rows and the process-wide shadow-decode tables while hot.
     Each lane's final ``SimStats`` is bit-identical to what
     ``FrontEndSimulator.run_compiled`` would have produced.  A batch is
     single-shot: a second :meth:`run`, or :meth:`add_lane` after the
@@ -988,6 +928,8 @@ class BatchedFrontEndSimulator:
             raise ValueError("chunk_records must be positive")
         self.chunk_records = chunk_records
         self._lanes: list[_Lane] = []
+        #: Block rows per (trace, geometry), shared by the batch's lanes.
+        self._block_rows: dict[tuple, list] = {}
         self._ran = False
 
     def __len__(self) -> int:
@@ -1000,7 +942,11 @@ class BatchedFrontEndSimulator:
         if self._ran:
             raise RuntimeError("add_lane() after run(); build a new batch")
         ff = plan_compiled(simulator, compiled, warmup)
-        self._lanes.append(_Lane(simulator, compiled, warmup, ff=ff))
+        key = (compiled, _geometry(simulator))
+        rows = self._block_rows.get(key)
+        if rows is None:
+            rows = self._block_rows[key] = _block_rows(*key)
+        self._lanes.append(_Lane(simulator, compiled, warmup, rows, ff=ff))
 
     def run(self) -> list[SimStats]:
         """Run every lane to completion; stats in ``add_lane`` order."""
@@ -1015,17 +961,12 @@ class BatchedFrontEndSimulator:
                                "single-shot; build a new batch")
         self._ran = True
         lanes = self._lanes
-        if lanes:
-            longest = max(lane.n_records for lane in lanes)
-            chunk = self.chunk_records
-            start = 0
-            while start < longest:
-                # One round: its fused rows live only while it runs.
-                round_ = _Round(start, start + chunk)
-                for lane in lanes:
-                    if start < lane.n_records:
-                        lane.advance(round_)
-                start = round_.stop
+        chunk = self.chunk_records
+        longest = max((lane.n_records for lane in lanes), default=0)
+        for start in range(0, longest, chunk):
+            for lane in lanes:
+                if start < lane.n_records:
+                    lane.advance(start, min(start + chunk, lane.n_records))
         return [lane.finish() for lane in lanes]
 
 
@@ -1033,7 +974,7 @@ def run_compiled_batched(simulator: FrontEndSimulator,
                          compiled: CompiledTrace,
                          warmup: int = 0) -> SimStats:
     """Single-cell convenience: the kernel still wins without lane
-    sharing (inlined loop, decode table, local counters)."""
+    sharing (inlined loop, block rows, local counters)."""
     batch = BatchedFrontEndSimulator()
     batch.add_lane(simulator, compiled, warmup=warmup)
     return batch.run()[0]

@@ -227,13 +227,10 @@ class FrontEndSimulator:
     def run(self, records: list[BlockRecord], warmup: int = 0) -> SimStats:
         """Replay object ``records`` through :meth:`run_compiled`.
 
-        The records are lowered to a :class:`CompiledTrace` first; its
-        line columns are derived for this config on first use, and the
-        lane kernel's decode table is never built.
+        The records are lowered to a :class:`CompiledTrace` first.
         """
-        return self.run_compiled(
-            CompiledTrace.from_records(records, line_sizes=()),
-            warmup=warmup)
+        return self.run_compiled(CompiledTrace.from_records(records),
+                                 warmup=warmup)
 
     # ------------------------------------------------------------------
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from repro.caching import CacheStats, LRUCache
 from repro.workloads.bolt import bolt_optimize
 from repro.workloads.codegen import ProgramGenerator
-from repro.workloads.compiled import (
-    DEFAULT_LINE_SIZES, BlockRecord, CompiledTrace)
+from repro.workloads.compiled import BlockRecord, CompiledTrace
 from repro.workloads.profiles import get_profile
 from repro.workloads.program import Program
 from repro.workloads.trace import TraceGenerator
@@ -63,9 +62,7 @@ class WorkloadCache:
         """The compiled trace of ``workload`` (memoised).
 
         The same (program, seeds, length) compiles to byte-identical
-        columns in any process.  Line-size-dependent derived columns
-        are precomputed for the stock 64-byte lines and derived lazily
-        (and memoised per instance) for any other size.
+        columns in any process.
         """
         key = (workload, seed, bolted, trace_seed, n_records)
         cached = self._compiled.get(key)
@@ -75,8 +72,7 @@ class WorkloadCache:
                 program, seed=trace_seed,
                 dispatch_run_range=get_profile(workload).dispatch_run_range)
             cached = CompiledTrace.from_stream(
-                generator.columns, *generator.stream(n_records),
-                line_sizes=DEFAULT_LINE_SIZES)
+                generator.columns, *generator.stream(n_records))
             self._compiled[key] = cached
         return cached
 

@@ -14,12 +14,13 @@ every simulator configuration replays an identical stream.
 
 The generator emits a *block-index stream*: the executed blocks'
 indices into the program's :class:`~repro.workloads.program.BlockColumns`
-(built once per generator) plus one taken bit per record.  Every other per-record field is a
-constant of the block or follows from its successor, so
-:meth:`CompiledTrace.from_stream` builds the replay columns by gathering
-the block columns by index.  :class:`BlockRecord` objects exist only as
-a view over those columns (:meth:`TraceGenerator.records`,
-:meth:`CompiledTrace.records`), for tests and tooling.
+(built once per generator) plus one taken bit per record.  Every other
+per-record field is a constant of the block or follows from its
+successor, so :meth:`CompiledTrace.from_stream` compiles the stream into
+a table of the executed blocks plus per-record outcomes.
+:class:`BlockRecord` objects exist only as a view over a compiled trace
+(:meth:`TraceGenerator.records`, :meth:`CompiledTrace.records`), for
+tests and tooling.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class TraceGenerator:
         """The first ``n_records`` records as :class:`BlockRecord`
         objects (a view over :meth:`stream`)."""
         return CompiledTrace.from_stream(
-            self.columns, *self.stream(n_records), line_sizes=()).records()
+            self.columns, *self.stream(n_records)).records()
 
     def iter_records(self, n_records: int) -> Iterator[BlockRecord]:
         """Iterate over :meth:`records`."""

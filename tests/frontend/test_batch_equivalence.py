@@ -6,10 +6,9 @@ replay loop with inlined structures and chunk-local counters;
 records) stays the oracle.  These tests pin the contract: for every
 cell of the Figure-14 grid, the kernel's ``SimStats`` *and* metric
 snapshot (structure counters, cache gauges, SBB/RAS/predictor state)
-are bit-identical to the oracle -- across seeds, with and without
-numpy, through lane sharing, and through the harness plumbing that
-runs every cell on the kernel -- and one gate decides whether a run may
-fast-forward.
+are bit-identical to the oracle -- across seeds, through lane sharing,
+and through the harness plumbing that runs every cell on the kernel --
+and one gate decides whether a run may fast-forward.
 """
 
 import dataclasses
@@ -17,7 +16,6 @@ import dataclasses
 import pytest
 
 import repro.frontend.batch as batch_mod
-import repro.workloads.compiled as compiled_mod
 from repro.frontend.batch import (
     BatchedFrontEndSimulator,
     run_compiled_batched,
@@ -28,13 +26,18 @@ from repro.frontend.fastforward import fastforward_reason
 from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
+from repro.isa.branch import BranchKind
 from repro.obs import EventTrace
 from repro.obs.intervals import IntervalCollector
 from repro.workloads import (
     WORKLOAD_NAMES,
+    BlockRecord,
+    CompiledTrace,
+    TraceGenerator,
     build_program,
     build_trace,
     compile_trace,
+    get_profile,
 )
 from tests.frontend.oracle import oracle_cells, refuse_oracle
 
@@ -107,14 +110,51 @@ def test_lane_sharing_matches_independent_runs():
         assert simulator.metrics_snapshot() == expect_metrics, name
 
 
+def _recurring_block_records(base: int) -> list[BlockRecord]:
+    """A hand-built trace whose blocks recur with different outcomes: a
+    return and an indirect jump, each to several targets, and a
+    conditional both taken and not."""
+    def block(offset, n_instr, branch_offset, branch_len, kind):
+        start = base + offset
+        return dict(block_start=start, n_instr=n_instr,
+                    branch_pc=start + branch_offset, branch_len=branch_len,
+                    kind=kind, fallthrough=start + branch_offset + branch_len)
+
+    blocks = (block(0x40, 3, 0x08, 1, BranchKind.RETURN),
+              block(0x90, 5, 0x2c, 2, BranchKind.INDIRECT_UNCOND),
+              block(0x105, 2, 0x06, 2, BranchKind.DIRECT_COND))
+    targets = [base + offset for offset in (0x10, 0x90, 0x200, 0x3f7)]
+    records = []
+    for index in range(600):
+        fields = blocks[index % 3]
+        if fields["kind"] is BranchKind.DIRECT_COND:
+            taken, target = index % 7 < 4, base + 0x40
+        else:
+            taken, target = True, targets[index * 5 // 3 % len(targets)]
+        records.append(BlockRecord(
+            taken=taken, target=target,
+            next_pc=target if taken else fields["fallthrough"], **fields))
+    return records
+
+
 class TestEdgeCases:
     CONFIG = FrontEndConfig(skia=SkiaConfig())
 
     def _both_paths(self, records, warmup):
         program = build_program("voter", seed=0)
         compiled = compile_trace(records)
+        assert compiled.records() == records
         return (_oracle_run(program, records, self.CONFIG, warmup=warmup),
                 _batched_run(program, compiled, self.CONFIG, warmup=warmup))
+
+    def test_recurring_blocks_with_varying_outcomes(self):
+        """``from_records`` keeps one row per block; each record keeps
+        its own taken bit and target."""
+        records = _recurring_block_records(
+            build_program("voter", seed=0).base_address)
+        assert compile_trace(records).n_blocks == 3
+        obj, bat = self._both_paths(records, warmup=100)
+        assert bat == obj
 
     def test_empty_trace(self):
         obj, bat = self._both_paths([], warmup=0)
@@ -176,8 +216,8 @@ def _run_with_intervals(program, compiled, config, chunk_records=None):
 
 
 def _assert_partial_chunks(program, compiled, expected):
-    """Every chunk size matches the oracle, so each round's row slice
-    offsets are right wherever warm-up and window boundaries fall."""
+    """Every chunk size matches the oracle, so each round's record
+    slices are right wherever warm-up and window boundaries fall."""
     for chunk_records in PARTIAL_CHUNKS:
         for name, config in CONFIGS.items():
             got = _run_with_intervals(program, compiled, config,
@@ -185,31 +225,8 @@ def _assert_partial_chunks(program, compiled, expected):
             assert got == expected[name], (name, chunk_records)
 
 
-def test_numpy_absent_fallback(monkeypatch):
-    """Pure-Python row derivation is bit-identical to the numpy path."""
-    program = build_program("voter", seed=0)
-    records = build_trace("voter", RECORDS, seed=0)
-    expected = {
-        name: _oracle_run(program, records, config)
-        for name, config in CONFIGS.items()
-    }
-    oracle_trace = compile_trace(records)
-    expected_partial = {
-        name: _run_with_intervals(program, oracle_trace, config)
-        for name, config in CONFIGS.items()
-    }
-    monkeypatch.setattr(compiled_mod, "_np", None)
-    compiled = compile_trace(records)  # fresh tables, built without numpy
-    for name, config in CONFIGS.items():
-        assert _batched_run(program, compiled, config) == expected[name], \
-            name
-    _assert_partial_chunks(program, compiled, expected_partial)
-
-
-@pytest.mark.skipif(compiled_mod._np is None,
-                    reason="numpy row derivation needs numpy")
 def test_numpy_partial_chunks():
-    """The numpy row derivation over partial chunks matches the oracle."""
+    """The kernel over partial chunks matches the oracle."""
     program = build_program("voter", seed=0)
     compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
     expected = {
@@ -246,71 +263,50 @@ class TestSingleShot:
         assert len(batch) == 1
 
 
-class TestLazyFusion:
-    """Lane rows are fused per round, on demand, and shared."""
+class TestBlockRowSharing:
+    """Block rows are built once per (trace, geometry) per batch, over
+    the trace's executed blocks only, and shared by the geometry's
+    lanes."""
 
-    CHUNK = 1_024
-    WARMUP = 500
-
-    def test_fused_once_per_round_and_only_where_stepped(self, monkeypatch):
+    def test_rows_once_per_trace_and_geometry(self, monkeypatch):
         monkeypatch.setenv("REPRO_FASTFORWARD", "1")
         program = build_program("steady-stream", seed=0)
-        compiled = compile_trace(build_trace("steady-stream", 24_000,
-                                             seed=0))
-        table = compiled.decode_table(FrontEndConfig().line_size)
-        slots_before = {name: getattr(table, name)
-                        for name in type(table).__slots__}
-        int64_before = dict(table.int64)
+        generator = TraceGenerator(
+            program, seed=0,
+            dispatch_run_range=get_profile("steady-stream").dispatch_run_range)
+        stream, taken = generator.stream(24_000)
+        compiled = CompiledTrace.from_stream(generator.columns, stream, taken)
+        executed = len(set(stream[:-1]))
+        assert executed < len(generator.columns.blocks)
 
-        fused = []      # (round start, table, geometry, rows)
-        stepped = set()  # (round start, table, geometry)
-        fuse = batch_mod._lane_rows
+        built = []  # (trace, geometry, rows)
+        fuse = batch_mod._block_rows
 
-        def spy_fuse(table, geometry, start, stop):
-            rows = fuse(table, geometry, start, stop)
-            fused.append((start, table, geometry, len(rows)))
+        def spy_fuse(trace, geometry):
+            rows = fuse(trace, geometry)
+            built.append((trace, geometry, rows))
             return rows
 
-        advance = batch_mod._Lane._advance
-
-        def spy_advance(lane, start, stop, round_):
-            if stop > start:
-                stepped.add((round_.start, lane.table, lane.geometry))
-            return advance(lane, start, stop, round_)
-
-        monkeypatch.setattr(batch_mod, "_lane_rows", spy_fuse)
-        monkeypatch.setattr(batch_mod._Lane, "_advance", spy_advance)
-
+        monkeypatch.setattr(batch_mod, "_block_rows", spy_fuse)
         configs = list(CONFIGS.values()) + [
             FrontEndConfig().with_btb_entries(2048)]
         simulators = [FrontEndSimulator(program, config, seed=0)
                       for config in configs]
-        batch = BatchedFrontEndSimulator(chunk_records=self.CHUNK)
+        batch = BatchedFrontEndSimulator(chunk_records=1_024)
         for simulator in simulators:
-            batch.add_lane(simulator, compiled, warmup=self.WARMUP)
+            batch.add_lane(simulator, compiled, warmup=500)
         batch.run()
 
         for simulator in simulators:
             assert simulator.fastforward_summary["skipped_records"] > 0
-        keys = [(start, table, geometry)
-                for start, table, geometry, _ in fused]
-        geometries = {geometry for _, _, geometry in keys}
-        assert len(geometries) == 2
-        # One fusion per (round, table, geometry), shared by its lanes.
-        assert len(keys) == len(set(keys))
-        # Fused exactly where some lane of the geometry stepped: rounds
-        # every such lane skipped past are never built.
-        assert set(keys) == stepped
-        rounds = -(-compiled.n_records // self.CHUNK)
-        assert len(keys) < rounds * len(geometries)
-        assert (sum(rows for *_, rows in fused)
-                < compiled.n_records * len(geometries))
-        # The table caches nothing per geometry.
-        assert all(getattr(table, name) is value
-                   for name, value in slots_before.items())
-        assert table.int64.keys() == int64_before.keys()
-        assert all(table.int64[name] is value
-                   for name, value in int64_before.items())
+        rows_by_geometry = {geometry: rows for _, geometry, rows in built}
+        assert len(built) == len(rows_by_geometry) == 2
+        for trace, _, rows in built:
+            assert trace is compiled
+            assert len(rows) == compiled.n_blocks == executed
+        for lane in batch._lanes:
+            assert lane.block_rows is rows_by_geometry[
+                batch_mod._geometry(lane.sim)]
 
 
 #: One row per engine-plan case: (config, attach, REPRO_FASTFORWARD,

@@ -1,6 +1,7 @@
 """CompiledTrace: lowering, derived columns, cross-process identity,
 cache memoisation."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -40,6 +41,14 @@ class TestCompilation:
 
     def test_len(self, micro_trace, compiled):
         assert len(compiled) == len(micro_trace)
+
+    def test_rejects_next_pc_it_cannot_derive(self, micro_trace):
+        """``next_pc`` is derived from target, taken bit and
+        fallthrough, so a record that disagrees cannot be lowered."""
+        record = micro_trace[5]
+        bad = dataclasses.replace(record, next_pc=record.next_pc + 1)
+        with pytest.raises(ValueError, match="record 5"):
+            compile_trace(micro_trace[:5] + [bad])
 
     def test_deterministic_fingerprint(self, micro_trace):
         assert (compile_trace(micro_trace).fingerprint

@@ -3,17 +3,15 @@
 Over small generated programs, trace seeds, lengths and dispatch run
 ranges, compiling the generator's stream must give the columns that
 compiling :class:`~tests.workloads.trace_oracle.OracleTraceGenerator`'s
-records gives -- on the numpy gather and on the list path -- and the
-generator must leave its RNG where the oracle leaves it.
+records gives, and the generator must leave its RNG where the oracle
+leaves it.
 """
 
 from functools import lru_cache
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import compiled as compiled_module
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.compiled import CORE_COLUMNS, CompiledTrace
 from repro.workloads.trace import TraceGenerator
@@ -44,14 +42,13 @@ def _columns(trace: CompiledTrace) -> dict:
 def _check_stream(program_seed, seed, n_records, run_range):
     program = _program(program_seed)
     oracle = OracleTraceGenerator(program, seed, run_range)
-    expected = CompiledTrace.from_records(oracle.records(n_records),
-                                          line_sizes=())
+    expected = CompiledTrace.from_records(oracle.records(n_records))
     generator = TraceGenerator(program, seed, run_range)
     blocks, taken = generator.stream(n_records)
     assert len(blocks) == n_records + 1 and len(taken) == n_records
-    got = CompiledTrace.from_stream(generator.columns, blocks, taken,
-                                    line_sizes=())
+    got = CompiledTrace.from_stream(generator.columns, blocks, taken)
     assert got.n_records == n_records
+    assert got.n_blocks == expected.n_blocks == len(set(blocks[:-1]))
     assert _columns(got) == _columns(expected)
     assert got.fingerprint == expected.fingerprint
     assert generator.rng.getstate() == oracle.rng.getstate()
@@ -61,21 +58,7 @@ def _check_stream(program_seed, seed, n_records, run_range):
 @settings(max_examples=60, deadline=None)
 def test_stream_columns_equal_oracle_numpy(program_seed, seed, n_records,
                                            run_range):
-    if compiled_module._np is None:
-        pytest.skip("numpy not installed")
     _check_stream(program_seed, seed, n_records, run_range)
-
-
-@given(**streams)
-@settings(max_examples=60, deadline=None)
-def test_stream_columns_equal_oracle_list_path(program_seed, seed,
-                                               n_records, run_range):
-    saved = compiled_module._np
-    compiled_module._np = None
-    try:
-        _check_stream(program_seed, seed, n_records, run_range)
-    finally:
-        compiled_module._np = saved
 
 
 @given(**streams)
