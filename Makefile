@@ -47,6 +47,7 @@ examples:
 	$(PYTHON) examples/workload_report.py
 	$(PYTHON) examples/custom_workload.py
 	$(PYTHON) examples/btb_scaling_study.py
+	$(PYTHON) examples/attribution_report.py
 
 clean:
 	# Run ledgers first (manifest/spans/profile JSONL under runs/),

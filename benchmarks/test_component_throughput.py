@@ -25,8 +25,7 @@ from repro.isa.encoder import Encoder
 from repro.workloads.cache import WorkloadCache
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.profiles import get_profile
-from repro.workloads.trace import TraceGenerator
-from tests.conftest import MICRO_PROFILE
+from tests.conftest import MICRO_PROFILE, generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +35,7 @@ def program():
 
 @pytest.fixture(scope="module")
 def trace(program):
-    return TraceGenerator(program, seed=7).records(6_000)
+    return generate_trace(program, 6_000, seed=7)
 
 
 def test_decode_throughput(benchmark, program):
@@ -194,15 +193,15 @@ def test_sbd_cold_line_decode_throughput(benchmark, program):
 
 def test_engine_blocks_per_second(benchmark, program, trace):
     def run():
-        FrontEndSimulator(program, FrontEndConfig()).run(trace)
+        FrontEndSimulator(program, FrontEndConfig()).run_compiled(trace)
 
     benchmark.pedantic(run, rounds=2, iterations=1)
 
 
 def test_engine_with_skia_blocks_per_second(benchmark, program, trace):
     def run():
-        FrontEndSimulator(program,
-                          FrontEndConfig(skia=SkiaConfig())).run(trace)
+        FrontEndSimulator(program, FrontEndConfig(skia=SkiaConfig())
+                          ).run_compiled(trace)
 
     benchmark.pedantic(run, rounds=2, iterations=1)
 
@@ -225,9 +224,7 @@ def test_batched_kernel_speedup_gate(benchmark, program, trace):
     import time as _time
 
     from repro.frontend.batch import BatchedFrontEndSimulator
-    from repro.workloads import compile_trace
 
-    compiled = compile_trace(trace)
     configs = [FrontEndConfig(),
                FrontEndConfig(skia=SkiaConfig(decode_tails=False)),
                FrontEndConfig(skia=SkiaConfig(decode_heads=False)),
@@ -237,13 +234,13 @@ def test_batched_kernel_speedup_gate(benchmark, program, trace):
     def oracle_grid():
         for config in configs:
             FrontEndSimulator(program, config, seed=0).run_compiled(
-                compiled, warmup=warmup)
+                trace, warmup=warmup)
 
     def batched_grid():
         batch = BatchedFrontEndSimulator()
         for config in configs:
             batch.add_lane(FrontEndSimulator(program, config, seed=0),
-                           compiled, warmup=warmup)
+                           trace, warmup=warmup)
         batch.run()
 
     oracle_grid()

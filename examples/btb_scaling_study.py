@@ -11,7 +11,8 @@ Run:
 
 import sys
 
-from repro import FrontEndConfig, SkiaConfig, build_program, build_trace, simulate
+from repro import (FrontEndConfig, FrontEndSimulator, SkiaConfig,
+                   build_program, build_trace)
 
 BTB_SIZES = (2048, 4096, 8192, 16384)
 RECORDS, WARMUP = 160_000, 50_000
@@ -22,7 +23,8 @@ def run_all(workload: str) -> dict[str, dict[int, float]]:
     trace = build_trace(workload, RECORDS)
 
     def ipc(config: FrontEndConfig) -> float:
-        return simulate(program, trace, config, warmup=WARMUP).ipc
+        return FrontEndSimulator(program, config).run_compiled(
+            trace, warmup=WARMUP).ipc
 
     results: dict[str, dict[int, float]] = {
         "BTB": {}, "BTB+12.25KB": {}, "BTB+SBB": {}}

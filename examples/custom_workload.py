@@ -12,8 +12,9 @@ Run:
     python examples/custom_workload.py
 """
 
-from repro import FrontEndConfig, SkiaConfig, simulate
+from repro import FrontEndConfig, FrontEndSimulator, SkiaConfig
 from repro.workloads.codegen import ProgramGenerator
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.trace import TraceGenerator
 
@@ -41,11 +42,17 @@ def main() -> None:
     print(f"Generating custom workload {INTERPRETER.name!r}...")
     program = ProgramGenerator(INTERPRETER, seed=42).generate()
     print(program.describe())
-    trace = TraceGenerator(
+    generator = TraceGenerator(
         program, seed=42,
-        dispatch_run_range=INTERPRETER.dispatch_run_range).records(RECORDS)
+        dispatch_run_range=INTERPRETER.dispatch_run_range)
+    trace = CompiledTrace.from_stream(generator.columns,
+                                      *generator.stream(RECORDS))
 
-    baseline = simulate(program, trace, FrontEndConfig(), warmup=WARMUP)
+    def simulate(config: FrontEndConfig):
+        return FrontEndSimulator(program, config).run_compiled(
+            trace, warmup=WARMUP)
+
+    baseline = simulate(FrontEndConfig())
     print(f"\nbaseline: IPC={baseline.ipc:.3f} "
           f"L1-I MPKI={baseline.l1i_mpki:.1f} "
           f"BTB miss MPKI={baseline.btb_miss_mpki:.2f} "
@@ -56,8 +63,7 @@ def main() -> None:
           f"{'SBB hits':>9s}")
     for factor in (0.25, 0.5, 1.0, 2.0, 4.0):
         skia_config = SkiaConfig().scaled(factor)
-        stats = simulate(program, trace,
-                         FrontEndConfig(skia=skia_config), warmup=WARMUP)
+        stats = simulate(FrontEndConfig(skia=skia_config))
         gain = stats.ipc / baseline.ipc - 1
         print(f"{factor:>5.2f}x {skia_config.total_size_kib:>8.2f}K "
               f"{stats.ipc:>7.3f} {gain:>7.2%} {stats.total_sbb_hits:>9d}")

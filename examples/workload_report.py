@@ -21,18 +21,20 @@ from repro.workloads.program import LINE_SIZE
 RECORDS = 60_000
 
 
-def pick_annotated_line(program, records):
+def pick_annotated_line(trace):
     """A line that some trace record enters mid-way and exits by a taken
     branch -- i.e. one with both shadow zones."""
-    for record in records:
-        entry_offset = record.block_start % LINE_SIZE
-        exit_pc = record.branch_pc + record.branch_len
-        same_line = (record.block_start // LINE_SIZE
+    for block_start, branch_pc, branch_len, taken in zip(
+            trace.column("block_start"), trace.column("branch_pc"),
+            trace.column("branch_len"), trace.taken):
+        entry_offset = block_start % LINE_SIZE
+        exit_pc = branch_pc + branch_len
+        same_line = (block_start // LINE_SIZE
                      == (exit_pc - 1) // LINE_SIZE)
-        if record.taken and entry_offset > 8 and same_line \
+        if taken and entry_offset > 8 and same_line \
                 and exit_pc % LINE_SIZE not in (0,) \
                 and exit_pc % LINE_SIZE < 48:
-            line_pc = record.block_start - entry_offset
+            line_pc = block_start - entry_offset
             return line_pc, entry_offset, exit_pc % LINE_SIZE
     return None
 
@@ -43,9 +45,9 @@ def main() -> None:
         raise SystemExit(f"unknown workload {workload!r}")
 
     program = build_program(workload)
-    records = build_trace(workload, RECORDS)
+    trace = build_trace(workload, RECORDS)
 
-    print(characterise(program, records).render())
+    print(characterise(program, trace).render())
 
     geometry = shadow_geometry(program)
     print(f"\nshadow geometry (static): {geometry.total_branches} branches;"
@@ -53,7 +55,7 @@ def main() -> None:
           f" (tail-shadow candidates);"
           f" {geometry.eligible_fraction:.0%} SBB-eligible")
 
-    found = pick_annotated_line(program, records)
+    found = pick_annotated_line(trace)
     if found:
         line_pc, entry_offset, exit_offset = found
         print(f"\nFigure-5-style view of line {line_pc:#x} "

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.frontend.config import FrontEndConfig, SkiaConfig
-from repro.frontend.engine import FrontEndSimulator, simulate
+from repro.frontend.engine import FrontEndSimulator
 from repro.frontend.stats import SimStats
 from repro.workloads.cache import build_program, build_trace
 from repro.workloads.profiles import WORKLOAD_NAMES, get_profile
@@ -41,7 +41,6 @@ __all__ = [
     "SkiaConfig",
     "FrontEndSimulator",
     "SimStats",
-    "simulate",
     "build_program",
     "build_trace",
     "get_profile",
@@ -90,8 +89,8 @@ def quick_compare(workload: str = "voter", records: int = 160_000,
     """
     program = build_program(workload, seed=seed)
     trace = build_trace(workload, records, seed=seed)
-    baseline = simulate(program, trace, FrontEndConfig(), warmup=warmup,
-                        seed=seed)
-    skia = simulate(program, trace, FrontEndConfig(skia=SkiaConfig()),
-                    warmup=warmup, seed=seed)
+    baseline = FrontEndSimulator(program, FrontEndConfig(),
+                                 seed=seed).run_compiled(trace, warmup=warmup)
+    skia = FrontEndSimulator(program, FrontEndConfig(skia=SkiaConfig()),
+                             seed=seed).run_compiled(trace, warmup=warmup)
     return CompareResult(workload=workload, baseline=baseline, skia=skia)

@@ -288,16 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_compare.add_argument("before")
     bench_compare.add_argument("after")
 
-    trace = sub.add_parser("trace", help="dump or inspect binary traces")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    dump = trace_sub.add_parser("dump", help="generate and save a trace")
-    dump.add_argument("workload", choices=sorted(PROFILES))
-    dump.add_argument("path")
-    dump.add_argument("--records", type=int, default=None,
-                      help="record count (default: scale's records)")
-    info = trace_sub.add_parser("info", help="summarise a trace file")
-    info.add_argument("path")
-
     runs = sub.add_parser(
         "runs", help="list or inspect recorded run ledgers")
     runs_sub = runs.add_subparsers(dest="runs_command", required=True)
@@ -472,12 +462,12 @@ def _run_workloads() -> int:
 
 def _run_workloads_period(args) -> int:
     """``repro workloads period``: trace periodicity + skip forecast."""
-    from repro.workloads.cache import build_compiled_trace
+    from repro.workloads.cache import build_trace
 
     scale = SCALES[args.scale] if args.scale else current_scale()
     n_records = args.records if args.records is not None else scale.records
     warmup = args.warmup if args.warmup is not None else scale.warmup
-    detected = build_compiled_trace(args.workload, n_records).period()
+    detected = build_trace(args.workload, n_records).period()
     if detected is None:
         print(f"{args.workload}: no detected period over {n_records} "
               f"records (aperiodic trace; fast-forward falls back to "
@@ -944,23 +934,6 @@ def _run_bench(args) -> int:
     return _run_bench_compare(args)
 
 
-def _run_trace(args) -> int:
-    from repro.workloads.cache import build_trace
-    from repro.workloads.traceio import save_trace, trace_info
-
-    if args.trace_command == "dump":
-        scale = SCALES[args.scale] if args.scale else current_scale()
-        records = build_trace(args.workload,
-                              args.records or scale.records)
-        save_trace(records, args.path)
-        print(f"wrote {len(records)} records to {args.path}")
-        return 0
-    info = trace_info(args.path)
-    for key, value in sorted(info.items()):
-        print(f"{key}: {value}")
-    return 0
-
-
 def _print_run_summary(summary) -> None:
     results = summary.results()
     outcome = (", ".join(f"{count} {label}" for label, count
@@ -1196,9 +1169,9 @@ def _run_divergence(args) -> int:
     config_b = (_stats_config(args.config_b)
                 if args.config_b is not None else None)
     program = build_program(args.workload)
-    records = build_trace(args.workload, scale.records)
+    compiled = build_trace(args.workload, scale.records)
     report = bisect_divergence(
-        program, records, config_a, config_b,
+        program, compiled, config_a, config_b,
         engine_a=args.engine_a, engine_b=args.engine_b,
         warmup=scale.warmup, window=args.window,
         oracle_events=not args.no_events)
@@ -1236,8 +1209,6 @@ def _dispatch(args) -> int:
         return _run_attrib(args)
     if args.command == "bench":
         return _run_bench(args)
-    if args.command == "trace":
-        return _run_trace(args)
     if args.command == "runs":
         return _run_runs(args)
     if args.command == "metrics":

@@ -23,7 +23,7 @@ from repro.frontend.predictor import ITTageLite, LoopPredictor, TageLite
 from repro.frontend.ras import ReturnAddressStack
 from repro.frontend.comparators import AirBTBLite, BoomerangLite
 from repro.frontend.bpu import BranchPredictionUnit, Prediction
-from repro.frontend.engine import FrontEndSimulator, simulate
+from repro.frontend.engine import FrontEndSimulator
 
 __all__ = [
     "FrontEndConfig",
@@ -42,5 +42,4 @@ __all__ = [
     "BranchPredictionUnit",
     "Prediction",
     "FrontEndSimulator",
-    "simulate",
 ]

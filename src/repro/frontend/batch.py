@@ -247,7 +247,7 @@ class _Lane:
 
     # The kernel: one fully inlined replay of records [start, stop).
     # Every structure operation and counter update below replicates the
-    # oracle (engine.run_compiled + bpu.process_fields +
+    # oracle (engine.run_compiled + bpu.process +
     # skia.on_ftq_entry) operation-for-operation; only the dispatch
     # around them is flattened.
     def _advance(self, start: int, stop: int) -> None:
@@ -423,7 +423,7 @@ class _Lane:
             if len(ftq_inflight) >= ftq_size:
                 iag_t = ftq_popleft()
 
-            # ----- BPU (bpu.process_fields, inlined) ------------------
+            # ----- BPU (bpu.process, inlined) -------------------------
             branch_line_present = branch_line in l1_sets[bl_set]
 
             c_btb_lookups += 1

@@ -24,9 +24,10 @@ with the BTB, and the SBD runs when an FTQ entry's prefetch completes.
 The model is written twice: :meth:`FrontEndSimulator.run_compiled` is
 the readable per-record oracle, and the lane kernel in
 :mod:`repro.frontend.batch` is the same model written to be fast and
-bit-identical to it.  The harness runs every cell on the kernel;
-:meth:`FrontEndSimulator.run` lowers object records and calls the
-oracle, which stays the reference the kernel is tested against.
+bit-identical to it.  Both replay a
+:class:`~repro.workloads.compiled.CompiledTrace`.  The harness runs
+every cell on the kernel; the oracle stays the reference the kernel is
+tested against.
 Neither engine calls an observer while it runs: with attribution, an
 event trace or a timeline recorder attached, both append one outcome
 row per record (plus one stage-time row for a timeline) and render the
@@ -52,9 +53,8 @@ from repro.obs import (
     snapshot_from_stats,
 )
 from repro.obs.trace import outcome_events
-from repro.workloads.compiled import KIND_BY_CODE, CompiledTrace
+from repro.workloads.compiled import KIND_BY_CODE
 from repro.workloads.program import Program
-from repro.workloads.trace import BlockRecord
 
 
 class FrontEndSimulator:
@@ -224,24 +224,13 @@ class FrontEndSimulator:
 
     # ------------------------------------------------------------------
 
-    def run(self, records: list[BlockRecord], warmup: int = 0) -> SimStats:
-        """Replay object ``records`` through :meth:`run_compiled`.
-
-        The records are lowered to a :class:`CompiledTrace` first.
-        """
-        return self.run_compiled(CompiledTrace.from_records(records),
-                                 warmup=warmup)
-
-    # ------------------------------------------------------------------
-
     def run_compiled(self, compiled, warmup: int = 0) -> SimStats:
         """Replay a :class:`CompiledTrace`; the first ``warmup`` records
         train structures without being counted.
 
         The readable oracle of the timing model: it iterates the compiled
         columns with locals-bound indices, uses the precomputed
-        per-record line spans and calls the BPU's field-based entry
-        point, so no ``BlockRecord`` is ever constructed.  The lane
+        per-record line spans and calls the BPU once per record.  The lane
         kernel of :mod:`repro.frontend.batch` replicates it bit-for-bit,
         outcome and stage-time rows included
         (``tests/frontend/test_batch_equivalence.py``).
@@ -250,7 +239,7 @@ class FrontEndSimulator:
         hierarchy = self.hierarchy
         hierarchy_access = hierarchy.access
         line_present = hierarchy.line_present
-        bpu_process = self.bpu.process_fields
+        bpu_process = self.bpu.process
         skia = self.skia
         stats = self.stats
         line_size = config.line_size
@@ -492,10 +481,3 @@ class FrontEndSimulator:
         stats.cycles = max(retire_free - cycles_at_count_start, 1e-9)
         return stats
 
-
-def simulate(program: Program, records: list[BlockRecord],
-             config: FrontEndConfig, warmup: int = 0,
-             seed: int = 0) -> SimStats:
-    """Convenience one-shot simulation."""
-    simulator = FrontEndSimulator(program, config, seed=seed)
-    return simulator.run(records, warmup=warmup)

@@ -30,7 +30,6 @@ import hashlib
 import json
 import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.obs.digests import state_digest  # noqa: F401  (re-export)
 from repro.obs.intervals import IntervalCollector
@@ -142,26 +141,27 @@ def _run_side(program, compiled, config, engine: str, warmup: int,
     return simulator, collector
 
 
-def _oracle_events(program, records, config, warmup: int, seed: int,
+def _oracle_events(program, compiled, config, warmup: int, seed: int,
                    record_index: int) -> list[dict]:
-    """Oracle replay of ``records[:record_index + 1]`` keeping every
-    event of the divergent record."""
+    """Oracle replay of the first ``record_index + 1`` records keeping
+    every event of the divergent record."""
     from repro.frontend.engine import FrontEndSimulator
 
     config = dataclasses.replace(config, interval_size=0)
     simulator = FrontEndSimulator(program, config, seed=seed)
     trace = EventTrace(capacity=8)  # a record emits at most six events
     simulator.attach_trace(trace)
-    simulator.run(records[:record_index + 1], warmup=warmup)
+    simulator.run_compiled(compiled.prefix(record_index + 1), warmup=warmup)
     return [event for event in trace if event["record"] == record_index]
 
 
-def bisect_divergence(program, records: Sequence, config_a, config_b=None,
+def bisect_divergence(program, compiled, config_a, config_b=None,
                       *, engine_a: str = "compiled", engine_b: str = "batched",
                       warmup: int = 0, window: int = 1000, seed: int = 0,
-                      compiled=None, oracle_events: bool = True,
-                      ) -> DivergenceReport:
-    """Localize the first divergence between two (engine, config) sides.
+                      oracle_events: bool = True) -> DivergenceReport:
+    """Localize the first divergence between two (engine, config) sides
+    replaying the :class:`~repro.workloads.compiled.CompiledTrace`
+    ``compiled``.
 
     ``config_b`` defaults to ``config_a`` (pure engine-vs-engine
     comparison).  Returns a :class:`DivergenceReport`; when the sides
@@ -172,11 +172,6 @@ def bisect_divergence(program, records: Sequence, config_a, config_b=None,
         raise ValueError("window must be positive")
     if config_b is None:
         config_b = config_a
-    from repro.workloads.compiled import CompiledTrace
-
-    records = list(records)
-    if compiled is None:
-        compiled = CompiledTrace.from_records(records)
 
     a_label = f"{engine_a}/{_config_label(config_a)}"
     b_label = f"{engine_b}/{_config_label(config_b)}"
@@ -221,7 +216,7 @@ def bisect_divergence(program, records: Sequence, config_a, config_b=None,
     # side on its own engine, to pin the first divergent record.  In
     # engine-vs-engine mode the per-record state hashes localize even a
     # state-only divergence (counters agreeing, structures drifting).
-    prefix = CompiledTrace.from_records(records[:window_end])
+    prefix = compiled.prefix(window_end)
     sim_a, fine_a = _run_side(program, prefix, config_a, engine_a, warmup,
                               seed, 1, with_probe=compare_state)
     sim_b, fine_b = _run_side(program, prefix, config_b, engine_b, warmup,
@@ -243,10 +238,10 @@ def bisect_divergence(program, records: Sequence, config_a, config_b=None,
     events_a: list = []
     events_b: list = []
     if oracle_events and record_index is not None:
-        events_a = _oracle_events(program, records, config_a, warmup, seed,
-                                  record_index)
-        events_b = _oracle_events(program, records, config_b, warmup, seed,
-                                  record_index)
+        events_a = _oracle_events(program, compiled, config_a, warmup,
+                                  seed, record_index)
+        events_b = _oracle_events(program, compiled, config_b, warmup,
+                                  seed, record_index)
 
     return DivergenceReport(
         a_label=a_label, b_label=b_label, windows_compared=divergent + 1,

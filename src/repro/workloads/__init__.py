@@ -20,7 +20,7 @@ share lines.
 
 from repro.workloads.program import BasicBlock, Function, Program
 from repro.workloads.codegen import ProgramGenerator
-from repro.workloads.trace import BlockRecord, TraceGenerator
+from repro.workloads.trace import TraceGenerator
 from repro.workloads.profiles import (
     PROFILES,
     WORKLOAD_NAMES,
@@ -28,22 +28,15 @@ from repro.workloads.profiles import (
     get_profile,
 )
 from repro.workloads.bolt import bolt_optimize
-from repro.workloads.cache import (
-    WorkloadCache,
-    build_compiled_trace,
-    build_program,
-    build_trace,
-)
-from repro.workloads.compiled import CompiledTrace, compile_trace
+from repro.workloads.cache import WorkloadCache, build_program, build_trace
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.analysis import characterise, shadow_geometry
-from repro.workloads.traceio import load_trace, save_trace
 
 __all__ = [
     "BasicBlock",
     "Function",
     "Program",
     "ProgramGenerator",
-    "BlockRecord",
     "TraceGenerator",
     "PROFILES",
     "WORKLOAD_NAMES",
@@ -52,12 +45,8 @@ __all__ = [
     "bolt_optimize",
     "WorkloadCache",
     "CompiledTrace",
-    "compile_trace",
-    "build_compiled_trace",
     "build_program",
     "build_trace",
     "characterise",
     "shadow_geometry",
-    "load_trace",
-    "save_trace",
 ]

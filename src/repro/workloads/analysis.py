@@ -13,10 +13,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import Sequence
 
-from repro.isa.branch import SBB_ELIGIBLE, BranchKind
+from repro.isa.branch import KIND_BY_CODE, SBB_ELIGIBLE, BranchKind
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.program import LINE_SIZE, Program
-from repro.workloads.trace import BlockRecord
 
 
 @dataclass
@@ -29,7 +30,7 @@ class ReuseProfile:
     samples: int
 
 
-def branch_reuse_profile(records: list[BlockRecord],
+def branch_reuse_profile(branch_pcs: Sequence[int],
                          btb_entries: int = 8192) -> ReuseProfile:
     """Stack-distance-style reuse profile of the branch-PC stream.
 
@@ -41,7 +42,7 @@ def branch_reuse_profile(records: list[BlockRecord],
     # Approximate distinct-count via timestamps + a Fenwick tree over
     # positions of most-recent occurrences (exact stack distances).
     positions: list[int] = []
-    tree: list[int] = [0] * (len(records) + 1)
+    tree: list[int] = [0] * (len(branch_pcs) + 1)
 
     def tree_add(index: int, delta: int) -> None:
         index += 1
@@ -58,8 +59,7 @@ def branch_reuse_profile(records: list[BlockRecord],
         return total
 
     distances: list[int] = []
-    for position, record in enumerate(records):
-        pc = record.branch_pc
+    for position, pc in enumerate(branch_pcs):
         previous = last_seen.get(pc)
         if previous is not None:
             distinct_since = tree_sum(position - 1) - tree_sum(previous)
@@ -234,13 +234,13 @@ class WorkloadReport:
         return "\n".join(lines)
 
 
-def characterise(program: Program,
-                 records: list[BlockRecord]) -> WorkloadReport:
+def characterise(program: Program, trace: CompiledTrace) -> WorkloadReport:
     report = WorkloadReport(name=program.name,
                             footprint_bytes=len(program.image))
     for block in program.iter_blocks():
         report.static_branches[block.terminator.kind] += 1
-    for record in records:
-        report.dynamic_mix[record.kind] += 1
-    report.reuse = branch_reuse_profile(records)
+    # Counted per code, in first-execution order, then named.
+    for code, count in Counter(trace.column("kind")).items():
+        report.dynamic_mix[KIND_BY_CODE[code]] += count
+    report.reuse = branch_reuse_profile(trace.column("branch_pc"))
     return report

@@ -7,7 +7,9 @@ everything that affects the artefact and nothing else.
 
 The cache is in-process only: every Python session regenerates what it
 uses, and one full-size program takes 0.3-0.7 s to generate (2-CPU
-x86_64 host, Python 3.11).
+x86_64 host, Python 3.11).  :func:`build_program` and
+:func:`build_trace` read the process-wide :data:`GLOBAL_CACHE`;
+``build_trace`` returns its memoised :class:`CompiledTrace`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from repro.caching import CacheStats, LRUCache
 from repro.workloads.bolt import bolt_optimize
 from repro.workloads.codegen import ProgramGenerator
-from repro.workloads.compiled import BlockRecord, CompiledTrace
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.profiles import get_profile
 from repro.workloads.program import Program
 from repro.workloads.trace import TraceGenerator
@@ -30,8 +32,7 @@ class WorkloadCache:
     hits, misses and evictions -- see :meth:`stats`.
 
     A trace is generated as a block-index stream and compiled straight
-    from it (:meth:`CompiledTrace.from_stream`): no
-    :class:`BlockRecord` is built.
+    from it (:meth:`CompiledTrace.from_stream`).
     """
 
     def __init__(self, max_traces: int = 4):
@@ -96,17 +97,7 @@ def build_program(workload: str, seed: int = 0, bolted: bool = False) -> Program
 
 
 def build_trace(workload: str, n_records: int, seed: int = 0,
-                trace_seed: int = 0, bolted: bool = False) -> list[BlockRecord]:
-    """The global cache's compiled trace as a fresh list of
-    :class:`BlockRecord` objects (a view for tooling and tests)."""
-    return GLOBAL_CACHE.compiled(workload, n_records, seed=seed,
-                                 trace_seed=trace_seed,
-                                 bolted=bolted).records()
-
-
-def build_compiled_trace(workload: str, n_records: int, seed: int = 0,
-                         trace_seed: int = 0,
-                         bolted: bool = False) -> CompiledTrace:
+                trace_seed: int = 0, bolted: bool = False) -> CompiledTrace:
     """Convenience accessor against the global cache."""
     return GLOBAL_CACHE.compiled(workload, n_records, seed=seed,
                                  trace_seed=trace_seed, bolted=bolted)

@@ -14,29 +14,26 @@ executes few distinct blocks, so a :class:`CompiledTrace` holds:
   computed on first read), so byte-identity of two compilations of the
   same (program, seed) is checkable across processes.
 
-The core columns (one per :class:`BlockRecord` field, ``kind`` as a
-small integer code, ``taken`` as 0/1) and the line-size *derived*
-columns are gathered from that form on demand, for the
-``run_compiled`` oracle, the renderers, period detection and the
-fingerprint.  The batched kernel (:mod:`repro.frontend.batch`) reads
-the compact form directly.
+The core columns (:data:`CORE_COLUMNS`: the block's six constants,
+``kind`` as a small integer code, plus ``taken`` as 0/1, ``target``
+and ``next_pc``) and the line-size *derived* columns are gathered from
+that form on demand, for the ``run_compiled`` oracle, the renderers
+and the fingerprint.  The batched kernel (:mod:`repro.frontend.batch`)
+and period detection read the compact form directly.
 
 A generated trace arrives as a block-index stream
 (``TraceGenerator.stream``) and :meth:`CompiledTrace.from_stream`
 compacts it against the program's per-block constant columns
-(``BlockColumns``).  :class:`BlockRecord` objects are a view for tests
-and tooling: :meth:`CompiledTrace.records` re-materialises them, and
-``FrontEndSimulator.run`` lowers hand-built ones with
-:meth:`CompiledTrace.from_records` before calling ``run_compiled``.
+(``BlockColumns``).  This is the only trace type: every simulator,
+harness and tool reads a :class:`CompiledTrace`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -46,34 +43,11 @@ from repro.obs.profiler import PROFILER
 if TYPE_CHECKING:
     from repro.workloads.program import BlockColumns
 
-__all__ = ["BLOCK_COLUMNS", "BlockRecord", "CODE_BY_KIND", "CORE_COLUMNS",
-           "CompiledTrace", "KIND_BY_CODE", "compile_trace"]
+__all__ = ["BLOCK_COLUMNS", "CODE_BY_KIND", "CORE_COLUMNS", "CompiledTrace",
+           "KIND_BY_CODE"]
 
 
-@dataclass(frozen=True, slots=True)
-class BlockRecord:
-    """One executed basic block and its terminating branch outcome.
-
-    ``fallthrough`` is the address immediately after the branch: the
-    not-taken successor for conditionals and the return address for calls.
-    ``target`` is where control actually went when ``taken`` (branch
-    target, call entry, return address or indirect destination); a
-    conditional's is its static target whether taken or not.
-    ``next_pc`` is always the address of the next executed block.
-    """
-
-    block_start: int
-    n_instr: int
-    branch_pc: int
-    branch_len: int
-    kind: BranchKind
-    taken: bool
-    target: int
-    fallthrough: int
-    next_pc: int
-
-
-#: Core columns, in fingerprint order; one per BlockRecord field.
+#: Core columns, in fingerprint order: everything one record says.
 CORE_COLUMNS: tuple[str, ...] = (
     "block_start", "n_instr", "branch_pc", "branch_len", "kind",
     "taken", "target", "fallthrough", "next_pc")
@@ -97,7 +71,7 @@ def _i64(buffer) -> np.ndarray:
 # Column-level period detection (the fast-forward layer's first gate)
 # ----------------------------------------------------------------------
 
-def _common_suffix_records(a, b, width: int = _ITEM) -> int:
+def _common_suffix_records(a, b, width: int) -> int:
     """Length in records of the longest common suffix of two columns.
 
     ``a`` and ``b`` are equal-length byte views of column slices.
@@ -124,15 +98,17 @@ def _common_suffix_records(a, b, width: int = _ITEM) -> int:
 def _verify_period(columns, period: int, n_records: int) -> int | None:
     """Preamble length if ``period`` holds for every column, else None.
 
-    A trace has period ``p`` with preamble ``m`` when record ``i``
-    equals record ``i + p`` for all ``i >= m``; per column that is a
-    common suffix of the column against itself shifted by ``p``.
+    ``columns`` are ``(buffer, item width)`` pairs.  A trace has period
+    ``p`` with preamble ``m`` when record ``i`` equals record ``i + p``
+    for all ``i >= m``; per column that is a common suffix of the
+    column against itself shifted by ``p``.
     """
     preamble = 0
-    for column in columns:
+    for column, width in columns:
         view = memoryview(column).cast("B")
         suffix = _common_suffix_records(
-            view[:(n_records - period) * _ITEM], view[period * _ITEM:])
+            view[:(n_records - period) * width], view[period * width:],
+            width)
         preamble = max(preamble, (n_records - period) - suffix)
         if n_records - preamble < 2 * period:
             return None
@@ -143,6 +119,8 @@ def _detect_period(columns, probe_column,
                    n_records: int) -> tuple[int, int] | None:
     """``(period, preamble)`` of a columnar trace, or None.
 
+    ``columns`` are ``(buffer, item width)`` pairs; ``probe_column`` is
+    an 8-byte-item column whose values identify a record's block.
     Candidate periods come from re-occurrences of the trace's final
     records (a multi-record needle, so values that recur many times
     per period do not flood the search) in ``probe_column``, found
@@ -177,12 +155,6 @@ def _detect_period(columns, probe_column,
     return None
 
 
-def _period_of_columns(columns: dict[str, Sequence[int]],
-                       n_records: int) -> tuple[int, int] | None:
-    ordered = [columns[name] for name in CORE_COLUMNS]
-    return _detect_period(ordered, columns["branch_pc"], n_records)
-
-
 class CompiledTrace:
     """One trace as its distinct executed blocks plus per-record outcomes.
 
@@ -191,7 +163,8 @@ class CompiledTrace:
 
     ``block_table``
         ``numpy`` int64 columns named by :data:`BLOCK_COLUMNS`, one entry
-        per distinct block the trace executes (``n_blocks`` of them);
+        per distinct block the trace executes (``n_blocks`` of them; a
+        :meth:`prefix` keeps its whole trace's table);
     ``blocks``
         an ``array('q')``: record ``i`` executes ``block_table`` entry
         ``blocks[i]``;
@@ -204,10 +177,10 @@ class CompiledTrace:
     A record's ``next_pc`` is its target when taken, else its
     fallthrough.  The nine per-record core columns are gathered from
     this form on demand (:meth:`column`, :meth:`derived`,
-    :attr:`fingerprint`, :meth:`period`).
+    :attr:`fingerprint`).
 
     Construct via :meth:`from_stream` (a generated block-index stream),
-    :meth:`from_records` (hand-built records) or
+    :meth:`prefix` (a leading slice of another trace) or
     ``WorkloadCache.compiled`` (memoised).  Instances are immutable
     after construction.
     """
@@ -260,41 +233,19 @@ class CompiledTrace:
             return cls(table, array("q", compact.astype(np.int64).tobytes()),
                        bytes(taken), array("q", target.tobytes()))
 
-    @classmethod
-    def from_records(cls, records: Iterable[BlockRecord]) -> "CompiledTrace":
-        """Lower ``records``, deduplicating their blocks on the
-        block-constant fields (:data:`BLOCK_COLUMNS`).
+    def prefix(self, n_records: int) -> "CompiledTrace":
+        """The trace's first ``n_records`` records.
 
-        Raises ``ValueError`` for a record whose ``next_pc`` is not its
-        target when taken and its fallthrough otherwise: the compiled
-        form derives ``next_pc`` and could not give it back.
+        Slices the per-record columns and shares the block table, so
+        the prefix gathers (and fingerprints) exactly as the same
+        records compiled on their own.
         """
-        with PROFILER.section("trace.compile"):
-            index_of: dict[tuple, int] = {}
-            blocks = array("q")
-            taken = bytearray()
-            target = array("q")
-            code_of = CODE_BY_KIND
-            for record in records:
-                went = record.taken
-                if record.next_pc != (record.target if went
-                                      else record.fallthrough):
-                    raise ValueError(
-                        f"record {len(taken)}: next_pc {record.next_pc:#x} "
-                        f"is neither its target when taken nor its "
-                        f"fallthrough when not")
-                key = (record.block_start, record.n_instr, record.branch_pc,
-                       record.branch_len, code_of[record.kind],
-                       record.fallthrough)
-                block = index_of.setdefault(key, len(index_of))
-                blocks.append(block)
-                taken.append(1 if went else 0)
-                target.append(record.target)
-            keys = list(index_of)
-            table = {name: np.array([key[field] for key in keys],
-                                    dtype=np.int64)
-                     for field, name in enumerate(BLOCK_COLUMNS)}
-            return cls(table, blocks, bytes(taken), target)
+        if not 0 <= n_records <= self.n_records:
+            raise ValueError(f"prefix of {n_records} records out of range "
+                             f"for a {self.n_records}-record trace")
+        return CompiledTrace(self.block_table, self.blocks[:n_records],
+                             self.taken[:n_records],
+                             self.target[:n_records])
 
     @cached_property
     def fingerprint(self) -> str:
@@ -360,42 +311,25 @@ class CompiledTrace:
         return self._derived[line_size]
 
     def period(self) -> tuple[int, int] | None:
-        """``(period, preamble)`` of the column stream, or None.
+        """``(period, preamble)`` of the record stream, or None.
 
-        Record ``i`` equals record ``i + period`` (across every core
-        column) for all ``i >= preamble``, and at least two full
-        periods follow the preamble.  Detected once per instance and
-        cached; the fast-forward layer and ``repro workloads period``
-        both read it from here.
+        Record ``i`` equals record ``i + period`` for all
+        ``i >= preamble``, and at least two full periods follow the
+        preamble.  Two records are equal exactly when their block
+        index, taken bit and target are, so detection reads only those
+        three columns, probing the block stream.  Detected once per
+        instance and cached; the fast-forward layer and ``repro
+        workloads period`` both read it from here.
         """
         if self._period_cache is not False:
             return self._period_cache
         with PROFILER.section("trace.period"):
-            self._period_cache = _period_of_columns(
-                {name: self.column(name) for name in CORE_COLUMNS},
-                self.n_records)
+            self._period_cache = _detect_period(
+                ((self.blocks, _ITEM), (self.taken, 1),
+                 (self.target, _ITEM)),
+                self.blocks, self.n_records)
         return self._period_cache
-
-    def records(self) -> list[BlockRecord]:
-        """Re-materialise the object representation (tests, tooling)."""
-        kinds = KIND_BY_CODE
-        table = self.block_table
-        block_fields = [
-            (start, n_instr, pc, length, kinds[code], fallthrough)
-            for start, n_instr, pc, length, code, fallthrough in zip(
-                *(table[name].tolist() for name in BLOCK_COLUMNS))]
-        return [
-            BlockRecord(start, n_instr, pc, length, kind, bool(went),
-                        target, fallthrough,
-                        target if went else fallthrough)
-            for (start, n_instr, pc, length, kind, fallthrough), went, target
-            in zip(map(block_fields.__getitem__, self.blocks), self.taken,
-                   self.target)]
 
     def __len__(self) -> int:
         return self.n_records
 
-
-def compile_trace(records: Iterable[BlockRecord]) -> CompiledTrace:
-    """Convenience wrapper over :meth:`CompiledTrace.from_records`."""
-    return CompiledTrace.from_records(records)

@@ -18,9 +18,6 @@ indices into the program's :class:`~repro.workloads.program.BlockColumns`
 per-record field is a constant of the block or follows from its
 successor, so :meth:`CompiledTrace.from_stream` compiles the stream into
 a table of the executed blocks plus per-record outcomes.
-:class:`BlockRecord` objects exist only as a view over a compiled trace
-(:meth:`TraceGenerator.records`, :meth:`CompiledTrace.records`), for
-tests and tooling.
 """
 
 from __future__ import annotations
@@ -28,13 +25,11 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_right
-from typing import Iterator
 
 from repro.isa.branch import CODE_BY_KIND, BranchKind
-from repro.workloads.compiled import BlockRecord, CompiledTrace
 from repro.workloads.program import BlockColumns, Program
 
-__all__ = ["BlockRecord", "TraceGenerator", "trace_statistics"]
+__all__ = ["TraceGenerator"]
 
 _COND = CODE_BY_KIND[BranchKind.DIRECT_COND]
 _UNCOND = CODE_BY_KIND[BranchKind.DIRECT_UNCOND]
@@ -150,37 +145,3 @@ class TraceGenerator:
                 raise AssertionError(f"non-branch terminator {kind}")
             append(block)
         return out, taken
-
-    def records(self, n_records: int) -> list[BlockRecord]:
-        """The first ``n_records`` records as :class:`BlockRecord`
-        objects (a view over :meth:`stream`)."""
-        return CompiledTrace.from_stream(
-            self.columns, *self.stream(n_records)).records()
-
-    def iter_records(self, n_records: int) -> Iterator[BlockRecord]:
-        """Iterate over :meth:`records`."""
-        return iter(self.records(n_records))
-
-
-def trace_statistics(records: list[BlockRecord]) -> dict[str, float]:
-    """Summary statistics used by tests and workload reports."""
-    if not records:
-        return {"records": 0, "instructions": 0}
-    instructions = sum(record.n_instr for record in records)
-    by_kind: dict[str, int] = {}
-    taken = 0
-    distinct_branches: set[int] = set()
-    for record in records:
-        by_kind[record.kind.value] = by_kind.get(record.kind.value, 0) + 1
-        taken += record.taken
-        distinct_branches.add(record.branch_pc)
-    stats: dict[str, float] = {
-        "records": len(records),
-        "instructions": instructions,
-        "instr_per_block": instructions / len(records),
-        "taken_fraction": taken / len(records),
-        "distinct_branch_pcs": len(distinct_branches),
-    }
-    for kind, count in by_kind.items():
-        stats[f"frac_{kind}"] = count / len(records)
-    return stats

@@ -11,8 +11,10 @@ import random
 
 import pytest
 
+from repro.frontend.engine import FrontEndSimulator
 from repro.isa.encoder import Encoder
 from repro.workloads.codegen import ProgramGenerator
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.trace import TraceGenerator
 
@@ -38,8 +40,8 @@ def micro_program():
 
 
 @pytest.fixture(scope="session")
-def micro_trace(micro_program):
-    return TraceGenerator(micro_program, seed=7).records(8_000)
+def micro_trace(micro_program) -> CompiledTrace:
+    return generate_trace(micro_program, 8_000, seed=7)
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +71,20 @@ def encoder() -> Encoder:
 def make_profile(**overrides) -> WorkloadProfile:
     """Micro profile with overrides (helper for workload tests)."""
     return dataclasses.replace(MICRO_PROFILE, **overrides)
+
+
+def generate_trace(program, n_records: int, seed: int = 0,
+                   **kwargs) -> CompiledTrace:
+    """``program``'s first ``n_records`` trace records, compiled."""
+    generator = TraceGenerator(program, seed=seed, **kwargs)
+    return CompiledTrace.from_stream(generator.columns,
+                                     *generator.stream(n_records))
+
+
+def simulate(program, trace, config, warmup: int = 0):
+    """A fresh simulator's ``run_compiled`` replay of ``trace``."""
+    return FrontEndSimulator(program, config).run_compiled(trace,
+                                                           warmup=warmup)
 
 
 def span_totals(rows) -> dict[str, dict[str, int]]:

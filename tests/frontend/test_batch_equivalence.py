@@ -31,15 +31,14 @@ from repro.obs import EventTrace
 from repro.obs.intervals import IntervalCollector
 from repro.workloads import (
     WORKLOAD_NAMES,
-    BlockRecord,
     CompiledTrace,
     TraceGenerator,
     build_program,
     build_trace,
-    compile_trace,
     get_profile,
 )
 from tests.frontend.oracle import oracle_cells, refuse_oracle
+from tests.workloads.records import BlockRecord, as_records, from_records
 
 RECORDS = 1_000
 WARMUP = 150
@@ -54,9 +53,9 @@ CONFIGS = {
 }
 
 
-def _oracle_run(program, records, config, seed=0, warmup=WARMUP):
+def _oracle_run(program, compiled, config, seed=0, warmup=WARMUP):
     simulator = FrontEndSimulator(program, config, seed=seed)
-    stats = simulator.run(records, warmup=warmup)
+    stats = simulator.run_compiled(compiled, warmup=warmup)
     return dataclasses.asdict(stats), simulator.metrics_snapshot()
 
 
@@ -70,10 +69,9 @@ def _batched_run(program, compiled, config, seed=0, warmup=WARMUP):
 def test_fig14_grid_bit_identity(workload):
     """Every (workload, config) cell: oracle == batched kernel."""
     program = build_program(workload, seed=0)
-    records = build_trace(workload, RECORDS, seed=0)
-    compiled = compile_trace(records)
+    compiled = build_trace(workload, RECORDS, seed=0)
     for name, config in CONFIGS.items():
-        obj_stats, obj_metrics = _oracle_run(program, records, config)
+        obj_stats, obj_metrics = _oracle_run(program, compiled, config)
         bat_stats, bat_metrics = _batched_run(program, compiled, config)
         assert bat_stats == obj_stats, (workload, name)
         assert bat_metrics == obj_metrics, (workload, name)
@@ -84,19 +82,17 @@ def test_seed_sweep_bit_identity(seed):
     """Seeds beyond the grid default stay bit-identical too."""
     for workload in ("voter", "kafka"):
         program = build_program(workload, seed=seed)
-        records = build_trace(workload, RECORDS, seed=seed)
-        compiled = compile_trace(records)
+        compiled = build_trace(workload, RECORDS, seed=seed)
         for name, config in CONFIGS.items():
             assert (_batched_run(program, compiled, config, seed=seed)
-                    == _oracle_run(program, records, config, seed=seed)), \
+                    == _oracle_run(program, compiled, config, seed=seed)), \
                 (workload, name, seed)
 
 
 def test_lane_sharing_matches_independent_runs():
     """N lanes over one shared table == N independent kernel runs."""
     program = build_program("voter", seed=0)
-    records = build_trace("voter", RECORDS, seed=0)
-    compiled = compile_trace(records)
+    compiled = build_trace("voter", RECORDS, seed=0)
     batch = BatchedFrontEndSimulator(chunk_records=257)  # force many chunks
     simulators = [FrontEndSimulator(program, config, seed=0)
                   for config in CONFIGS.values()]
@@ -105,7 +101,8 @@ def test_lane_sharing_matches_independent_runs():
     shared = batch.run()
     for simulator, stats, (name, config) in zip(simulators, shared,
                                                 CONFIGS.items()):
-        expect_stats, expect_metrics = _oracle_run(program, records, config)
+        expect_stats, expect_metrics = _oracle_run(program, compiled,
+                                                   config)
         assert dataclasses.asdict(stats) == expect_stats, name
         assert simulator.metrics_snapshot() == expect_metrics, name
 
@@ -142,9 +139,9 @@ class TestEdgeCases:
 
     def _both_paths(self, records, warmup):
         program = build_program("voter", seed=0)
-        compiled = compile_trace(records)
-        assert compiled.records() == records
-        return (_oracle_run(program, records, self.CONFIG, warmup=warmup),
+        compiled = from_records(records)
+        assert as_records(compiled) == records
+        return (_oracle_run(program, compiled, self.CONFIG, warmup=warmup),
                 _batched_run(program, compiled, self.CONFIG, warmup=warmup))
 
     def test_recurring_blocks_with_varying_outcomes(self):
@@ -152,7 +149,7 @@ class TestEdgeCases:
         its own taken bit and target."""
         records = _recurring_block_records(
             build_program("voter", seed=0).base_address)
-        assert compile_trace(records).n_blocks == 3
+        assert from_records(records).n_blocks == 3
         obj, bat = self._both_paths(records, warmup=100)
         assert bat == obj
 
@@ -161,31 +158,30 @@ class TestEdgeCases:
         assert bat == obj
 
     def test_single_record_trace(self):
-        records = build_trace("voter", 1, seed=0)
+        records = as_records(build_trace("voter", 1, seed=0))
         obj, bat = self._both_paths(records, warmup=0)
         assert bat == obj
 
     def test_warmup_exceeds_trace_length(self):
-        records = build_trace("voter", 50, seed=0)
+        records = as_records(build_trace("voter", 50, seed=0))
         obj, bat = self._both_paths(records, warmup=500)
         assert bat == obj
 
     def test_warmup_equals_trace_length(self):
-        records = build_trace("voter", 50, seed=0)
+        records = as_records(build_trace("voter", 50, seed=0))
         obj, bat = self._both_paths(records, warmup=50)
         assert bat == obj
 
     def test_warmup_boundary_mid_chunk(self):
         """The advance() warmup split, exercised inside one chunk."""
         program = build_program("voter", seed=0)
-        records = build_trace("voter", 300, seed=0)
-        compiled = compile_trace(records)
+        compiled = build_trace("voter", 300, seed=0)
         simulator = FrontEndSimulator(program, self.CONFIG, seed=0)
         batch = BatchedFrontEndSimulator(chunk_records=128)
         batch.add_lane(simulator, compiled, warmup=200)
         stats = batch.run()[0]
         expect_stats, expect_metrics = _oracle_run(
-            program, records, self.CONFIG, warmup=200)
+            program, compiled, self.CONFIG, warmup=200)
         assert dataclasses.asdict(stats) == expect_stats
         assert simulator.metrics_snapshot() == expect_metrics
 
@@ -228,7 +224,7 @@ def _assert_partial_chunks(program, compiled, expected):
 def test_numpy_partial_chunks():
     """The kernel over partial chunks matches the oracle."""
     program = build_program("voter", seed=0)
-    compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
+    compiled = build_trace("voter", RECORDS, seed=0)
     expected = {
         name: _run_with_intervals(program, compiled, config)
         for name, config in CONFIGS.items()
@@ -241,7 +237,7 @@ class TestSingleShot:
 
     def _ran_batch(self):
         program = build_program("voter", seed=0)
-        compiled = compile_trace(build_trace("voter", 3_000, seed=0))
+        compiled = build_trace("voter", 3_000, seed=0)
         simulator = FrontEndSimulator(program, CONFIGS["both"], seed=0)
         batch = BatchedFrontEndSimulator()
         batch.add_lane(simulator, compiled, warmup=500)
@@ -388,11 +384,11 @@ class TestSupportGating:
 
     def test_plain_simulator_is_supported(self):
         simulator = self._simulator()
-        compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
+        compiled = build_trace("voter", RECORDS, seed=0)
         assert fastforward_reason(simulator) is None
         stats = run_compiled_batched(simulator, compiled, warmup=WARMUP)
-        expected, _ = _oracle_run(simulator.program, build_trace(
-            "voter", RECORDS, seed=0), simulator.config)
+        expected, _ = _oracle_run(simulator.program, compiled,
+                                  simulator.config)
         assert dataclasses.asdict(stats) == expected
 
 
@@ -439,7 +435,7 @@ class TestHarnessPaths:
         simulator = FrontEndSimulator(build_program("voter", seed=0), config,
                                       seed=0)
         aggregator = simulator.attach_attribution()
-        oracle(simulator, compile_trace(build_trace("voter", RECORDS,
-                                                    seed=0)), warmup=WARMUP)
+        oracle(simulator, build_trace("voter", RECORDS, seed=0),
+               warmup=WARMUP)
         assert runner.attribution_for("voter", config) == \
             aggregator.to_jsonable()

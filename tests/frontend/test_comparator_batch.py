@@ -31,7 +31,7 @@ from repro.frontend.fastforward import (
 from repro.harness.parallel import Cell, ParallelRunner
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
-from repro.workloads import build_program, build_trace, compile_trace
+from repro.workloads import build_program, build_trace
 from tests.frontend.oracle import oracle_cells, refuse_oracle
 
 RECORDS = 1_000
@@ -50,9 +50,9 @@ COMPARATOR_CONFIGS = {
 }
 
 
-def _oracle_run(program, records, config, seed=0):
+def _oracle_run(program, compiled, config, seed=0):
     simulator = FrontEndSimulator(program, config, seed=seed)
-    stats = simulator.run(records, warmup=WARMUP)
+    stats = simulator.run_compiled(compiled, warmup=WARMUP)
     return dataclasses.asdict(stats), simulator.metrics_snapshot()
 
 
@@ -68,9 +68,8 @@ def test_comparator_cell_bit_identity(name):
     config = COMPARATOR_CONFIGS[name]
     for workload in ("voter", "kafka"):
         program = build_program(workload, seed=0)
-        records = build_trace(workload, RECORDS, seed=0)
-        compiled = compile_trace(records)
-        obj_stats, obj_metrics = _oracle_run(program, records, config)
+        compiled = build_trace(workload, RECORDS, seed=0)
+        obj_stats, obj_metrics = _oracle_run(program, compiled, config)
         bat_stats, bat_metrics = _batched_run(program, compiled, config)
         assert bat_stats == obj_stats, (workload, name)
         assert bat_metrics == obj_metrics, (workload, name)
@@ -80,7 +79,7 @@ def test_comparator_hooks_fire_on_kernel():
     """The equivalence above is not vacuous: the kernel actually drives
     the comparator (probes on BTB misses, predecodes, demand hits)."""
     program = build_program("voter", seed=0)
-    compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
+    compiled = build_trace("voter", RECORDS, seed=0)
     simulator = FrontEndSimulator(program, _SMALL_BTB.with_fdip_depth(2),
                                   seed=0)
     run_compiled_batched(simulator, compiled, warmup=WARMUP)
@@ -93,8 +92,7 @@ def test_comparator_hooks_fire_on_kernel():
 def test_comparator_lane_sharing():
     """All designs as lanes over one shared compiled table."""
     program = build_program("voter", seed=0)
-    records = build_trace("voter", RECORDS, seed=0)
-    compiled = compile_trace(records)
+    compiled = build_trace("voter", RECORDS, seed=0)
     shared = BatchedFrontEndSimulator(chunk_records=257)
     simulators = [FrontEndSimulator(program, config, seed=0)
                   for config in COMPARATOR_CONFIGS.values()]
@@ -103,7 +101,8 @@ def test_comparator_lane_sharing():
     results = shared.run()
     for simulator, stats, (name, config) in zip(simulators, results,
                                                 COMPARATOR_CONFIGS.items()):
-        expect_stats, expect_metrics = _oracle_run(program, records, config)
+        expect_stats, expect_metrics = _oracle_run(program, compiled,
+                                                   config)
         assert dataclasses.asdict(stats) == expect_stats, name
         assert simulator.metrics_snapshot() == expect_metrics, name
 

@@ -10,8 +10,8 @@ from repro.frontend.comparators import (COMPARATOR_NAMES, COMPARATORS,
                                         build_comparator,
                                         comparator_size_bytes)
 from repro.frontend.config import FrontEndConfig, SkiaConfig
-from repro.frontend.engine import simulate
 from repro.isa.branch import BranchKind
+from tests.conftest import simulate
 
 
 class TestAirBTBLite:

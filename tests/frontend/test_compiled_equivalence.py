@@ -1,15 +1,14 @@
-"""``run`` over object records agrees with the harness's compiled traces.
+"""Object records lowered afresh agree with the harness's compiled traces.
 
-``FrontEndSimulator.run`` lowers its records itself, with no line
-columns precomputed (they are derived for the config's line size on
-first use).  The harness instead replays the workload cache's compiled
-traces, whose 64-byte line columns are precompiled, on the lane
+``from_records`` (the tests' record lowering) builds its block table in
+first-execution order, with no line columns derived yet.  The harness
+instead replays the workload cache's compiled traces on the lane
 kernel -- and each pool worker compiles the traces of its own groups.
-These tests pin that ``run``, ``run_compiled`` and the kernel yield the
-same ``SimStats``, metric snapshot, event stream, timeline and
-attribution artifact over the Figure-14 grid, and that ``run_compiled``
-over the workload cache's traces and the serial and parallel harness
-paths match direct ``run`` calls.
+These tests pin that ``run_compiled`` over lowered records, over the
+cache's trace and the kernel yield the same ``SimStats``, metric
+snapshot, event stream, timeline and attribution artifact over the
+Figure-14 grid, and that the serial and parallel harness paths match
+``run_compiled`` over lowered records.
 """
 
 import dataclasses
@@ -24,8 +23,8 @@ from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.obs import EventTrace, TimelineRecorder
 from repro.workloads import WORKLOAD_NAMES, build_program, build_trace
-from repro.workloads.cache import build_compiled_trace
 from tests.frontend.oracle import oracle_cells
+from tests.workloads.records import as_records, from_records
 
 RECORDS = 1_000
 WARMUP = 150
@@ -54,14 +53,15 @@ def _observed_run(program, config, replay):
 
 @pytest.mark.parametrize("workload", WORKLOAD_NAMES)
 def test_fig14_grid_bit_identity(workload):
-    """Every (workload, config) cell: ``run`` == ``run_compiled`` ==
-    the lane kernel, with every observer attached."""
+    """Every (workload, config) cell: lowered records == the cache's
+    trace == the lane kernel, with every observer attached."""
     program = build_program(workload, seed=0)
-    records = build_trace(workload, RECORDS, seed=0)
-    compiled = build_compiled_trace(workload, RECORDS, seed=0)
+    compiled = build_trace(workload, RECORDS, seed=0)
+    lowered = from_records(as_records(compiled))
     for name, config in CONFIGS.items():
         via_records = _observed_run(
-            program, config, lambda sim: sim.run(records, warmup=WARMUP))
+            program, config,
+            lambda sim: sim.run_compiled(lowered, warmup=WARMUP))
         via_compiled = _observed_run(
             program, config,
             lambda sim: sim.run_compiled(compiled, warmup=WARMUP))
@@ -75,7 +75,7 @@ def test_fig14_grid_bit_identity(workload):
 
 class TestHarnessPaths:
     """``run_compiled`` over the workload cache's traces, and the
-    harness cells, match direct ``run`` calls."""
+    harness cells, match ``run_compiled`` over lowered records."""
 
     SCALE = Scale("compiledequiv", records=RECORDS, warmup=WARMUP)
     CELLS = [Cell(workload, config, 0, False)
@@ -86,8 +86,8 @@ class TestHarnessPaths:
         for got, cell in zip(results, self.CELLS, strict=True):
             simulator = FrontEndSimulator(
                 build_program(cell.workload, seed=0), cell.config, seed=0)
-            expect = simulator.run(build_trace(cell.workload, RECORDS,
-                                               seed=0), warmup=WARMUP)
+            expect = simulator.run_compiled(from_records(as_records(
+                build_trace(cell.workload, RECORDS, seed=0))), warmup=WARMUP)
             assert dataclasses.asdict(got) == dataclasses.asdict(expect), \
                 cell
 

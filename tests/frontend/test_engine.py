@@ -3,7 +3,8 @@
 import pytest
 
 from repro.frontend.config import FrontEndConfig, SkiaConfig
-from repro.frontend.engine import FrontEndSimulator, simulate
+from repro.frontend.engine import FrontEndSimulator
+from tests.conftest import simulate
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +22,9 @@ def skia_stats(micro_program, micro_trace):
 class TestAccounting:
     def test_counts_post_warmup_records_only(self, micro_trace,
                                              baseline_stats):
-        measured = micro_trace[2_000:]
+        measured = micro_trace.column("n_instr")[2_000:]
         assert baseline_stats.blocks == len(measured)
-        assert baseline_stats.instructions == sum(
-            record.n_instr for record in measured)
+        assert baseline_stats.instructions == sum(measured)
 
     def test_ipc_in_sane_range(self, baseline_stats):
         assert 0.1 < baseline_stats.ipc < 12.0
@@ -132,12 +132,13 @@ class TestConfigurationEffects:
 
 class TestRunArguments:
     def test_zero_warmup(self, micro_program, micro_trace):
-        stats = simulate(micro_program, micro_trace[:1000], FrontEndConfig())
+        stats = simulate(micro_program, micro_trace.prefix(1000),
+                         FrontEndConfig())
         assert stats.blocks == 1000
 
     def test_requires_records(self, micro_program):
         simulator = FrontEndSimulator(micro_program, FrontEndConfig())
         with pytest.raises(TypeError):
-            simulator.run()
-        with pytest.raises(TypeError):
-            simulator.run(None)
+            simulator.run_compiled()
+        with pytest.raises(AttributeError):
+            simulator.run_compiled(None)

@@ -34,8 +34,9 @@ RECORDS = 1_200
 @lru_cache(maxsize=None)
 def _workload(seed: int):
     program = ProgramGenerator(MICRO_PROFILE, seed=seed).generate()
-    records = TraceGenerator(program, seed=seed).records(RECORDS)
-    return program, CompiledTrace.from_records(records)
+    generator = TraceGenerator(program, seed=seed)
+    return program, CompiledTrace.from_stream(generator.columns,
+                                              *generator.stream(RECORDS))
 
 
 def _sbb(draw, prefix: str) -> dict:

@@ -9,7 +9,7 @@ import pytest
 from repro.frontend.config import FrontEndConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.isa.branch import BranchKind
-from repro.workloads.trace import BlockRecord
+from tests.workloads.records import BlockRecord, from_records
 
 
 def loop_record(pc=0x400000, n_instr=4, branch_offset=16):
@@ -48,7 +48,7 @@ class TestSteadyState:
         """Everything hits: the front-end sustains 1 block/cycle, so
         IPC equals instructions per block."""
         records = [loop_record()] * 3_000
-        stats = simulator.run(records, warmup=1_000)
+        stats = simulator.run_compiled(from_records(records), warmup=1_000)
         cycles_per_block = stats.cycles / stats.blocks
         assert cycles_per_block == pytest.approx(1.0, abs=0.05)
         assert stats.ipc == pytest.approx(4.0, rel=0.05)
@@ -59,12 +59,12 @@ class TestSteadyState:
         config = FrontEndConfig(backend_effective_width=4.0)
         simulator = FrontEndSimulator(micro_program, config)
         records = [loop_record(n_instr=40)] * 2_000
-        stats = simulator.run(records, warmup=500)
+        stats = simulator.run_compiled(from_records(records), warmup=500)
         assert stats.ipc == pytest.approx(4.0, rel=0.05)
 
     def test_decoder_never_idle_in_steady_loop(self, simulator):
         records = [loop_record()] * 3_000
-        stats = simulator.run(records, warmup=1_000)
+        stats = simulator.run_compiled(from_records(records), warmup=1_000)
         assert stats.decoder_idle_cycles < stats.cycles * 0.02
 
 
@@ -73,7 +73,7 @@ class TestLatencyHiding:
         """A 64-line loop fits the 32KB L1-I: after one traversal there
         are no more instruction misses."""
         records = chain_records(64) * 40
-        stats = simulator.run(records, warmup=640)
+        stats = simulator.run_compiled(from_records(records), warmup=640)
         assert stats.l1i_misses == 0
 
     def test_l2_resident_loop_mostly_hidden_by_runahead(self, micro_program):
@@ -84,7 +84,8 @@ class TestLatencyHiding:
         simulator = FrontEndSimulator(micro_program, config)
         n_lines = (config.l1i_size // 64) * 3  # 3x the L1-I capacity
         records = chain_records(n_lines) * 6
-        stats = simulator.run(records, warmup=n_lines)
+        stats = simulator.run_compiled(from_records(records),
+                                       warmup=n_lines)
         assert stats.l1i_misses > 0
         # Without any hiding each miss would add ~14 cycles to its
         # block; require at least half hidden.
@@ -93,7 +94,7 @@ class TestLatencyHiding:
 
     def test_fetch_stalls_recorded_on_cold_start(self, simulator):
         records = chain_records(200)
-        stats = simulator.run(records, warmup=0)
+        stats = simulator.run_compiled(from_records(records), warmup=0)
         assert stats.fetch_stall_cycles > 0
 
 
@@ -102,7 +103,7 @@ class TestResteerCosts:
         """First-ever taken jump: a decode resteer whose bubble shows up
         in decoder idle cycles."""
         records = [loop_record()] * 100
-        stats = simulator.run(records, warmup=0)
+        stats = simulator.run_compiled(from_records(records), warmup=0)
         assert stats.decode_resteers == 1  # only the first encounter
         assert stats.decoder_idle_cycles > 0
 
@@ -113,8 +114,10 @@ class TestResteerCosts:
         simulator = FrontEndSimulator(micro_program, config)
         records = [loop_record()] * 400
         baseline_like = FrontEndSimulator(micro_program, config)
-        warm = baseline_like.run([loop_record()] * 400, warmup=399)
-        cold = simulator.run([loop_record()] * 400, warmup=0)
+        warm = baseline_like.run_compiled(
+            from_records([loop_record()] * 400), warmup=399)
+        cold = simulator.run_compiled(from_records([loop_record()] * 400),
+                                      warmup=0)
         # One resteer across 400 blocks: average extra cycles per block
         # times blocks gives the bubble; bound it loosely.
         bubble = cold.cycles - 400 * (warm.cycles / warm.blocks)
@@ -139,10 +142,10 @@ class TestResteerCosts:
                     fallthrough=pc + 21, next_pc=target))
             return records
 
-        direct = FrontEndSimulator(micro_program, config).run(
-            stream(BranchKind.DIRECT_UNCOND), warmup=0)
-        indirect = FrontEndSimulator(micro_program, config).run(
-            stream(BranchKind.INDIRECT_UNCOND), warmup=0)
+        direct = FrontEndSimulator(micro_program, config).run_compiled(
+            from_records(stream(BranchKind.DIRECT_UNCOND)), warmup=0)
+        indirect = FrontEndSimulator(micro_program, config).run_compiled(
+            from_records(stream(BranchKind.INDIRECT_UNCOND)), warmup=0)
         assert indirect.cycles > direct.cycles
 
 
@@ -152,8 +155,8 @@ class TestFTQBackpressure:
         config_large = FrontEndConfig(ftq_size=24)
         n_lines = (32 * 1024 // 64) * 3
         records = chain_records(n_lines) * 5
-        small = FrontEndSimulator(micro_program, config_small).run(
-            records, warmup=n_lines)
-        large = FrontEndSimulator(micro_program, config_large).run(
-            records, warmup=n_lines)
+        small = FrontEndSimulator(micro_program, config_small).run_compiled(
+            from_records(records), warmup=n_lines)
+        large = FrontEndSimulator(micro_program, config_large).run_compiled(
+            from_records(records), warmup=n_lines)
         assert large.cycles <= small.cycles

@@ -1,8 +1,8 @@
 """Cycle fast-forwarding: detection, digests, exactness, fallbacks.
 
 The contract under test: with ``REPRO_FASTFORWARD`` on (the default),
-both engines -- the ``run_compiled`` oracle (also reached through
-``run`` over object records) and the batched lane kernel -- produce
+both engines -- the ``run_compiled`` oracle (also over object records
+lowered by ``from_records``) and the batched lane kernel -- produce
 byte-identical ``SimStats``, metric snapshots and interval series to a
 non-fast-forwarded run, whether or not a skip engages; and
 every ineligible run falls back to plain stepping with a counted reason
@@ -24,13 +24,9 @@ from repro.harness.parallel import Cell
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import Scale
 from repro.obs import EventTrace, TimelineRecorder, digests, divergence
-from repro.workloads import (
-    WORKLOAD_NAMES,
-    build_program,
-    build_trace,
-    compile_trace,
-)
+from repro.workloads import WORKLOAD_NAMES, build_program, build_trace
 from repro.workloads.cache import WorkloadCache
+from tests.workloads.records import as_records, from_records
 
 #: The exactly-periodic workload (round-robin dispatch, no stochastic
 #: branches) whose cells actually engage a skip.
@@ -46,8 +42,9 @@ CONFIGS = {
 
 @functools.lru_cache(maxsize=2)
 def _steady(seed, n_records=RECORDS):
-    records = build_trace(STEADY, n_records, seed=seed)
-    return build_program(STEADY, seed=seed), records, compile_trace(records)
+    compiled = build_trace(STEADY, n_records, seed=seed)
+    return (build_program(STEADY, seed=seed), as_records(compiled),
+            compiled)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +59,8 @@ def _run(program, compiled, config, engine, monkeypatch, on,
     if engine == "compiled":
         stats = simulator.run_compiled(compiled, warmup=warmup)
     elif engine == "object":
-        stats = simulator.run(compiled.records(), warmup=warmup)
+        stats = simulator.run_compiled(from_records(as_records(compiled)),
+                                       warmup=warmup)
     else:
         stats = run_compiled_batched(simulator, compiled, warmup=warmup)
     series = (simulator.intervals.series().to_json_text()
@@ -92,13 +90,12 @@ class TestPeriodDetection:
         assert compiled._period_cache == compiled.period()
 
     def test_aperiodic_stock_trace_has_no_period(self):
-        records = build_trace("voter", 6_000, seed=0)
-        assert compile_trace(records).period() is None
+        assert build_trace("voter", 6_000, seed=0).period() is None
 
     def test_trace_shorter_than_two_periods_has_no_period(self):
-        records = build_trace(STEADY, 24_000, seed=0)
-        period, _ = compile_trace(records).period()
-        assert compile_trace(records[:period + period // 2]).period() is None
+        compiled = build_trace(STEADY, 24_000, seed=0)
+        period, _ = compiled.period()
+        assert compiled.prefix(period + period // 2).period() is None
 
     def test_every_steady_seed_has_a_period(self):
         # On some seeds (8, 18, 20, ...) the 16-record tail needle recurs
@@ -158,9 +155,9 @@ def _voter(n_records=400):
 
 def _warm(config=CONFIGS["skia"]):
     """A simulator after a 400-record voter warm-up."""
-    program, records = _voter()
+    program, compiled = _voter()
     simulator = FrontEndSimulator(program, config, seed=0)
-    simulator.run(records, warmup=0)
+    simulator.run_compiled(compiled, warmup=0)
     return simulator
 
 
@@ -267,18 +264,18 @@ class TestDigests:
         assert divergence.state_digest is digests.state_digest
 
     def test_state_digest_identical_across_import_paths(self, steady):
-        program, records, _ = steady
+        program, _, compiled = steady
         simulator = FrontEndSimulator(program, CONFIGS["skia"], seed=0)
-        simulator.run(records[:500], warmup=100)
+        simulator.run_compiled(compiled.prefix(500), warmup=100)
         assert (divergence.state_digest(simulator)
                 == digests.state_digest(simulator))
 
     def test_probe_digest_reflects_structure_state(self, steady):
-        program, records, _ = steady
+        program, _, compiled = steady
 
         def probe(n_records):
             simulator = FrontEndSimulator(program, CONFIGS["skia"], seed=0)
-            simulator.run(records[:n_records], warmup=0)
+            simulator.run_compiled(compiled.prefix(n_records), warmup=0)
             state = fastforward.ProbeState(
                 0.0, 0.0, 0.0, 0.0, [], True, 0, 0, 0)
             return digests.probe_digest(simulator, state, 0.0)
@@ -450,18 +447,18 @@ class TestEngagedIdentity:
 class TestFallbacks:
     def test_trace_too_short_for_the_probe_quantum(self, steady,
                                                    monkeypatch):
-        program, records, compiled = steady
+        program, _, compiled = steady
         period, _ = compiled.period()
         monkeypatch.setenv("REPRO_FASTFORWARD", "1")
-        short = records[:period * 2]  # periodic, but no room to probe
+        short = compiled.prefix(period * 2)  # periodic, no room to probe
         simulator = FrontEndSimulator(program, CONFIGS["base"], seed=0)
-        stats = simulator.run(short, warmup=period)
+        stats = simulator.run_compiled(short, warmup=period)
         reason = simulator.fastforward_summary["reason"]
         assert reason in ("trace too short for the probe quantum",
                           "no detected period")
         monkeypatch.setenv("REPRO_FASTFORWARD", "0")
         oracle = FrontEndSimulator(program, CONFIGS["base"], seed=0)
-        expected = oracle.run(short, warmup=period)
+        expected = oracle.run_compiled(short, warmup=period)
         assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
 
     def test_digest_never_repeats_falls_back_cleanly(self, steady,
@@ -496,8 +493,8 @@ class TestFallbacks:
                                                   monkeypatch):
         # Each artifact observes every record, so a skip would lose its
         # output: the run steps every record and reports why.
-        program, records, _ = steady
-        compiled = compile_trace(records[:2_000])
+        program, _, steady_trace = steady
+        compiled = steady_trace.prefix(2_000)
         monkeypatch.setenv("REPRO_FASTFORWARD", "1")
         for reason, attach in (
                 ("event trace attached",
@@ -540,8 +537,7 @@ GRID_WARMUP = 150
 def test_fig14_grid_on_off_identity(workload, monkeypatch):
     """Stats + metrics + interval series identical, on vs off, per cell."""
     program = build_program(workload, seed=0)
-    records = build_trace(workload, GRID_RECORDS, seed=0)
-    compiled = compile_trace(records)
+    compiled = build_trace(workload, GRID_RECORDS, seed=0)
     for config in GRID_CONFIGS:
         config = dataclasses.replace(config, interval_size=100)
         for engine in ("compiled", "batched"):

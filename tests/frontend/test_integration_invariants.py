@@ -3,8 +3,9 @@
 import pytest
 
 from repro.frontend.config import FrontEndConfig, SkiaConfig
-from repro.frontend.engine import simulate
 from repro.isa.branch import BranchKind
+from tests.conftest import simulate
+from tests.workloads.records import as_records
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ class TestAccountingInvariants:
         for kind in BranchKind:
             if not kind.is_branch:
                 continue
-            expected = sum(1 for record in micro_trace[2_000:]
+            expected = sum(1 for record in as_records(micro_trace)[2_000:]
                            if record.kind is kind)
             assert stats.branches[kind] == expected
 

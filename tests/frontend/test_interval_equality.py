@@ -16,12 +16,7 @@ import pytest
 from repro.frontend.batch import BatchedFrontEndSimulator, run_compiled_batched
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.workloads import (
-    WORKLOAD_NAMES,
-    build_program,
-    build_trace,
-    compile_trace,
-)
+from repro.workloads import WORKLOAD_NAMES, build_program, build_trace
 
 RECORDS = 1_000
 WARMUP = 150
@@ -50,7 +45,7 @@ def _series_text(program, compiled, config, engine, warmup=WARMUP):
 def test_fig14_grid_three_way_byte_identity(workload):
     """Compiled == batched, byte-for-byte, for every cell."""
     program = build_program(workload, seed=0)
-    compiled = compile_trace(build_trace(workload, RECORDS, seed=0))
+    compiled = build_trace(workload, RECORDS, seed=0)
     for name, config in CONFIGS.items():
         assert (_series_text(program, compiled, config, "batched")
                 == _series_text(program, compiled, config, "compiled")), \
@@ -60,36 +55,35 @@ def test_fig14_grid_three_way_byte_identity(workload):
 class TestEdgeCases:
     CONFIG = FrontEndConfig(skia=SkiaConfig(), interval_size=WINDOW)
 
-    def _both_engines(self, records, warmup=WARMUP):
+    def _both_engines(self, compiled, warmup=WARMUP):
         program = build_program("voter", seed=0)
-        compiled = compile_trace(records)
         return [_series_text(program, compiled, self.CONFIG, engine,
                              warmup=warmup)
                 for engine in ("compiled", "batched")]
 
     def test_trace_shorter_than_one_window(self):
-        records = build_trace("voter", 40, seed=0)
-        comp, bat = self._both_engines(records, warmup=10)
+        compiled = build_trace("voter", 40, seed=0)
+        comp, bat = self._both_engines(compiled, warmup=10)
         assert bat == comp
         assert '"ends":[40]' in comp
 
     def test_warmup_crossing_a_window_boundary(self):
         # WARMUP=150 lands mid-window at WINDOW=100: the counting flip
         # happens inside window 1 on every engine.
-        records = build_trace("voter", RECORDS, seed=0)
-        comp, bat = self._both_engines(records, warmup=150)
+        compiled = build_trace("voter", RECORDS, seed=0)
+        comp, bat = self._both_engines(compiled, warmup=150)
         assert bat == comp
 
     def test_partial_final_window(self):
-        records = build_trace("voter", 250, seed=0)
-        comp, bat = self._both_engines(records, warmup=0)
+        compiled = build_trace("voter", 250, seed=0)
+        comp, bat = self._both_engines(compiled, warmup=0)
         assert bat == comp
         assert '"ends":[100,200,250]' in comp
 
     def test_window_straddles_kernel_chunks(self):
         """A window larger than the kernel chunk still cuts identically."""
         program = build_program("voter", seed=0)
-        compiled = compile_trace(build_trace("voter", RECORDS, seed=0))
+        compiled = build_trace("voter", RECORDS, seed=0)
         config = dataclasses.replace(self.CONFIG, interval_size=300)
         expected = _series_text(program, compiled, config, "compiled")
         simulator = FrontEndSimulator(program, config, seed=0)
@@ -100,8 +94,7 @@ class TestEdgeCases:
 
     def test_interval_size_zero_disables_on_every_engine(self):
         program = build_program("voter", seed=0)
-        records = build_trace("voter", 200, seed=0)
-        compiled = compile_trace(records)
+        compiled = build_trace("voter", 200, seed=0)
         config = FrontEndConfig(skia=SkiaConfig())
         for engine, run in (
                 ("compiled", lambda s: s.run_compiled(compiled, warmup=0)),
@@ -115,7 +108,7 @@ class TestEdgeCases:
         """Seeded predictor noise stays engine-invariant too."""
         for seed in (1, 2):
             program = build_program("voter", seed=seed)
-            compiled = compile_trace(build_trace("voter", RECORDS, seed=seed))
+            compiled = build_trace("voter", RECORDS, seed=seed)
             texts = [_series_text(program, compiled, self.CONFIG, engine)
                      for engine in ("compiled", "batched")]
             assert texts[1] == texts[0], seed

@@ -74,13 +74,13 @@ def test_bisector_leaves_no_cyclic_garbage(cache):
     reference counting: an engine-vs-engine bisection (state probes on
     every window) and a cross-config one (fine pass, oracle events)."""
     program = cache.program("noop", seed=0)
-    records = cache.compiled("noop", SCALE.records, seed=0).records()
+    compiled = cache.compiled("noop", SCALE.records, seed=0)
     config = FrontEndConfig(skia=SkiaConfig())
 
     def bisect() -> None:
-        assert bisect_divergence(program, records, config, window=500,
+        assert bisect_divergence(program, compiled, config, window=500,
                                  warmup=SCALE.warmup).identical
-        assert not bisect_divergence(program, records, config,
+        assert not bisect_divergence(program, compiled, config,
                                      FrontEndConfig(), window=500,
                                      warmup=SCALE.warmup).identical
 

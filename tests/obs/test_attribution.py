@@ -258,7 +258,7 @@ def attributed_sim(micro_program, micro_trace):
     simulator = FrontEndSimulator(micro_program, config)
     simulator.attach_trace(EventTrace(capacity=4))
     simulator.attach_attribution()
-    simulator.run(micro_trace, warmup=2_000)
+    simulator.run_compiled(micro_trace, warmup=2_000)
     return simulator
 
 

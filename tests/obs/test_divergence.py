@@ -28,11 +28,11 @@ SKIA = FrontEndConfig(skia=SkiaConfig())
 
 
 @pytest.fixture(scope="module")
-def records(micro_trace):
-    return micro_trace[:RECORDS]
+def trace(micro_trace):
+    return micro_trace.prefix(RECORDS)
 
 
-def _first_divergent_record(program, records, config_a, config_b,
+def _first_divergent_record(program, trace, config_a, config_b,
                             warmup=WARMUP):
     """Brute-force oracle: per-record rows over the whole trace."""
     sides = []
@@ -41,7 +41,7 @@ def _first_divergent_record(program, records, config_a, config_b,
         simulator = FrontEndSimulator(program, config, seed=0)
         collector = IntervalCollector(1)
         simulator.attach_intervals(collector)
-        simulator.run(records, warmup=warmup)
+        simulator.run_compiled(trace, warmup=warmup)
         sides.append(collector.rows)
     for index, (row_a, row_b) in enumerate(zip(*sides)):
         if row_a != row_b:
@@ -51,10 +51,10 @@ def _first_divergent_record(program, records, config_a, config_b,
 
 class TestIdenticalSides:
     @pytest.mark.parametrize("engine_b", ["compiled", "batched"])
-    def test_engine_pairs_are_clean(self, micro_program, records,
+    def test_engine_pairs_are_clean(self, micro_program, trace,
                                     engine_b):
         report = bisect_divergence(
-            micro_program, records, SKIA, engine_a="compiled",
+            micro_program, trace, SKIA, engine_a="compiled",
             engine_b=engine_b, warmup=WARMUP, window=WINDOW)
         assert report.identical
         assert report.window is None
@@ -62,9 +62,9 @@ class TestIdenticalSides:
         assert report.windows_compared == RECORDS // WINDOW
         assert "identical" in report.render()
 
-    def test_same_engine_same_config(self, micro_program, records):
+    def test_same_engine_same_config(self, micro_program, trace):
         report = bisect_divergence(
-            micro_program, records, SKIA, engine_a="batched",
+            micro_program, trace, SKIA, engine_a="batched",
             engine_b="batched", warmup=WARMUP, window=WINDOW)
         assert report.identical
 
@@ -76,13 +76,13 @@ class TestSeededDivergence:
         lambda c: dataclasses.replace(c, exec_resolve_delay=10.0),
     ], ids=["btb64", "ras2", "resolve10"])
     def test_bisect_matches_brute_force_oracle(self, micro_program,
-                                               records, perturb):
+                                               trace, perturb):
         config_b = perturb(SKIA)
-        expected = _first_divergent_record(micro_program, records, SKIA,
+        expected = _first_divergent_record(micro_program, trace, SKIA,
                                            config_b)
         assert expected is not None, "perturbation produced no divergence"
         report = bisect_divergence(
-            micro_program, records, SKIA, config_b, engine_a="compiled",
+            micro_program, trace, SKIA, config_b, engine_a="compiled",
             engine_b="compiled", warmup=WARMUP, window=WINDOW,
             oracle_events=False)
         assert not report.identical
@@ -92,9 +92,9 @@ class TestSeededDivergence:
         assert report.record_counters
 
     def test_oracle_events_cover_the_divergent_record(self, micro_program,
-                                                      records):
+                                                      trace):
         report = bisect_divergence(
-            micro_program, records, SKIA, SKIA.with_btb_entries(64),
+            micro_program, trace, SKIA, SKIA.with_btb_entries(64),
             engine_a="compiled", engine_b="compiled", warmup=WARMUP,
             window=WINDOW)
         assert report.events_a and report.events_b
@@ -104,9 +104,9 @@ class TestSeededDivergence:
         assert "first divergent window" in rendered
         assert f"first divergent record: {report.record_index}" in rendered
 
-    def test_report_is_json_serializable(self, micro_program, records):
+    def test_report_is_json_serializable(self, micro_program, trace):
         report = bisect_divergence(
-            micro_program, records, SKIA, SKIA.with_btb_entries(64),
+            micro_program, trace, SKIA, SKIA.with_btb_entries(64),
             engine_a="compiled", engine_b="compiled", warmup=WARMUP,
             window=WINDOW, oracle_events=False)
         payload = json.loads(json.dumps(report.to_jsonable()))
@@ -115,9 +115,9 @@ class TestSeededDivergence:
         assert payload["record_index"] == report.record_index
 
     def test_state_diff_reports_counter_movement(self, micro_program,
-                                                 records):
+                                                 trace):
         report = bisect_divergence(
-            micro_program, records, SKIA, SKIA.with_btb_entries(64),
+            micro_program, trace, SKIA, SKIA.with_btb_entries(64),
             engine_a="compiled", engine_b="compiled", warmup=WARMUP,
             window=WINDOW, oracle_events=False)
         assert report.state_diff  # snapshots differ after the prefix
@@ -125,23 +125,23 @@ class TestSeededDivergence:
 
 class TestStateDigest:
     def test_deterministic_and_state_sensitive(self, micro_program,
-                                               records):
+                                               trace):
         a = FrontEndSimulator(micro_program, SKIA, seed=0)
         b = FrontEndSimulator(micro_program, SKIA, seed=0)
         assert state_digest(a) == state_digest(b)
-        a.run(records[:100], warmup=0)
+        a.run_compiled(trace.prefix(100), warmup=0)
         assert state_digest(a) != state_digest(b)
-        b.run(records[:100], warmup=0)
+        b.run_compiled(trace.prefix(100), warmup=0)
         assert state_digest(a) == state_digest(b)
 
     def test_window_digests_expose_comparison_units(self, micro_program,
-                                                    records):
+                                                    trace):
         config = dataclasses.replace(SKIA, interval_size=0)
         simulator = FrontEndSimulator(micro_program, config, seed=0)
         collector = IntervalCollector(
             WINDOW, state_probe=lambda: state_digest(simulator))
         simulator.attach_intervals(collector)
-        simulator.run(records, warmup=WARMUP)
+        simulator.run_compiled(trace, warmup=WARMUP)
         digests = window_digests(collector)
         assert len(digests) == RECORDS // WINDOW
         assert all(d.state_hash for d in digests)
@@ -149,12 +149,12 @@ class TestStateDigest:
 
 
 class TestValidation:
-    def test_window_must_be_positive(self, micro_program, records):
+    def test_window_must_be_positive(self, micro_program, trace):
         with pytest.raises(ValueError):
-            bisect_divergence(micro_program, records, SKIA, window=0)
+            bisect_divergence(micro_program, trace, SKIA, window=0)
 
-    def test_unknown_engine_rejected(self, micro_program, records):
+    def test_unknown_engine_rejected(self, micro_program, trace):
         with pytest.raises(ValueError):
-            bisect_divergence(micro_program, records, SKIA,
+            bisect_divergence(micro_program, trace, SKIA,
                               engine_a="quantum", engine_b="compiled",
                               warmup=0, window=WINDOW)

@@ -18,7 +18,7 @@ def run_simulator(micro_program, micro_trace, config,
     simulator = FrontEndSimulator(micro_program, config)
     if trace_capacity is not None:
         simulator.attach_trace(EventTrace(capacity=trace_capacity))
-    simulator.run(micro_trace, warmup=warmup)
+    simulator.run_compiled(micro_trace, warmup=warmup)
     return simulator
 
 

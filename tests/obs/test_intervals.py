@@ -26,16 +26,16 @@ WINDOW = 100
 
 
 @pytest.fixture(scope="module")
-def records(micro_trace):
-    return micro_trace[:RECORDS]
+def trace(micro_trace):
+    return micro_trace.prefix(RECORDS)
 
 
 @pytest.fixture(scope="module")
-def skia_run(micro_program, records):
+def skia_run(micro_program, trace):
     config = dataclasses.replace(FrontEndConfig(skia=SkiaConfig()),
                                  interval_size=WINDOW)
     simulator = FrontEndSimulator(micro_program, config)
-    stats = simulator.run(records, warmup=WARMUP)
+    stats = simulator.run_compiled(trace, warmup=WARMUP)
     return simulator, stats
 
 
@@ -49,35 +49,35 @@ class TestCollectorGeometry:
         assert series.warmup == WARMUP
 
     def test_exact_multiple_has_no_duplicate_final_window(
-            self, micro_program, records):
+            self, micro_program, trace):
         config = dataclasses.replace(FrontEndConfig(), interval_size=100)
         simulator = FrontEndSimulator(micro_program, config)
-        simulator.run(records[:500], warmup=0)
+        simulator.run_compiled(trace.prefix(500), warmup=0)
         assert simulator.intervals.ends == [100, 200, 300, 400, 500]
 
     def test_trace_shorter_than_one_window(self, micro_program,
-                                           records):
+                                           trace):
         config = dataclasses.replace(FrontEndConfig(), interval_size=5_000)
         simulator = FrontEndSimulator(micro_program, config)
-        simulator.run(records, warmup=WARMUP)
+        simulator.run_compiled(trace, warmup=WARMUP)
         series = simulator.intervals.series()
         assert series.ends == [RECORDS]
         assert series.windows == 1
 
     def test_interval_size_zero_attaches_nothing(self,
                                                  micro_program,
-                                                 records):
+                                                 trace):
         simulator = FrontEndSimulator(micro_program,
                                       FrontEndConfig())
-        simulator.run(records[:200], warmup=0)
+        simulator.run_compiled(trace.prefix(200), warmup=0)
         assert simulator.intervals is None
         assert not any(key.startswith("intervals.")
                        for key in simulator.metrics_snapshot())
 
-    def test_empty_trace_yields_no_windows(self, micro_program):
+    def test_empty_trace_yields_no_windows(self, micro_program, trace):
         config = dataclasses.replace(FrontEndConfig(), interval_size=10)
         simulator = FrontEndSimulator(micro_program, config)
-        simulator.run([], warmup=0)
+        simulator.run_compiled(trace.prefix(0), warmup=0)
         assert simulator.intervals.series().windows == 0
 
     def test_negative_interval_size_rejected(self):
@@ -102,14 +102,14 @@ class TestConservation:
         assert not check_snapshot(snapshot)
 
     def test_warmup_crossing_a_window_boundary(self, micro_program,
-                                               records):
+                                               trace):
         # WARMUP=150 sits mid-window at WINDOW=100: window 0 is all
         # warm-up (all-zero deltas), window 1 is split.  The conserved
         # totals must still equal the aggregate counted-region stats.
         config = dataclasses.replace(FrontEndConfig(skia=SkiaConfig()),
                                      interval_size=100)
         simulator = FrontEndSimulator(micro_program, config)
-        stats = simulator.run(records, warmup=150)
+        stats = simulator.run_compiled(trace, warmup=150)
         series = simulator.intervals.series()
         assert all(value == 0 for value in
                    (row[0] for row in series.columns.values()))
@@ -118,13 +118,13 @@ class TestConservation:
             assert totals.get(name, 0) == expected, name
 
     def test_all_warmup_run_passes_invariant(self, micro_program,
-                                             records):
+                                             trace):
         # Counting never starts: the epilogue reports a degenerate
         # cycle figure, the series a true zero -- the invariant's
         # empty-counted-region exception must absorb it.
         config = dataclasses.replace(FrontEndConfig(), interval_size=100)
         simulator = FrontEndSimulator(micro_program, config)
-        simulator.run(records[:120], warmup=500)
+        simulator.run_compiled(trace.prefix(120), warmup=500)
         assert not check_snapshot(simulator.metrics_snapshot())
 
 

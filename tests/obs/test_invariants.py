@@ -174,7 +174,7 @@ class TestTraceDropAccounting:
         simulator = FrontEndSimulator(
             micro_program, FrontEndConfig(skia=SkiaConfig()))
         simulator.attach_trace(EventTrace(capacity=64))
-        simulator.run(micro_trace[:4_000], warmup=500)
+        simulator.run_compiled(micro_trace.prefix(4_000), warmup=500)
         snapshot = simulator.metrics_snapshot()
         assert snapshot["trace.dropped_events"] > 0
         assert (snapshot["trace.emitted"]

@@ -15,7 +15,6 @@ from repro.frontend.batch import BatchedFrontEndSimulator
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.obs import EventTrace, TimelineRecorder
-from repro.workloads.compiled import CompiledTrace
 from repro.obs.profiler import _NULL, PROFILER
 
 #: Enabled instrumentation may cost at most this factor over untraced.
@@ -32,7 +31,7 @@ def _timed_run(micro_program, micro_trace, instrumented: bool) -> float:
         simulator.attach_trace(EventTrace(capacity=1_000_000))
         simulator.attach_timeline(TimelineRecorder(capacity=1_000_000))
     start = time.perf_counter()
-    simulator.run(micro_trace, warmup=2_000)
+    simulator.run_compiled(micro_trace, warmup=2_000)
     return time.perf_counter() - start
 
 
@@ -42,7 +41,7 @@ class TestStructuralGuard:
     def test_default_run_attaches_no_instrumentation(self, micro_program,
                                                      micro_trace):
         simulator = FrontEndSimulator(micro_program, _config())
-        simulator.run(micro_trace[:2_000], warmup=500)
+        simulator.run_compiled(micro_trace.prefix(2_000), warmup=500)
         assert simulator.trace is None
         assert simulator.timeline is None
         assert simulator.intervals is None
@@ -59,11 +58,10 @@ class TestStructuralGuard:
                             lambda *args: rendered.append(args))
         oracle = FrontEndSimulator(micro_program, _config())
         assert oracle._outcome_rows() == (None, None)
-        oracle.run(micro_trace[:2_000], warmup=500)
+        oracle.run_compiled(micro_trace.prefix(2_000), warmup=500)
         kernel = FrontEndSimulator(micro_program, _config())
         batch = BatchedFrontEndSimulator(chunk_records=512)
-        batch.add_lane(kernel, CompiledTrace.from_records(micro_trace[:2_000]),
-                       warmup=500)
+        batch.add_lane(kernel, micro_trace.prefix(2_000), warmup=500)
         [lane] = batch._lanes
         assert lane.rows is None and lane.times is None
         batch.run()
@@ -78,7 +76,7 @@ class TestStructuralGuard:
         assert PROFILER.section("sbd.head_decode") is _NULL
         before = list(PROFILER.spans)
         simulator = FrontEndSimulator(micro_program, _config())
-        simulator.run(micro_trace[:2_000], warmup=500)
+        simulator.run_compiled(micro_trace.prefix(2_000), warmup=500)
         assert PROFILER.spans == before
 
     def test_record_timeline_flag_defaults_off(self):
@@ -164,7 +162,7 @@ class TestCostGuard:
                                          interval_size=interval_size)
             simulator = FrontEndSimulator(micro_program, config)
             start = time_mod.process_time()
-            simulator.run(micro_trace, warmup=2_000)
+            simulator.run_compiled(micro_trace, warmup=2_000)
             return time_mod.process_time() - start
 
         plain = min(timed(0) for _ in range(3))

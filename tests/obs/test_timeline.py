@@ -26,7 +26,7 @@ def traced_sim(micro_program, micro_trace):
     config = FrontEndConfig(skia=SkiaConfig(),
                             record_timeline=True).with_btb_entries(256)
     simulator = FrontEndSimulator(micro_program, config)
-    simulator.run(micro_trace, warmup=2_000)
+    simulator.run_compiled(micro_trace, warmup=2_000)
     return simulator
 
 

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from repro.isa.encoder import Encoder, _imm, choice, randbelow
 from repro.isa.opcodes import MAX_INSTRUCTION_LENGTH
-from repro.workloads import build_compiled_trace, build_program
+from repro.workloads import build_program, build_trace
 from repro.workloads.cache import WorkloadCache
 from repro.workloads.codegen import ProgramGenerator, weighted_choice
 from repro.workloads.profiles import DEFAULT_LENGTH_MIX, PROFILES, get_profile
@@ -248,7 +248,7 @@ def bolted_digest() -> str:
 
 
 def voter_trace_digest() -> str:
-    return build_compiled_trace("voter", VOTER_TRACE_RECORDS).fingerprint
+    return build_trace("voter", VOTER_TRACE_RECORDS).fingerprint
 
 
 def trace_digest(label: str) -> str:

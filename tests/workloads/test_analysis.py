@@ -1,48 +1,44 @@
 """Workload characterisation module."""
 
-from repro.isa.branch import BranchKind
 from repro.workloads.analysis import (
     branch_reuse_profile,
     characterise,
     shadow_geometry,
 )
-from repro.workloads.trace import BlockRecord
 
 
-def record_for(pc: int) -> BlockRecord:
-    return BlockRecord(block_start=pc, n_instr=2, branch_pc=pc + 4,
-                       branch_len=5, kind=BranchKind.DIRECT_UNCOND,
-                       taken=True, target=pc, fallthrough=pc + 9,
-                       next_pc=pc)
+def branch_for(pc: int) -> int:
+    """The branch pc of a block starting at ``pc``."""
+    return pc + 4
 
 
 class TestReuseProfile:
     def test_no_recurrence(self):
-        records = [record_for(i * 64) for i in range(10)]
-        profile = branch_reuse_profile(records)
+        branches = [branch_for(i * 64) for i in range(10)]
+        profile = branch_reuse_profile(branches)
         assert profile.samples == 0
 
     def test_tight_loop_distance_zero(self):
-        records = [record_for(0)] * 10
-        profile = branch_reuse_profile(records)
+        branches = [branch_for(0)] * 10
+        profile = branch_reuse_profile(branches)
         assert profile.samples == 9
         assert profile.median == 0
 
     def test_round_robin_distance(self):
         """A..E repeated: each recurrence sees 4 distinct others."""
-        base = [record_for(i * 64) for i in range(5)]
+        base = [branch_for(i * 64) for i in range(5)]
         profile = branch_reuse_profile(base * 4)
         assert profile.median == 4
         assert profile.p90 == 4
 
     def test_cold_fraction(self):
-        base = [record_for(i * 64) for i in range(50)]
+        base = [branch_for(i * 64) for i in range(50)]
         profile = branch_reuse_profile(base * 3, btb_entries=10)
         assert profile.over_8k_fraction == 1.0  # every reuse spans 49 > 10
 
     def test_mixed_hot_cold(self):
-        hot = record_for(0)
-        colds = [record_for((i + 1) * 64) for i in range(30)]
+        hot = branch_for(0)
+        colds = [branch_for((i + 1) * 64) for i in range(30)]
         stream = []
         for cold in colds * 2:
             stream.extend([hot, cold])
@@ -66,7 +62,7 @@ class TestShadowGeometry:
 
 class TestCharacterise:
     def test_report(self, micro_program, micro_trace):
-        report = characterise(micro_program, micro_trace[:4_000])
+        report = characterise(micro_program, micro_trace.prefix(4_000))
         assert report.name == "micro"
         assert report.footprint_bytes == len(micro_program.image)
         assert sum(report.dynamic_mix.values()) == 4_000

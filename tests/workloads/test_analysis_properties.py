@@ -4,15 +4,7 @@ brute-force distinct-count reference."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa.branch import BranchKind
 from repro.workloads.analysis import branch_reuse_profile
-from repro.workloads.trace import BlockRecord
-
-
-def record_for(pc: int) -> BlockRecord:
-    return BlockRecord(block_start=pc, n_instr=1, branch_pc=pc,
-                       branch_len=1, kind=BranchKind.RETURN, taken=True,
-                       target=pc, fallthrough=pc + 1, next_pc=pc)
 
 
 def brute_force_distances(pcs: list[int]) -> list[int]:
@@ -30,8 +22,7 @@ def brute_force_distances(pcs: list[int]) -> list[int]:
 @given(pcs=st.lists(st.integers(0, 12), min_size=2, max_size=120))
 @settings(max_examples=200, deadline=None)
 def test_reuse_distances_match_brute_force(pcs):
-    records = [record_for(pc * 2) for pc in pcs]
-    profile = branch_reuse_profile(records)
+    profile = branch_reuse_profile([pc * 2 for pc in pcs])
     reference = sorted(brute_force_distances([pc * 2 for pc in pcs]))
     assert profile.samples == len(reference)
     if reference:
@@ -43,8 +34,8 @@ def test_reuse_distances_match_brute_force(pcs):
        capacity=st.integers(1, 16))
 @settings(max_examples=100, deadline=None)
 def test_cold_fraction_matches_brute_force(pcs, capacity):
-    records = [record_for(pc * 2) for pc in pcs]
-    profile = branch_reuse_profile(records, btb_entries=capacity)
+    profile = branch_reuse_profile([pc * 2 for pc in pcs],
+                                   btb_entries=capacity)
     reference = brute_force_distances([pc * 2 for pc in pcs])
     if reference:
         expected = sum(d > capacity for d in reference) / len(reference)

@@ -2,7 +2,8 @@
 
 from repro.isa.decoder import decode_at
 from repro.workloads.bolt import bolt_optimize, profile_function_heat
-from repro.workloads.trace import TraceGenerator
+from tests.conftest import generate_trace
+from tests.workloads.records import as_records
 
 
 class TestHeatProfile:
@@ -54,7 +55,7 @@ class TestBoltOptimize:
 
     def test_bolted_traces_still_consistent(self, micro_program):
         bolted = bolt_optimize(micro_program, sample_records=5_000)
-        records = TraceGenerator(bolted, seed=1).records(3_000)
+        records = as_records(generate_trace(bolted, 3_000, seed=1))
         for record in records[:500]:
             decoded = decode_at(bolted.image,
                                 record.branch_pc - bolted.base_address,

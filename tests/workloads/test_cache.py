@@ -1,6 +1,7 @@
 """Workload cache memoisation."""
 
 from repro.workloads.cache import WorkloadCache
+from tests.workloads.records import as_records
 
 
 class TestWorkloadCache:
@@ -40,7 +41,7 @@ class TestWorkloadCache:
         again = cache.compiled("noop", 1_000)
         assert again is not first
         # deterministic regeneration
-        assert again.records() == first.records()
+        assert as_records(again) == as_records(first)
 
     def test_trace_is_compiled(self):
         """``trace()`` is the memoised compiled trace itself: one cache,

@@ -2,8 +2,8 @@
 
 from repro.isa.branch import BranchKind
 from repro.workloads.codegen import ProgramGenerator
-from repro.workloads.trace import TraceGenerator
-from tests.conftest import make_profile
+from tests.conftest import generate_trace, make_profile
+from tests.workloads.records import as_records
 
 
 class TestDegenerateProfiles:
@@ -22,8 +22,8 @@ class TestDegenerateProfiles:
                 assert terminator.target_label in {
                     f.entry_label for f in program.functions}
         # Trace generation terminates without underflow.
-        records = TraceGenerator(program, seed=0).records(2_000)
-        assert len(records) == 2_000
+        trace = generate_trace(program, 2_000)
+        assert len(trace) == 2_000
 
     def test_minimum_blocks_per_function(self):
         profile = make_profile(handler_blocks=(1, 1), lib_blocks=(1, 1))
@@ -43,7 +43,7 @@ class TestDegenerateProfiles:
                                p_early_ret_block=0.0, p_loop_backedge=0.0,
                                p_pattern_cond=0.0)
         program = ProgramGenerator(profile, seed=0).generate()
-        records = TraceGenerator(program, seed=0).records(3_000)
+        records = as_records(generate_trace(program, 3_000))
         kinds = {record.kind for record in records}
         # Conditionals dominate but rets and the dispatcher remain.
         assert BranchKind.DIRECT_COND in kinds
@@ -52,8 +52,8 @@ class TestDegenerateProfiles:
     def test_handler_pool_of_one(self):
         profile = make_profile(n_handlers=1, n_lib_funcs=2)
         program = ProgramGenerator(profile, seed=0).generate()
-        records = TraceGenerator(program, seed=0).records(1_000)
-        assert len(records) == 1_000
+        trace = generate_trace(program, 1_000)
+        assert len(trace) == 1_000
 
     def test_sixteen_byte_alignment_with_scatter(self):
         profile = make_profile(function_alignment=16,

@@ -21,7 +21,7 @@ from repro.isa.instruction import Instruction
 from repro.workloads.cache import WorkloadCache
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.profiles import PROFILES, get_profile
-from repro.workloads.trace import BlockRecord
+from tests.workloads.records import BlockRecord, as_records
 
 #: Most tracked objects a program may hold per basic block: the block,
 #: its terminator, and a share of the function lists, label maps and
@@ -80,7 +80,7 @@ def live_records() -> int:
 def test_record_list_dropped_once_compiled(monkeypatch):
     """``trace()`` then ``compiled()`` (the benchmark's set-up) builds no
     :class:`BlockRecord`: the trace is compiled from its block-index
-    stream.  Records exist only as a view built on request."""
+    stream.  Records exist only as the tests' view, built on request."""
     made = []
     init = BlockRecord.__init__
 
@@ -99,7 +99,7 @@ def test_record_list_dropped_once_compiled(monkeypatch):
     assert live_records() == before
     # The view: holding a BranchKind, a record stays tracked, so a heap
     # scan finds every live one, and dropping the list frees them all.
-    records = compiled.records()
+    records = as_records(compiled)
     assert len(made) == 2_000
     assert gc.is_tracked(records[0])
     assert live_records() == before + 2_000

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from repro.isa.decoder import decode_at
 from repro.workloads.codegen import ProgramGenerator
-from repro.workloads.trace import TraceGenerator
-from tests.conftest import make_profile
+from tests.conftest import generate_trace, make_profile
 from tests.workloads.generation_golden import fillers
+from tests.workloads.records import as_records
 
 
 @st.composite
@@ -55,7 +55,7 @@ def test_trace_oracle_always_consistent(profile, seed, trace_seed):
     """For any generated program and seed, every trace record's branch
     agrees with the byte image, and the stream is connected."""
     program = ProgramGenerator(profile, seed=seed).generate()
-    records = TraceGenerator(program, seed=trace_seed).records(400)
+    records = as_records(generate_trace(program, 400, seed=trace_seed))
     previous_next = program.entry_block.start_pc
     for record in records:
         assert record.block_start == previous_next

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.compiled import CORE_COLUMNS, CompiledTrace
 from repro.workloads.trace import TraceGenerator
-from tests.conftest import MICRO_PROFILE
+from tests.conftest import MICRO_PROFILE, generate_trace
+from tests.workloads.records import as_records, from_records
 from tests.workloads.trace_oracle import OracleTraceGenerator
 
 
@@ -42,7 +43,7 @@ def _columns(trace: CompiledTrace) -> dict:
 def _check_stream(program_seed, seed, n_records, run_range):
     program = _program(program_seed)
     oracle = OracleTraceGenerator(program, seed, run_range)
-    expected = CompiledTrace.from_records(oracle.records(n_records))
+    expected = from_records(oracle.records(n_records))
     generator = TraceGenerator(program, seed, run_range)
     blocks, taken = generator.stream(n_records)
     assert len(blocks) == n_records + 1 and len(taken) == n_records
@@ -67,5 +68,5 @@ def test_records_equal_oracle(program_seed, seed, n_records, run_range):
     program = _program(program_seed)
     expected = OracleTraceGenerator(program, seed, run_range).records(
         n_records)
-    assert TraceGenerator(program, seed, run_range).records(
-        n_records) == expected
+    assert as_records(generate_trace(
+        program, n_records, seed, dispatch_run_range=run_range)) == expected

@@ -15,7 +15,7 @@ import random
 
 from repro.isa.branch import BranchKind
 from repro.workloads.program import BasicBlock, Program
-from repro.workloads.trace import BlockRecord
+from tests.workloads.records import BlockRecord
 
 
 class _IndirectChooser:
