@@ -34,7 +34,7 @@ bench-trajectory:
 # Produce a Perfetto-loadable pipeline timeline + event trace for one
 # smoke-scale Skia run (see docs/observability.md).
 trace:
-	PYTHONPATH=src $(PYTHON) -m repro --scale smoke stats run voter \
+	PYTHONPATH=src $(PYTHON) -m repro --scale smoke run voter \
 		--config skia --trace-out voter-events.jsonl \
 		--timeline-out voter-timeline.json
 

@@ -25,7 +25,7 @@ from repro import WORKLOAD_NAMES
 from repro.frontend.config import baseline_config, skia_config
 from repro.harness.runner import ExperimentRunner
 from repro.harness.scale import SCALES
-from repro.obs import diff_attributions
+from repro.obs import AttributionAggregator, diff_attributions
 
 
 def main() -> None:
@@ -37,9 +37,14 @@ def main() -> None:
     runner = ExperimentRunner(scale=SCALES["smoke"], store=None,
                               record_attribution=True)
 
+    def attributed(config):
+        stats = runner.run(workload, config)
+        return stats, AttributionAggregator.from_jsonable(
+            runner.attribution_for(workload, config))
+
     print(f"Simulating {workload} with attribution (baseline, then Skia)...")
-    base_stats, base = runner.run_with_attribution(workload, baseline_config())
-    skia_stats, skia = runner.run_with_attribution(workload, skia_config())
+    _, base = attributed(baseline_config())
+    skia_stats, skia = attributed(skia_config())
 
     # -- 1. the Figure 1/15 fraction, per-branch vs aggregate ----------
     totals = skia.totals()

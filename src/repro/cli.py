@@ -8,14 +8,20 @@ Commands
                   comparator-zoo).
 ``workloads``  -- list the calibrated workload profiles.
 ``describe``   -- generate a workload and print its static structure.
-``stats``      -- per-component metric snapshots: dump one run
-                  (``stats run``), compare two saved snapshots
+``run``        -- simulate one cell without the result store, always
+                  with attribution: print its metric snapshot, the
+                  attribution summary and (with ``--window``) interval
+                  sparklines, write any of the merged snapshot, the
+                  attribution artifact and report, the interval series,
+                  the event trace and the pipeline timeline, and check
+                  the invariants once.
+``stats``      -- metric snapshots: compare two saved snapshots
                   (``stats diff``), run the invariant cross-checks
-                  over the Figure 14 grid (``stats check``), or inspect/
-                  convert a saved event trace (``stats trace``).
-``attrib``     -- per-branch / per-line attribution: record an
-                  attribution artifact for one cell (``attrib run``),
-                  render its offender tables as markdown/HTML
+                  over the Figure 14 grid or saved snapshots
+                  (``stats check``), or inspect/convert a saved event
+                  trace (``stats trace``).
+``attrib``     -- per-branch / per-line attribution artifacts: render
+                  the offender tables as markdown/HTML
                   (``attrib report``), and compare two artifacts with
                   per-branch regression gates (``attrib diff``).
 ``bench``      -- benchmark trajectory: run every ``BENCHMARK.json``
@@ -28,21 +34,16 @@ Commands
                   per-cell lifecycle, the cell-conservation check,
                   merged Perfetto trace export; both take
                   ``--json`` for machine-readable output.
-``metrics``    -- export saved metric snapshots in Prometheus text
-                  exposition format (``metrics export``).
-``intervals``  -- interval telemetry: simulate one cell with per-window
-                  counters (``intervals run``), render a saved series
-                  as sparklines + markdown (``intervals plot``), or
+``intervals``  -- interval series: render a saved series as
+                  sparklines + markdown (``intervals plot``), or
                   compare two series (``intervals diff``).
 ``divergence`` -- cross-engine / cross-config divergence bisection
                   (``divergence bisect``): find the first window and
                   record where two sides disagree.
 
-Harness commands that simulate (``experiment``, ``stats run/check``,
-``attrib run``, ``intervals run``) record a run ledger
-under
-``.repro_cache/runs/<run_id>/`` by default; set ``REPRO_LEDGER=0`` to
-disable.
+Harness commands that simulate (``experiment``, ``run``, ``stats
+check``) record a run ledger under ``.repro_cache/runs/<run_id>/`` by
+default; set ``REPRO_LEDGER=0`` to disable.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ EXPERIMENTS = {
     "comparator-zoo": experiments.comparator_zoo,
 }
 
-#: ``--config`` short names for ``stats run`` / ``attrib run``: the
+#: ``--config`` short names for ``run`` and ``divergence bisect``: the
 #: Figure 14 grid plus the Section 7.1 comparator designs (``fdipN``
 #: pins the FDIP predecode depth to N lines).
 CONFIG_NAMES = ("base", "skia", "head", "tail", "airbtb", "boomerang",
@@ -164,26 +165,51 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--results", default="benchmarks/bench_results")
     report.add_argument("--output", default="EXPERIMENTS.md")
 
+    run = sub.add_parser(
+        "run", help="simulate one cell (storeless, with attribution) and "
+                    "write its snapshot, attribution, interval series, "
+                    "event trace and timeline; exits non-zero on an "
+                    "invariant violation")
+    run.add_argument("workload", choices=sorted(WORKLOAD_NAMES))
+    run.add_argument("--config", default="skia", choices=list(CONFIG_NAMES),
+                     help="configuration to simulate (default: skia)")
+    run.add_argument("--snapshot-out", metavar="PATH", default=None,
+                     help="save the metric snapshot merged with the "
+                          "attrib.* rollup keys (checkable via stats "
+                          "check --snapshot)")
+    run.add_argument("--attrib-out", metavar="PATH", default=None,
+                     help="save the attribution artifact as JSON (input "
+                          "to attrib report / diff)")
+    run.add_argument("--report", metavar="PATH", default=None,
+                     help="render the attribution report (markdown, or "
+                          "HTML for a .html/.htm suffix)")
+    run.add_argument("--top", type=int, default=20, metavar="N",
+                     help="offender-table depth (default 20)")
+    run.add_argument("--window", type=int, default=0, metavar="N",
+                     help="records per interval window (default 0: no "
+                          "interval telemetry)")
+    run.add_argument("--intervals-out", metavar="PATH", default=None,
+                     help="save the interval series as JSON (input to "
+                          "intervals plot / diff; needs --window)")
+    run.add_argument("--markdown", metavar="PATH", default=None,
+                     help="write the interval series as a markdown table "
+                          "(needs --window)")
+    run.add_argument("--metrics", nargs="+", default=None, metavar="NAME",
+                     help="interval metrics to render (default: ipc, "
+                          "btb_miss_mpki, rescue_rate and the per-cause "
+                          "resteer columns; needs --window)")
+    run.add_argument("--trace-out", metavar="PATH", default=None,
+                     help="write the structured event trace (JSONL)")
+    run.add_argument("--trace-capacity", type=int, default=65_536,
+                     help="event ring-buffer size (default 65536)")
+    run.add_argument("--timeline-out", metavar="PATH", default=None,
+                     help="write the pipeline timeline as Chrome "
+                          "trace-event JSON (Perfetto-loadable)")
+    _add_common_options(run, suppress=True)
+
     stats = sub.add_parser(
         "stats", help="metric snapshots and invariant cross-checks")
     stats_sub = stats.add_subparsers(dest="stats_command", required=True)
-
-    stats_run = stats_sub.add_parser(
-        "run", help="simulate one cell and dump per-component counters")
-    stats_run.add_argument("workload", choices=sorted(WORKLOAD_NAMES))
-    stats_run.add_argument("--config", default="skia",
-                           choices=list(CONFIG_NAMES),
-                           help="configuration to simulate (default: skia)")
-    stats_run.add_argument("--dump", metavar="PATH", default=None,
-                           help="also save the snapshot as JSON")
-    stats_run.add_argument("--trace-out", metavar="PATH", default=None,
-                           help="write the structured event trace (JSONL)")
-    stats_run.add_argument("--trace-capacity", type=int, default=65_536,
-                           help="event ring-buffer size (default 65536)")
-    stats_run.add_argument("--timeline-out", metavar="PATH", default=None,
-                           help="write the pipeline timeline as Chrome "
-                                "trace-event JSON (Perfetto-loadable)")
-    _add_common_options(stats_run, suppress=True)
 
     stats_diff = stats_sub.add_parser(
         "diff", help="compare two saved metric snapshots")
@@ -205,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats_trace = stats_sub.add_parser(
         "trace", help="inspect or convert a saved event trace (JSONL)")
-    stats_trace.add_argument("path", help="JSONL dump from stats run "
+    stats_trace.add_argument("path", help="JSONL dump from run "
                                           "--trace-out")
     stats_trace.add_argument("--chrome", metavar="OUT", default=None,
                              help="convert to Chrome trace-event JSON "
@@ -216,32 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "the misses, who gets rescued")
     attrib_sub = attrib.add_subparsers(dest="attrib_command", required=True)
 
-    attrib_run = attrib_sub.add_parser(
-        "run", help="simulate one cell with attribution recording; "
-                    "exits non-zero on any conservation violation")
-    attrib_run.add_argument("workload", choices=sorted(WORKLOAD_NAMES))
-    attrib_run.add_argument("--config", default="skia",
-                            choices=list(CONFIG_NAMES),
-                            help="configuration to simulate "
-                                 "(default: skia)")
-    attrib_run.add_argument("--out", metavar="PATH", default=None,
-                            help="save the attribution artifact as JSON "
-                                 "(input to attrib report / diff)")
-    attrib_run.add_argument("--report", metavar="PATH", default=None,
-                            help="also render the report (markdown, or "
-                                 "HTML for a .html/.htm suffix)")
-    attrib_run.add_argument("--snapshot-out", metavar="PATH", default=None,
-                            help="save the metric snapshot merged with "
-                                 "the attrib.* rollup keys (checkable "
-                                 "via stats check --snapshot)")
-    attrib_run.add_argument("--top", type=int, default=20, metavar="N",
-                            help="offender-table depth (default 20)")
-    _add_common_options(attrib_run, suppress=True)
-
     attrib_report = attrib_sub.add_parser(
         "report", help="render a saved attribution artifact")
-    attrib_report.add_argument("artifact", help="JSON from attrib run "
-                                                "--out")
+    attrib_report.add_argument("artifact", help="JSON from run "
+                                                "--attrib-out")
     attrib_report.add_argument("--format", default=None,
                                choices=["markdown", "md", "html"],
                                help="output format (default: by --out "
@@ -323,52 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="machine-readable output (one JSON run "
                                 "summary with per-cell lifecycle)")
 
-    metrics = sub.add_parser(
-        "metrics", help="export metric snapshots for external tooling")
-    metrics_sub = metrics.add_subparsers(dest="metrics_command",
-                                         required=True)
-    metrics_export = metrics_sub.add_parser(
-        "export", help="render saved snapshots (stats run --dump) in "
-                       "Prometheus text exposition format")
-    metrics_export.add_argument("snapshots", nargs="+", metavar="SNAPSHOT",
-                                help="snapshot JSON files; several are "
-                                     "merged (counters summed) first")
-    metrics_export.add_argument("--out", metavar="PATH", default=None,
-                                help="write to a file instead of stdout")
-
     intervals = sub.add_parser(
         "intervals", help="interval telemetry: per-window counter time "
                           "series")
     intervals_sub = intervals.add_subparsers(dest="intervals_command",
                                              required=True)
-    intervals_run = intervals_sub.add_parser(
-        "run", help="simulate one cell with window telemetry; exits "
-                    "non-zero on an interval-conservation violation")
-    intervals_run.add_argument("workload", choices=sorted(WORKLOAD_NAMES))
-    intervals_run.add_argument("--config", default="skia",
-                               choices=list(CONFIG_NAMES),
-                               help="configuration to simulate "
-                                    "(default: skia)")
-    intervals_run.add_argument("--window", type=int, default=1000,
-                               metavar="N",
-                               help="records per window (default 1000)")
-    intervals_run.add_argument("--out", metavar="PATH", default=None,
-                               help="save the series as JSON (input to "
-                                    "intervals plot / diff)")
-    intervals_run.add_argument("--markdown", metavar="PATH", default=None,
-                               help="also write the markdown time series")
-    intervals_run.add_argument("--metrics", nargs="+", default=None,
-                               metavar="NAME",
-                               help="metrics to render (default: ipc, "
-                                    "btb_miss_mpki, rescue_rate and the "
-                                    "per-cause resteer columns)")
-    _add_common_options(intervals_run, suppress=True)
-
     intervals_plot = intervals_sub.add_parser(
         "plot", help="render a saved series as sparklines + a markdown "
                      "table")
-    intervals_plot.add_argument("series", help="JSON from intervals run "
-                                               "--out")
+    intervals_plot.add_argument("series", help="JSON from run "
+                                               "--intervals-out")
     intervals_plot.add_argument("--metrics", nargs="+", default=None,
                                 metavar="NAME",
                                 help="metrics to render")
@@ -521,8 +489,8 @@ def _stats_config(name: str):
         return FrontEndConfig().with_fdip_depth(int(name[4:]))
     if name in COMPARATOR_NAMES:
         return FrontEndConfig().with_comparator(name)
-    heads = name in ("skia", "both", "head")
-    tails = name in ("skia", "both", "tail")
+    heads = name in ("skia", "head")
+    tails = name in ("skia", "tail")
     return FrontEndConfig(skia=SkiaConfig(decode_heads=heads,
                                           decode_tails=tails))
 
@@ -532,14 +500,27 @@ def _print_violations(violations, label: str) -> None:
         print(f"INVARIANT VIOLATION [{label}] {violation}")
 
 
-def _run_stats_run(args) -> int:
-    from repro.obs import (EventTrace, TimelineRecorder,
-                           applicable_invariants, check_snapshot,
-                           render_snapshot, save_snapshot)
+def _run_cell(args) -> int:
+    """``repro run``: one storeless cell with attribution and every
+    requested observer attached, then one invariant check over its
+    metric snapshot merged with the attribution rollup."""
+    import dataclasses
+
+    from repro.obs import (AttributionAggregator, EventTrace, IntervalSeries,
+                           TimelineRecorder, applicable_invariants,
+                           check_snapshot, render_report, render_snapshot,
+                           save_snapshot, sparkline)
     from repro.obs import ledger as ledger_mod
 
+    if args.window < 0 or not args.window and (
+            args.intervals_out or args.markdown or args.metrics):
+        print("--window takes N >= 0, and --intervals-out, --markdown and "
+              "--metrics need N > 0", file=sys.stderr)
+        return 2
     scale = SCALES[args.scale] if args.scale else current_scale()
     config = _stats_config(args.config)
+    if args.window:
+        config = dataclasses.replace(config, interval_size=args.window)
     trace = (EventTrace(capacity=args.trace_capacity) if args.trace_out
              else None)
     timeline = TimelineRecorder() if args.timeline_out else None
@@ -551,17 +532,49 @@ def _run_stats_run(args) -> int:
             simulator.attach_timeline(timeline)
 
     # Storeless, so the cell always simulates and the attachments fill.
-    runner = ExperimentRunner(scale=scale, store=None)
-    _, snapshot = runner.run_with_metrics(args.workload, config,
-                                          setup=attach)
-    print(render_snapshot(
-        snapshot,
-        title=f"{args.workload} [{args.config}] @ {scale.name} scale"))
-    if args.dump:
-        save_snapshot(args.dump, snapshot,
-                      meta={"workload": args.workload, "config": args.config,
-                            "scale": scale.name})
-        print(f"\nsnapshot saved to {args.dump}")
+    runner = ExperimentRunner(scale=scale, store=None,
+                              record_attribution=True)
+    stats = runner.run(args.workload, config, setup=attach)
+    metrics = runner.metrics_for(args.workload, config)
+    aggregator = AttributionAggregator.from_jsonable(
+        runner.attribution_for(args.workload, config))
+    label = f"{args.workload} [{args.config}] @ {scale.name} scale"
+    print(render_snapshot(metrics, title=label))
+
+    totals = aggregator.totals()
+    fraction = aggregator.shadow_resident_fraction
+    print(f"\n{int(totals['branches'])} branches over "
+          f"{int(totals['lines'])} lines attributed")
+    print(f"  BTB misses {int(totals['btb_misses'])}, shadow-resident "
+          f"{int(totals['btb_miss_l1i_hit'])} ({fraction:.1%}; "
+          f"SimStats fraction {stats.btb_miss_l1i_hit_fraction:.1%})")
+    print(f"  SBB rescues {int(totals.get('sbb_hits', 0))} "
+          f"(U {int(totals['sbb_hits_u'])} / R {int(totals['sbb_hits_r'])}), "
+          f"resteer cycles {totals['resteer_cycles_total']:.0f}")
+    if args.attrib_out:
+        aggregator.save(args.attrib_out)
+        print(f"artifact -> {args.attrib_out}")
+    if args.report:
+        fmt = _attrib_report_format(None, args.report)
+        with open(args.report, "w", encoding="utf-8") as handle:
+            handle.write(render_report(aggregator, fmt=fmt, top=args.top))
+        print(f"report ({fmt}) -> {args.report}")
+
+    if args.window:
+        series = IntervalSeries.from_jsonable(
+            runner.intervals_for(args.workload, config))
+        print(f"\n{series.windows} windows x {series.interval_size} "
+              f"records, fingerprint {series.fingerprint()}")
+        for metric in (args.metrics or series.metric_names()):
+            print(f"  {metric:24s} {sparkline(series.metric_series(metric))}")
+        if args.intervals_out:
+            series.save(args.intervals_out)
+            print(f"series -> {args.intervals_out}")
+        if args.markdown:
+            with open(args.markdown, "w", encoding="utf-8") as handle:
+                handle.write(series.render_markdown(args.metrics))
+            print(f"time series -> {args.markdown}")
+
     if trace is not None:
         trace.to_jsonl(args.trace_out)
         print(f"trace: {trace.emitted} events emitted, {trace.dropped} "
@@ -578,12 +591,19 @@ def _run_stats_run(args) -> int:
               f"{timeline.dropped} dropped -> {args.timeline_out} "
               f"(load in Perfetto / chrome://tracing)")
 
-    violations = check_snapshot(snapshot)
+    merged = {**metrics, **aggregator.snapshot()}
+    if args.snapshot_out:
+        save_snapshot(args.snapshot_out, merged,
+                      meta={"workload": args.workload, "config": args.config,
+                            "scale": scale.name, "window": args.window})
+        print(f"merged snapshot -> {args.snapshot_out}")
+    violations = check_snapshot(merged)
     if violations:
         _print_violations(violations, f"{args.workload}/{args.config}")
         return 1
-    checked = len(applicable_invariants(snapshot))
-    print(f"\ninvariants: {checked} checked, all passing")
+    conserved = "attribution and interval" if args.window else "attribution"
+    print(f"\ninvariants: {len(applicable_invariants(merged))} checked "
+          f"({conserved} conservation included), all passing")
     return 0
 
 
@@ -696,8 +716,6 @@ def _run_stats_trace(args) -> int:
 
 
 def _run_stats(args) -> int:
-    if args.stats_command == "run":
-        return _run_stats_run(args)
     if args.stats_command == "diff":
         return _run_stats_diff(args)
     if args.stats_command == "trace":
@@ -711,59 +729,6 @@ def _attrib_report_format(explicit: str | None, out: str | None) -> str:
     if out and out.lower().endswith((".html", ".htm")):
         return "html"
     return "markdown"
-
-
-def _run_attrib_run(args) -> int:
-    from repro.obs import applicable_invariants, check_snapshot
-    from repro.obs.attribution import render_report
-    from repro.obs.registry import save_snapshot
-
-    scale = SCALES[args.scale] if args.scale else current_scale()
-    store = None if args.no_store else "default"
-    runner = ExperimentRunner(scale=scale, store=store,
-                              record_attribution=True)
-    config = _stats_config(args.config)
-    stats, aggregator = runner.run_with_attribution(args.workload, config)
-
-    totals = aggregator.totals()
-    fraction = aggregator.shadow_resident_fraction
-    print(f"{args.workload} [{args.config}] @ {scale.name} scale: "
-          f"{int(totals['branches'])} branches over "
-          f"{int(totals['lines'])} lines attributed")
-    print(f"  BTB misses {int(totals['btb_misses'])}, shadow-resident "
-          f"{int(totals['btb_miss_l1i_hit'])} ({fraction:.1%}; "
-          f"SimStats fraction {stats.btb_miss_l1i_hit_fraction:.1%})")
-    print(f"  SBB rescues {int(totals.get('sbb_hits', 0))} "
-          f"(U {int(totals['sbb_hits_u'])} / R {int(totals['sbb_hits_r'])}), "
-          f"resteer cycles {totals['resteer_cycles_total']:.0f}")
-
-    if args.out:
-        aggregator.save(args.out)
-        print(f"artifact -> {args.out}")
-    if args.report:
-        fmt = _attrib_report_format(None, args.report)
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(render_report(aggregator, fmt=fmt, top=args.top))
-        print(f"report ({fmt}) -> {args.report}")
-
-    metrics = runner.metrics_for(args.workload, config)
-    merged = dict(metrics or {})
-    merged.update(aggregator.snapshot())
-    if args.snapshot_out:
-        save_snapshot(args.snapshot_out, merged,
-                      meta={"workload": args.workload,
-                            "config": args.config, "scale": scale.name,
-                            "attribution": True})
-        print(f"merged snapshot -> {args.snapshot_out}")
-
-    violations = check_snapshot(merged)
-    if violations:
-        _print_violations(violations, f"{args.workload}/{args.config}")
-        return 1
-    checked = len(applicable_invariants(merged))
-    print(f"invariants: {checked} checked (attribution conservation "
-          f"included), all passing")
-    return 0
 
 
 def _run_attrib_report(args) -> int:
@@ -803,8 +768,6 @@ def _run_attrib_diff(args) -> int:
 
 
 def _run_attrib(args) -> int:
-    if args.attrib_command == "run":
-        return _run_attrib_run(args)
     if args.attrib_command == "report":
         return _run_attrib_report(args)
     return _run_attrib_diff(args)
@@ -1067,30 +1030,8 @@ def _run_runs(args) -> int:
     return 1 if failures else 0
 
 
-def _run_metrics(args) -> int:
-    from repro.obs import load_snapshot, merge_snapshots, snapshot_to_prometheus
-
-    loaded = [load_snapshot(path) for path in args.snapshots]
-    if len(loaded) == 1:
-        snapshot, meta = loaded[0]
-        labels = {key: str(meta[key]) for key in ("workload", "config",
-                                                  "scale") if key in meta}
-        text = snapshot_to_prometheus(snapshot, labels=labels or None)
-    else:
-        merged = merge_snapshots([snapshot for snapshot, _ in loaded])
-        text = (f"# merged from {len(loaded)} snapshots\n"
-                + snapshot_to_prometheus(merged))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"prometheus text -> {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _run_intervals(args) -> int:
-    from repro.obs.intervals import IntervalSeries, diff_series, sparkline
+    from repro.obs.intervals import IntervalSeries, diff_series
 
     if args.intervals_command == "plot":
         series = IntervalSeries.load(args.series)
@@ -1103,59 +1044,23 @@ def _run_intervals(args) -> int:
             print(rendered, end="")
         return 0
 
-    if args.intervals_command == "diff":
-        series_a = IntervalSeries.load(args.a)
-        series_b = IntervalSeries.load(args.b)
-        differences = diff_series(series_a, series_b)
-        if not differences:
-            print(f"series are identical ({series_a.windows} windows, "
-                  f"fingerprint {series_a.fingerprint()})")
-            return 0
-        print(f"comparing {args.a} (fingerprint "
-              f"{series_a.fingerprint()}) -> {args.b} (fingerprint "
-              f"{series_b.fingerprint()})")
-        for window, column, a_val, b_val in differences[:args.top]:
-            where = "geometry" if window < 0 else f"window {window}"
-            print(f"  {where}: {column} {a_val} vs {b_val}")
-        if len(differences) > args.top:
-            print(f"  ... {len(differences) - args.top} more")
-        return 1
-
-    # intervals run
-    import dataclasses
-
-    from repro.obs import check_snapshot
-
-    scale = SCALES[args.scale] if args.scale else current_scale()
-    store = None if args.no_store else "default"
-    runner = ExperimentRunner(scale=scale, store=store)
-    config = dataclasses.replace(_stats_config(args.config),
-                                 interval_size=args.window)
-    stats, series = runner.run_with_intervals(args.workload, config)
-    print(f"{args.workload} [{args.config}] @ {scale.name} scale: "
-          f"{series.windows} windows x {series.interval_size} records, "
-          f"fingerprint {series.fingerprint()}")
-    for metric in (args.metrics or series.metric_names()):
-        print(f"  {metric:24s} {sparkline(series.metric_series(metric))}")
-    if args.out:
-        series.save(args.out)
-        print(f"series -> {args.out}")
-    if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(series.render_markdown(args.metrics))
-        print(f"time series -> {args.markdown}")
-
-    snapshot = runner.metrics_for(args.workload, config)
-    if snapshot is None:
-        print("no metric snapshot available; conservation not checked")
+    # intervals diff
+    series_a = IntervalSeries.load(args.a)
+    series_b = IntervalSeries.load(args.b)
+    differences = diff_series(series_a, series_b)
+    if not differences:
+        print(f"series are identical ({series_a.windows} windows, "
+              f"fingerprint {series_a.fingerprint()})")
         return 0
-    violations = check_snapshot(snapshot)
-    if violations:
-        _print_violations(violations, f"{args.workload}/{args.config}")
-        return 1
-    print("interval conservation: column sums equal the aggregate "
-          "counters exactly")
-    return 0
+    print(f"comparing {args.a} (fingerprint "
+          f"{series_a.fingerprint()}) -> {args.b} (fingerprint "
+          f"{series_b.fingerprint()})")
+    for window, column, a_val, b_val in differences[:args.top]:
+        where = "geometry" if window < 0 else f"window {window}"
+        print(f"  {where}: {column} {a_val} vs {b_val}")
+    if len(differences) > args.top:
+        print(f"  ... {len(differences) - args.top} more")
+    return 1
 
 
 def _run_divergence(args) -> int:
@@ -1203,6 +1108,8 @@ def _dispatch(args) -> int:
         generate(results_dir=args.results, output=args.output)
         print(f"wrote {args.output}")
         return 0
+    if args.command == "run":
+        return _run_cell(args)
     if args.command == "stats":
         return _run_stats(args)
     if args.command == "attrib":
@@ -1211,8 +1118,6 @@ def _dispatch(args) -> int:
         return _run_bench(args)
     if args.command == "runs":
         return _run_runs(args)
-    if args.command == "metrics":
-        return _run_metrics(args)
     if args.command == "intervals":
         return _run_intervals(args)
     if args.command == "divergence":
@@ -1224,7 +1129,7 @@ def _ledgered_command(args) -> str | None:
     """The run-ledger command label, or ``None`` for unledgered commands.
 
     Only entry points that simulate get a run: the inspection commands
-    (``runs``, ``metrics``, diffs, reports) would just clutter the runs
+    (``runs``, diffs, reports, plots) would just clutter the runs
     root with empty manifests.  ``--no-store`` keeps its contract of
     leaving no ``.repro_cache/`` behind, so it suppresses the ledger
     too (``REPRO_LEDGER=0``/``1`` still overrides either way).
@@ -1236,17 +1141,12 @@ def _ledgered_command(args) -> str | None:
             return None
     if args.command == "experiment":
         return f"experiment {args.name}"
-    if args.command == "stats":
-        if args.stats_command == "run":
-            return f"stats run {args.workload} --config {args.config}"
-        if args.stats_command == "check" and not args.snapshot:
-            return "stats check"
-        return None
-    if args.command == "attrib" and args.attrib_command == "run":
-        return f"attrib run {args.workload} --config {args.config}"
-    if args.command == "intervals" and args.intervals_command == "run":
-        return (f"intervals run {args.workload} --config {args.config} "
-                f"--window {args.window}")
+    if args.command == "run":
+        window = f" --window {args.window}" if args.window else ""
+        return f"run {args.workload} --config {args.config}{window}"
+    if (args.command == "stats" and args.stats_command == "check"
+            and not args.snapshot):
+        return "stats check"
     return None
 
 

@@ -7,7 +7,7 @@ like the figures.  No plotting dependency: everything is plain text.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def bar_chart(labels: Sequence[str], values: Sequence[float],
@@ -27,30 +27,6 @@ def bar_chart(labels: Sequence[str], values: Sequence[float],
         lines.append(f"{label:>{label_width}}  "
                      f"{value_format.format(value):>8} |{bar}")
     return "\n".join(lines)
-
-
-def grouped_bar_chart(labels: Sequence[str],
-                      series: dict[str, Sequence[float]],
-                      title: str | None = None, width: int = 40,
-                      value_format: str = "{:.2%}") -> str:
-    """Groups of bars: one group per label, one bar per series."""
-    lengths = {len(values) for values in series.values()}
-    if lengths != {len(labels)}:
-        raise ValueError("every series must align with labels")
-    peak = max((max(values) for values in series.values()), default=0.0)
-    peak = max(peak, 0.0)
-    label_width = max((len(label) for label in labels), default=0)
-    series_width = max((len(name) for name in series), default=0)
-    lines = [title] if title else []
-    for index, label in enumerate(labels):
-        for position, (name, values) in enumerate(series.items()):
-            value = values[index]
-            filled = 0 if peak <= 0 else max(0, round(width * value / peak))
-            prefix = label if position == 0 else ""
-            lines.append(f"{prefix:>{label_width}}  {name:<{series_width}} "
-                         f"{value_format.format(value):>8} |{'#' * filled}")
-        lines.append("")
-    return "\n".join(lines).rstrip()
 
 
 def series_chart(x_labels: Sequence[str],
@@ -85,10 +61,3 @@ def series_chart(x_labels: Sequence[str],
                        for i, name in enumerate(series))
     lines.append(f"legend: {legend}")
     return "\n".join(lines)
-
-
-def normalise(values: Iterable[float], reference: float) -> list[float]:
-    """Values divided by a reference (for normalised-speedup charts)."""
-    if reference == 0:
-        raise ValueError("reference must be non-zero")
-    return [value / reference for value in values]

@@ -282,8 +282,4 @@ class ParallelRunner:
                             progress.update(len(task))
         if progress is not None:
             progress.finish()
-        if ledger is not None and unique:
-            # Live per-cell walls live in the workers; flag stragglers
-            # post-hoc from the ledger they appended to.
-            ledger_mod.flag_stragglers(ledger)
         return [by_identity[cell.identity(self.scale)] for cell in resolved]

@@ -9,7 +9,7 @@ Every cell runs through one body, :meth:`ExperimentRunner.run_group`:
 ``run`` hands it a one-cell group, ``run_cells`` each (workload, seed,
 bolted) group of its missing cells -- serially, or as one pool task per
 group (:func:`repro.harness.parallel.simulate_group`) -- and ``repro
-stats run`` a one-cell group with its trace/timeline set-up.
+run`` a one-cell group with its trace/timeline set-up.
 So the store probe, the backfill rule, the persisted artifacts and the
 run-ledger lifecycle are the same on every path.
 
@@ -28,7 +28,6 @@ Two layers sit under the in-memory memo:
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Callable, Sequence
 
@@ -87,20 +86,15 @@ class ExperimentRunner:
         return Cell(workload, config, self.seed, bolted).identity(self.scale)
 
     def run(self, workload: str, config: FrontEndConfig,
-            bolted: bool = False) -> SimStats:
-        return self.run_with_metrics(workload, config, bolted=bolted)[0]
-
-    def run_with_metrics(
-            self, workload: str, config: FrontEndConfig,
             bolted: bool = False,
             setup: Callable[[FrontEndSimulator], None] | None = None
-    ) -> tuple[SimStats, dict[str, float] | None]:
-        """Like :meth:`run`, but also returns the metric snapshot.
+            ) -> SimStats:
+        """Run one cell (memo, then store, then simulate) for its stats.
 
-        The snapshot is ``None`` only for results loaded from a store
-        entry written before snapshots were persisted.  ``setup`` is
-        applied to the simulator when the cell is simulated (see
-        :meth:`run_group`).
+        ``setup`` is applied to the simulator when the cell is simulated
+        (see :meth:`run_group`); a memo or store hit skips it.  The
+        cell's artifacts are read afterwards with :meth:`metrics_for`,
+        :meth:`attribution_for` and :meth:`intervals_for`.
         """
         cell = Cell(workload, config, self.seed, bolted)
         stats = self._results.get(cell.identity(self.scale))
@@ -109,7 +103,7 @@ class ExperimentRunner:
             if ledger is not None:
                 ledger.submit([cell.cell_id], submitted=1, jobs=1)
             [stats] = self.run_group([cell], setup=setup)
-        return stats, self.metrics_for(workload, config, bolted=bolted)
+        return stats
 
     def _artifact(self, memo: dict, read, workload: str,
                   config: FrontEndConfig, bolted: bool):
@@ -135,8 +129,9 @@ class ExperimentRunner:
         """The attribution artifact of an already-run cell (memo, store).
 
         Returns the JSON-able aggregator payload, or ``None`` when the
-        cell ran without attribution recording (use
-        :meth:`run_with_attribution` to force one into existence).
+        cell ran without attribution recording (a runner built with
+        ``record_attribution=True`` records it, backfilling a store
+        entry that lacks it).
         """
         return self._artifact(self._attribution, ResultStore.get_attribution,
                               workload, config, bolted)
@@ -146,65 +141,12 @@ class ExperimentRunner:
         """The interval series of an already-run cell (memo, then store).
 
         Returns the JSON-able series payload, or ``None`` when the cell
-        ran without interval telemetry (``config.interval_size == 0``,
-        or a store entry that predates the series artifact -- use
-        :meth:`run_with_intervals` to force one into existence).
+        ran without interval telemetry (``config.interval_size == 0``).
+        A store entry that predates the series artifact is re-simulated
+        by the store probe, which backfills it.
         """
         return self._artifact(self._intervals, ResultStore.get_intervals,
                               workload, config, bolted)
-
-    def _run_for_artifact(self, artifact_for, workload: str,
-                          config: FrontEndConfig, bolted: bool):
-        """Run one cell and return ``(stats, payload)`` of
-        ``artifact_for``; a memoised result lacking the artifact is
-        evicted and re-run once (the store probe then backfills it)."""
-        stats = self.run(workload, config, bolted=bolted)
-        payload = artifact_for(workload, config, bolted=bolted)
-        if payload is None:
-            self._results.pop(self._memo_key(workload, config, bolted), None)
-            stats = self.run(workload, config, bolted=bolted)
-            payload = artifact_for(workload, config, bolted=bolted)
-        return stats, payload
-
-    def run_with_attribution(self, workload: str, config: FrontEndConfig,
-                             bolted: bool = False):
-        """Run one cell and return ``(stats, AttributionAggregator)``.
-
-        Forces attribution recording for this cell regardless of the
-        runner's default, evicting a memoised attribution-less result if
-        necessary (the store entry is backfilled in the process).
-        """
-        from repro.obs.attribution import AttributionAggregator
-
-        previous = self.record_attribution
-        self.record_attribution = True
-        try:
-            stats, payload = self._run_for_artifact(
-                self.attribution_for, workload, config, bolted)
-        finally:
-            self.record_attribution = previous
-        return stats, AttributionAggregator.from_jsonable(payload)
-
-    def run_with_intervals(self, workload: str, config: FrontEndConfig,
-                           bolted: bool = False, window: int | None = None):
-        """Run one cell and return ``(stats, IntervalSeries)``.
-
-        When ``config.interval_size`` is zero, ``window`` supplies it
-        (the adjusted config addresses its own store cell, like any
-        other knob change).  A memoised or stored result lacking the
-        series artifact is evicted and re-simulated once.
-        """
-        from repro.obs.intervals import IntervalSeries
-
-        if config.interval_size <= 0:
-            if not window:
-                raise ValueError(
-                    "interval telemetry disabled: set config.interval_size "
-                    "or pass window=")
-            config = dataclasses.replace(config, interval_size=window)
-        stats, payload = self._run_for_artifact(
-            self.intervals_for, workload, config, bolted)
-        return stats, IntervalSeries.from_jsonable(payload)
 
     def result(self, cell: Cell) -> CellResult:
         """A memoised cell's stats and artifacts, as :meth:`_remember`
@@ -322,8 +264,7 @@ class ExperimentRunner:
                    shared_wall=shared, result="simulated",
                    fastforward=fastforward)
             if progress is not None:
-                progress.update(1, cell_id=None if shared else cell_id,
-                                wall_s=wall_s)
+                progress.update(1)
             self._remember(key, stats, attribution, intervals, metrics)
 
         lanes = []
@@ -394,10 +335,6 @@ class ExperimentRunner:
                 self.run_group(group, progress=progress)
             if progress is not None:
                 progress.finish()
-            if ledger is not None:
-                # Kernel lanes share one wall, which the live reporter
-                # cannot judge per cell; flag slow groups from the ledger.
-                ledger_mod.flag_stragglers(ledger)
         elif missing:
             pool = ParallelRunner(
                 scale=self.scale, jobs=jobs, store=self.store,
@@ -414,9 +351,3 @@ class ExperimentRunner:
                  for workload in workloads]
         stats = self.run_cells(cells, jobs=jobs)
         return dict(zip(workloads, stats))
-
-    def clear(self) -> None:
-        self._results.clear()
-        self._metrics.clear()
-        self._attribution.clear()
-        self._intervals.clear()

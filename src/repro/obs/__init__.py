@@ -9,7 +9,7 @@ subsystem:
   hardware component (BTB, U-SBB/R-SBB, RAS, SBD, comparators, the FDIP
   engine) registers a named *scope* of counters, gauges and histograms;
   ``snapshot()`` flattens everything into one ``{name: value}`` dict
-  that can be persisted, diffed and merged.
+  that can be persisted and diffed.
 * :mod:`repro.obs.trace` -- an opt-in ring-buffered structured event
   trace (BTB/SBB hits and misses, shadow-decode head/tail outcomes,
   resteers with cause and latency), dumpable as JSONL.
@@ -96,10 +96,8 @@ from repro.obs.registry import (
     Scope,
     diff_snapshots,
     load_snapshot,
-    merge_snapshots,
     render_snapshot,
     save_snapshot,
-    snapshot_to_prometheus,
 )
 from repro.obs.profiler import PROFILER, SectionProfiler
 from repro.obs.spans import (
@@ -150,14 +148,12 @@ __all__ = [
     "load_run",
     "load_snapshot",
     "merge_run_trace",
-    "merge_snapshots",
     "probe_digest",
     "read_manifest",
     "read_spans",
     "render_snapshot",
     "save_snapshot",
     "snapshot_from_stats",
-    "snapshot_to_prometheus",
     "sparkline",
     "start_run",
     "state_digest",

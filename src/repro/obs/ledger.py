@@ -437,7 +437,7 @@ def latest_run_id(root: str | os.PathLike | None = None) -> str | None:
 
 
 # ----------------------------------------------------------------------
-# Straggler flagging (post-hoc: parallel cell walls live in the ledger)
+# Straggler flagging (once, when the run ends: cell walls live in the ledger)
 # ----------------------------------------------------------------------
 
 def flag_stragglers(ledger: RunLedger,
@@ -450,8 +450,8 @@ def flag_stragglers(ledger: RunLedger,
     section share one wall (``shared_wall``), so they count as one
     group timed by its longest ``done`` wall; every other timed cell is
     a group of one.  The median is over group walls, and every cell of
-    an outlier group not already flagged live by the progress reporter
-    gets a ``straggler`` record.
+    an outlier group not already flagged gets a ``straggler`` record.
+    :func:`start_run` calls it once, on exit.
     """
     import logging
 

@@ -8,7 +8,7 @@ when a snapshot is taken, so registering costs one closure and zero
 per-event work.
 
 A **snapshot** is a flat ``{dotted_name: number}`` dict -- trivially
-JSON-serialisable, diffable and mergeable, which is what the persistent
+JSON-serialisable and diffable, which is what the persistent
 result store and the ``repro stats`` CLI traffic in.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 
 @dataclass
@@ -109,13 +109,9 @@ class MetricsRegistry:
             histogram.snapshot_into(out, name)
         return out
 
-    def to_prometheus(self, labels: Mapping[str, str] | None = None) -> str:
-        """This registry's snapshot in Prometheus text exposition format."""
-        return snapshot_to_prometheus(self.snapshot(), labels=labels)
-
 
 # ----------------------------------------------------------------------
-# Snapshot algebra: diff / merge / render / persist
+# Snapshot algebra: diff / render / persist
 # ----------------------------------------------------------------------
 
 def diff_snapshots(before: Mapping[str, float],
@@ -131,20 +127,6 @@ def diff_snapshots(before: Mapping[str, float],
         a, b = before.get(key), after.get(key)
         if a != b:
             out[key] = (a, b)
-    return out
-
-
-def merge_snapshots(snapshots: Iterable[Mapping[str, float]]) -> dict[str, float]:
-    """Sum counters across snapshots (aggregate of parallel cells).
-
-    Summation is the right aggregation for every counter-like metric;
-    ratio metrics should be recomputed from the merged counters, never
-    merged directly.
-    """
-    out: dict[str, float] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            out[key] = out.get(key, 0) + value
     return out
 
 
@@ -169,56 +151,6 @@ def render_snapshot(snapshot: Mapping[str, float],
                 rendered = str(int(value))
             lines.append(f"  {name.ljust(width)}  {rendered}")
     return "\n".join(lines)
-
-
-def _prometheus_name(name: str) -> str:
-    """Sanitise a dotted metric name into a Prometheus identifier.
-
-    Every character outside ``[a-zA-Z0-9_]`` becomes ``_`` and the
-    result is prefixed with ``repro_`` (which also guarantees a legal
-    leading character): ``sbd.head.window_hits`` ->
-    ``repro_sbd_head_window_hits``.
-    """
-    sanitised = "".join(ch if ch.isascii() and (ch.isalnum() or ch == "_")
-                        else "_" for ch in name)
-    return f"repro_{sanitised}"
-
-
-def _prometheus_value(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return repr(value)
-    return str(int(value))
-
-
-def snapshot_to_prometheus(snapshot: Mapping[str, float],
-                           labels: Mapping[str, str] | None = None) -> str:
-    """Render a metric snapshot in Prometheus text exposition format.
-
-    Everything is exported as a ``gauge``: snapshots are point-in-time
-    samples of counters that reset per cell, so declaring them Prometheus
-    counters (which must be monotonic across scrapes) would be a lie.
-    ``labels`` (e.g. ``{"workload": "fig14", "seed": "7"}``) are attached
-    to every sample; label values are escaped per the exposition format.
-    This is the bridge a future HTTP service scrapes -- the format is the
-    stable contract, not the transport.
-    """
-    label_str = ""
-    if labels:
-        rendered = []
-        for key in sorted(labels):
-            value = (str(labels[key]).replace("\\", r"\\")
-                     .replace('"', r'\"').replace("\n", r"\n"))
-            rendered.append(f'{_prometheus_name(key)[len("repro_"):]}'
-                            f'="{value}"')
-        label_str = "{" + ",".join(rendered) + "}"
-    lines = []
-    for name in sorted(snapshot):
-        metric = _prometheus_name(name)
-        lines.append(f"# HELP {metric} repro counter {name}")
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric}{label_str} "
-                     f"{_prometheus_value(snapshot[name])}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def save_snapshot(path: str | Path, snapshot: Mapping[str, float],

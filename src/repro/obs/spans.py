@@ -148,7 +148,7 @@ def merge_run_trace(run_dir: str | os.PathLike,
     """One Perfetto-loadable trace: harness spans + pipeline timelines.
 
     Merges the run's ``spans.jsonl`` with every ``timeline-*.json``
-    pipeline timeline saved into the run directory (``repro stats run
+    pipeline timeline saved into the run directory (``repro run
     --timeline-out`` copies its Chrome export there when a ledger is
     active).  The processes keep distinct pids and time units (harness
     spans are host microseconds, pipeline tracks are simulated cycles);

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.workloads.compiled import KIND_BY_CODE
 
@@ -59,14 +59,6 @@ class EventTrace:
         #: Record index stamped on subsequent emissions (:meth:`render`
         #: sets it per event).
         self.record_index: int | None = None
-        #: Live observers called with every event *before* ring
-        #: truncation -- a sink sees the complete stream even when the
-        #: ring drops, so aggregations built on sinks stay exact.
-        self._sinks: list[Callable[[dict], None]] = []
-
-    def add_sink(self, sink: Callable[[dict], None]) -> None:
-        """Register a live observer for every subsequent emission."""
-        self._sinks.append(sink)
 
     def emit(self, kind: str, **fields) -> None:
         event = {"seq": self.emitted, "kind": kind}
@@ -75,8 +67,6 @@ class EventTrace:
         event.update(fields)
         self._events.append(event)
         self.emitted += 1
-        for sink in self._sinks:
-            sink(event)
 
     def render(self, events) -> None:
         """Emit :func:`outcome_events`' ``(record, kind, values)`` events

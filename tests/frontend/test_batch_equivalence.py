@@ -429,7 +429,7 @@ class TestHarnessPaths:
                 *args, **kwargs))
         runner = ExperimentRunner(scale=self.SCALE, store=None,
                                   record_attribution=True)
-        stats, _ = runner.run_with_attribution("voter", config)
+        stats = runner.run("voter", config)
         assert stats.blocks > 0
         assert oracle_runs == []
         simulator = FrontEndSimulator(build_program("voter", seed=0), config,

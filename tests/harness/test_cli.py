@@ -28,6 +28,18 @@ class TestParser:
         args = build_parser().parse_args(["--scale", "smoke", "workloads"])
         assert args.scale == "smoke"
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "run", "voter"],
+        ["attrib", "run", "voter"],
+        ["intervals", "run", "voter"],
+        ["metrics", "export", "snap.json"],
+    ])
+    def test_folded_commands_rejected(self, argv, capsys):
+        # One `run` replaces the three single-cell commands; the
+        # Prometheus export is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_workloads(self, capsys):
@@ -97,23 +109,20 @@ class TestCommands:
 
 class TestStatsParser:
     def test_run_defaults(self):
-        args = build_parser().parse_args(["stats", "run", "voter"])
+        args = build_parser().parse_args(["run", "voter"])
         assert args.config == "skia"
         assert args.trace_capacity == 65536
 
     def test_rejects_unknown_config(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["stats", "run", "voter",
+            build_parser().parse_args(["run", "voter",
                                        "--config", "bogus"])
 
     def test_comparator_configs_accepted(self):
-        """Both run parsers expose the Section 7.1 comparator configs."""
+        """`run` exposes the Section 7.1 comparator configs."""
         for name in ("airbtb", "boomerang", "microbtb", "fdip", "fdip4"):
             args = build_parser().parse_args(
-                ["stats", "run", "voter", "--config", name])
-            assert args.config == name
-            args = build_parser().parse_args(
-                ["attrib", "run", "voter", "--config", name])
+                ["run", "voter", "--config", name])
             assert args.config == name
 
     def test_comparator_config_resolution(self):
@@ -145,8 +154,8 @@ class TestStatsCommands:
     def test_run_reports_invariants(self, capsys, tmp_path):
         dump = tmp_path / "snap.json"
         trace_out = tmp_path / "trace.jsonl"
-        code = main(["--scale", "smoke", "stats", "run", "noop",
-                     "--config", "skia", "--dump", str(dump),
+        code = main(["--scale", "smoke", "run", "noop",
+                     "--config", "skia", "--snapshot-out", str(dump),
                      "--trace-out", str(trace_out)])
         out = capsys.readouterr().out
         assert code == 0
@@ -157,8 +166,9 @@ class TestStatsCommands:
     def test_diff_two_snapshots(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path, config in ((a, "base"), (b, "skia")):
-            assert main(["--scale", "smoke", "stats", "run", "noop",
-                         "--config", config, "--dump", str(path)]) == 0
+            assert main(["--scale", "smoke", "run", "noop",
+                         "--config", config, "--snapshot-out",
+                         str(path)]) == 0
         capsys.readouterr()
         assert main(["stats", "diff", str(a), str(b)]) == 0
         out = capsys.readouterr().out
@@ -166,8 +176,8 @@ class TestStatsCommands:
 
     def test_diff_identical(self, capsys, tmp_path):
         a = tmp_path / "a.json"
-        assert main(["--scale", "smoke", "stats", "run", "noop",
-                     "--dump", str(a)]) == 0
+        assert main(["--scale", "smoke", "run", "noop",
+                     "--snapshot-out", str(a)]) == 0
         capsys.readouterr()
         assert main(["stats", "diff", str(a), str(a)]) == 0
         assert "identical" in capsys.readouterr().out
@@ -193,17 +203,17 @@ class TestStatsCommands:
 
 class TestAttribParser:
     def test_run_defaults(self):
-        args = build_parser().parse_args(["attrib", "run", "voter"])
+        args = build_parser().parse_args(["run", "voter"])
         assert args.config == "skia"
         assert args.top == 20
 
     def test_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["attrib", "run", "bogus"])
+            build_parser().parse_args(["run", "bogus"])
 
     def test_rejects_unknown_config(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["attrib", "run", "voter",
+            build_parser().parse_args(["run", "voter",
                                        "--config", "bogus"])
 
     def test_requires_subcommand(self):
@@ -219,14 +229,14 @@ class TestAttribParser:
 class TestAttribCommands:
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
-        """One `attrib run` producing artifact + HTML report + snapshot."""
+        """One `run` producing artifact + HTML report + snapshot."""
         root = tmp_path_factory.mktemp("attrib")
         paths = {"artifact": root / "noop.json",
                  "report": root / "noop.html",
                  "snapshot": root / "noop-snap.json"}
-        code = main(["--scale", "smoke", "attrib", "run", "noop",
+        code = main(["--scale", "smoke", "run", "noop",
                      "--config", "skia", "--no-store",
-                     "--out", str(paths["artifact"]),
+                     "--attrib-out", str(paths["artifact"]),
                      "--report", str(paths["report"]),
                      "--snapshot-out", str(paths["snapshot"])])
         assert code == 0
@@ -239,7 +249,7 @@ class TestAttribCommands:
             encoding="utf-8").startswith("<!DOCTYPE html>")
 
     def test_run_summary_and_invariants(self, capsys):
-        code = main(["--scale", "smoke", "attrib", "run", "noop",
+        code = main(["--scale", "smoke", "run", "noop",
                      "--config", "base", "--no-store"])
         out = capsys.readouterr().out
         assert code == 0
@@ -284,14 +294,119 @@ class TestAttribCommands:
         assert "1 regressed past thresholds" in out
 
 
-class TestRunsCommands:
-    @pytest.fixture()
-    def recorded_run(self, tmp_path, monkeypatch):
-        """An end-to-end ledgered `stats run` into an isolated cache."""
+class TestRunCommand:
+    OUTPUTS = {"--snapshot-out": "snapshot.json", "--attrib-out": "attrib.json",
+               "--report": "report.html", "--intervals-out": "series.json",
+               "--markdown": "series.md", "--trace-out": "trace.jsonl",
+               "--timeline-out": "timeline.json"}
+
+    def test_every_output_matches_a_single_observer_run(self, tmp_path,
+                                                        capsys):
+        """One `run` with every output flag writes seven files, each
+        equal to what a storeless run with only that observer attached
+        produces: the observers do not disturb one another."""
+        import dataclasses
+
+        from repro.cli import _stats_config
+        from repro.frontend.batch import BatchedFrontEndSimulator
+        from repro.frontend.engine import FrontEndSimulator
+        from repro.harness.runner import ExperimentRunner
+        from repro.harness.scale import SCALES
+        from repro.obs import (AttributionAggregator, EventTrace,
+                               IntervalSeries, TimelineRecorder,
+                               load_snapshot, render_report)
+        from repro.workloads.cache import build_program, build_trace
+
+        out = {flag: tmp_path / name for flag, name in self.OUTPUTS.items()}
+        argv = ["--scale", "smoke", "--no-store", "run", "voter",
+                "--window", "1000"]
+        for flag, path in out.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+        assert all(path.stat().st_size > 0 for path in out.values())
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        scale = SCALES["smoke"]
+        config = _stats_config("skia")
+        windowed = dataclasses.replace(config, interval_size=1000)
+
+        attributed = ExperimentRunner(scale=scale, store=None,
+                                      record_attribution=True)
+        attributed.run("voter", config)
+        aggregator = AttributionAggregator.from_jsonable(
+            attributed.attribution_for("voter", config))
+        assert aggregator.save(ref / "attrib.json").read_bytes() == (
+            out["--attrib-out"].read_bytes())
+        assert out["--report"].read_text(encoding="utf-8") == (
+            render_report(aggregator, fmt="html", top=20))
+
+        windows = ExperimentRunner(scale=scale, store=None)
+        windows.run("voter", windowed)
+        series = IntervalSeries.from_jsonable(
+            windows.intervals_for("voter", windowed))
+        series.save(ref / "series.json")
+        assert (ref / "series.json").read_bytes() == (
+            out["--intervals-out"].read_bytes())
+        assert out["--markdown"].read_text(encoding="utf-8") == (
+            series.render_markdown())
+
+        program = build_program("voter")
+        compiled = build_trace("voter", scale.records)
+        recorders = ((EventTrace(), "attach_trace", "to_jsonl",
+                      "--trace-out"),
+                     (TimelineRecorder(), "attach_timeline", "to_chrome",
+                      "--timeline-out"))
+        for recorder, attach, export, flag in recorders:
+            simulator = FrontEndSimulator(program, config, seed=0)
+            getattr(simulator, attach)(recorder)
+            batch = BatchedFrontEndSimulator()
+            batch.add_lane(simulator, compiled, warmup=scale.warmup)
+            batch.run()
+            written = getattr(recorder, export)(ref / out[flag].name)
+            assert written.read_bytes() == out[flag].read_bytes()
+
+        # The merged snapshot: the windowed cell's metrics, the
+        # attribution rollup and the trace ring's accounting gauges.
+        snapshot, _ = load_snapshot(out["--snapshot-out"])
+        trace = recorders[0][0]
+        assert {key: value for key, value in snapshot.items()
+                if not key.startswith("trace.")} == {
+            **windows.metrics_for("voter", windowed),
+            **aggregator.snapshot()}
+        assert snapshot["trace.emitted"] == trace.emitted
+        assert snapshot["trace.dropped_events"] == trace.dropped
+
+    @pytest.mark.parametrize("flags", [["--markdown", "ts.md"],
+                                       ["--window", "-5"]])
+    def test_interval_flags_need_a_positive_window(self, flags, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--scale", "smoke", "--no-store", "run", "noop",
+                     *flags]) == 2
+        assert "--window" in capsys.readouterr().err
+        assert not (tmp_path / "ts.md").exists()
+
+    def test_ledger_label_names_the_window(self, tmp_path, monkeypatch,
+                                           capsys):
+        from repro.obs.ledger import list_runs
+
         monkeypatch.setenv("REPRO_LEDGER", "1")
         monkeypatch.setenv("REPRO_NO_PROGRESS", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["--scale", "smoke", "stats", "run", "noop",
+        assert main(["--scale", "smoke", "run", "noop", "--config", "base",
+                     "--window", "4000"]) == 0
+        [run] = list_runs(tmp_path / "cache" / "runs")
+        assert run.command == "run noop --config base --window 4000"
+
+
+class TestRunsCommands:
+    @pytest.fixture()
+    def recorded_run(self, tmp_path, monkeypatch):
+        """An end-to-end ledgered `run` into an isolated cache."""
+        monkeypatch.setenv("REPRO_LEDGER", "1")
+        monkeypatch.setenv("REPRO_NO_PROGRESS", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["--scale", "smoke", "run", "noop",
                      "--config", "base"]) == 0
         return tmp_path / "cache" / "runs"
 
@@ -300,16 +415,16 @@ class TestRunsCommands:
         assert main(["runs", "list", "--root", str(recorded_run)]) == 0
         out = capsys.readouterr().out
         assert "complete" in out
-        assert "stats run noop" in out
+        assert "run noop --config base" in out
 
     def _stats_run_fields(self, tmp_path, monkeypatch, *extra):
-        """Ledger fields of one ledgered `stats run noop --config base`."""
+        """Ledger fields of one ledgered `run noop --config base`."""
         from repro.obs.ledger import list_runs
 
         monkeypatch.setenv("REPRO_LEDGER", "1")
         monkeypatch.setenv("REPRO_NO_PROGRESS", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["--scale", "smoke", "stats", "run", "noop",
+        assert main(["--scale", "smoke", "run", "noop",
                      "--config", "base", *extra]) == 0
         [run] = list_runs(tmp_path / "cache" / "runs")
         [cell] = run.cells.values()
@@ -329,8 +444,10 @@ class TestRunsCommands:
             "--trace-out", str(tmp_path / "trace.jsonl"))
         assert "mode" not in fields
         assert "fallback_reason" not in fields
+        # `run` always records attribution, the first observer the
+        # fast-forward plan names.
         assert fields["fastforward"] == {"engaged": False,
-                                         "reason": "event trace attached"}
+                                         "reason": "attribution attached"}
 
     def test_show_latest_check_passes(self, recorded_run, capsys):
         capsys.readouterr()
@@ -357,7 +474,7 @@ class TestRunsCommands:
                                              capsys):
         monkeypatch.setenv("REPRO_LEDGER", "0")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["--scale", "smoke", "stats", "run", "noop",
+        assert main(["--scale", "smoke", "run", "noop",
                      "--config", "base"]) == 0
         assert not (tmp_path / "cache" / "runs").exists()
 
@@ -404,7 +521,7 @@ class TestRunsCommands:
         assert isinstance(payload, list) and payload
         entry = payload[0]
         assert entry["status"] == "complete"
-        assert entry["command"].startswith("stats run noop")
+        assert entry["command"].startswith("run noop")
         assert {"run_id", "created", "schema_version", "cells_seen",
                 "results", "incomplete"} <= entry.keys()
 
@@ -435,62 +552,24 @@ class TestRunsCommands:
         assert "INVARIANT VIOLATION" in out
 
 
-class TestMetricsCommands:
-    @pytest.fixture()
-    def snapshot_file(self, tmp_path):
-        from repro.obs import save_snapshot
-
-        path = tmp_path / "snap.json"
-        save_snapshot(path, {"btb.hits": 5, "btb.misses": 2},
-                      meta={"workload": "noop", "config": "base",
-                            "scale": "smoke"})
-        return path
-
-    def test_export_single_snapshot_with_labels(self, snapshot_file,
-                                                capsys):
-        assert main(["metrics", "export", str(snapshot_file)]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_btb_hits gauge" in out
-        assert 'repro_btb_hits{config="base",scale="smoke",' \
-               'workload="noop"} 5' in out
-
-    def test_export_merges_multiple(self, snapshot_file, tmp_path, capsys):
-        from repro.obs import save_snapshot
-
-        other = tmp_path / "other.json"
-        save_snapshot(other, {"btb.hits": 10})
-        assert main(["metrics", "export", str(snapshot_file),
-                     str(other)]) == 0
-        out = capsys.readouterr().out
-        assert "# merged from 2 snapshots" in out
-        assert "repro_btb_hits 15" in out
-
-    def test_export_to_file(self, snapshot_file, tmp_path, capsys):
-        out_path = tmp_path / "metrics.prom"
-        assert main(["metrics", "export", str(snapshot_file),
-                     "--out", str(out_path)]) == 0
-        assert "prometheus text ->" in capsys.readouterr().out
-        assert out_path.read_text(encoding="utf-8").endswith("\n")
-
-
 class TestIntervalsCommands:
     @pytest.fixture()
     def saved_series(self, tmp_path, capsys):
         path = tmp_path / "series.json"
-        assert main(["--scale", "smoke", "intervals", "run", "noop",
+        assert main(["--scale", "smoke", "run", "noop",
                      "--no-store", "--window", "4000",
-                     "--out", str(path)]) == 0
+                     "--intervals-out", str(path)]) == 0
         capsys.readouterr()
         return path
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["intervals", "run", "noop"])
+        args = build_parser().parse_args(["run", "noop"])
         assert args.config == "skia"
-        assert args.window == 1000
-        assert args.out is None and args.markdown is None
+        assert args.window == 0
+        assert args.intervals_out is None and args.markdown is None
 
     def test_run_reports_conservation(self, capsys):
-        assert main(["--scale", "smoke", "intervals", "run", "noop",
+        assert main(["--scale", "smoke", "run", "noop",
                      "--no-store", "--window", "4000",
                      "--metrics", "ipc"]) == 0
         out = capsys.readouterr().out

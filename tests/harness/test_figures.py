@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.harness.figures import (
-    bar_chart,
-    grouped_bar_chart,
-    normalise,
-    series_chart,
-)
+from repro.harness.figures import bar_chart, series_chart
 
 
 class TestBarChart:
@@ -34,18 +29,6 @@ class TestBarChart:
         assert neg_line.endswith("|")
 
 
-class TestGroupedBarChart:
-    def test_groups(self):
-        chart = grouped_bar_chart(
-            ["w1", "w2"], {"head": [0.1, 0.2], "tail": [0.3, 0.1]})
-        assert "head" in chart and "tail" in chart
-        assert "w1" in chart and "w2" in chart
-
-    def test_alignment_error(self):
-        with pytest.raises(ValueError):
-            grouped_bar_chart(["a"], {"s": [1.0, 2.0]})
-
-
 class TestSeriesChart:
     def test_contains_markers_and_legend(self):
         chart = series_chart(["2K", "4K"],
@@ -60,11 +43,3 @@ class TestSeriesChart:
         assert "o" in rows[0]    # max at the top
         assert "o" in rows[4]    # min at the bottom
 
-
-class TestNormalise:
-    def test_basic(self):
-        assert normalise([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_zero_reference(self):
-        with pytest.raises(ValueError):
-            normalise([1.0], 0.0)

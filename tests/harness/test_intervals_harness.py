@@ -59,27 +59,24 @@ class TestStoreArtifact:
 
 
 class TestRunnerPlumbing:
-    def test_run_with_intervals_returns_series(self, tmp_path):
+    def test_run_records_the_series(self, tmp_path):
         runner = ExperimentRunner(scale=SCALE, store=ResultStore(tmp_path))
-        stats, series = runner.run_with_intervals(
-            "noop", FrontEndConfig(skia=SkiaConfig()), window=WINDOW)
+        config = FrontEndConfig(skia=SkiaConfig(), interval_size=WINDOW)
+        stats = runner.run("noop", config)
+        series = IntervalSeries.from_jsonable(
+            runner.intervals_for("noop", config))
         assert stats.blocks > 0
         assert series.interval_size == WINDOW
         assert series.windows == SCALE.records // WINDOW
         assert series.totals()["blocks"] == stats.blocks
 
-    def test_window_required_when_config_disables(self):
-        runner = ExperimentRunner(scale=SCALE, store=None)
-        with pytest.raises(ValueError):
-            runner.run_with_intervals("noop", FrontEndConfig())
-
     @pytest.mark.parametrize("route", ["run", "serial", "parallel"])
     @pytest.mark.parametrize("artifact", ["intervals", "attribution"])
     def test_store_hit_without_artifact_backfills(self, tmp_path, artifact,
                                                   route):
-        """A stats-only store entry is evicted and re-simulated once, on
-        every route into the cell body; the backfilled artifact equals a
-        fresh run's."""
+        """A stats-only store entry is re-simulated once, on every route
+        into the cell body; the backfilled artifact equals a fresh
+        run's."""
         attribution = artifact == "attribution"
         store = ResultStore(tmp_path)
         config = FrontEndConfig(skia=SkiaConfig(),
@@ -98,9 +95,7 @@ class TestRunnerPlumbing:
         second = ExperimentRunner(scale=SCALE, store=store,
                                   record_attribution=attribution)
         if route == "run":
-            stats, result = getattr(second, f"run_with_{artifact}")(
-                "noop", config)
-            assert result.to_jsonable() == payload
+            stats = second.run("noop", config)
         else:
             [stats] = second.run_cells([Cell("noop", config)],
                                        jobs=1 if route == "serial" else 2)

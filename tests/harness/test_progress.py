@@ -1,9 +1,9 @@
-"""Progress reporting: ETA arithmetic, straggler flags, TTY awareness.
+"""Progress reporting: ETA arithmetic, ledger heartbeats, TTY awareness.
 
 Everything runs on a synthetic monotonic clock -- no sleeping, no
-timing sensitivity.  The straggler tests cross-check the live reporter
-path against the post-hoc :func:`repro.obs.ledger.flag_stragglers`
-pass: both must converge on the same flags.
+timing sensitivity.  Stragglers are judged once, when a run ends
+(:func:`repro.obs.ledger.flag_stragglers`, tested in
+``tests/obs/test_ledger.py``).
 """
 
 from __future__ import annotations
@@ -69,54 +69,6 @@ class TestEtaMath:
 
 
 class TestStragglers:
-    def test_flagged_live_after_min_samples(self, tmp_path):
-        ledger = RunLedger.create("t", root=tmp_path)
-        reporter, clock, _ = make_reporter(total=10, ledger=ledger,
-                                           min_samples=5,
-                                           straggler_factor=4.0)
-        for index in range(5):
-            clock.advance(1.0)
-            reporter.update(1, cell_id=f"c{index}", wall_s=1.0)
-        clock.advance(10.0)
-        reporter.update(1, cell_id="slow", wall_s=10.0)
-        assert reporter.stragglers == ["slow"]
-        records = read_manifest(ledger.manifest_path)
-        flags = [r for r in records if r.get("phase") == "straggler"]
-        assert [f["cell"] for f in flags] == ["slow"]
-        assert flags[0]["median_s"] == 1.0
-        ledger.close()
-
-    def test_not_flagged_below_min_samples(self):
-        reporter, clock, _ = make_reporter(total=10, min_samples=5)
-        reporter.update(1, cell_id="a", wall_s=1.0)
-        reporter.update(1, cell_id="slow", wall_s=100.0)
-        assert reporter.stragglers == []
-
-    def test_live_and_posthoc_agree(self, tmp_path):
-        # The reporter flags live; flag_stragglers over the same walls
-        # (written as done records) must add nothing new.
-        from repro.obs.ledger import flag_stragglers
-
-        ledger = RunLedger.create("t", root=tmp_path)
-        reporter, clock, _ = make_reporter(total=6, ledger=ledger,
-                                           min_samples=5)
-        walls = [1.0, 1.0, 1.0, 1.0, 1.0, 10.0]
-        for index, wall in enumerate(walls):
-            cell = "slow" if wall > 1.0 else f"c{index}"
-            ledger.cell(cell, "done", result="simulated", wall_s=wall)
-            reporter.update(1, cell_id=cell, wall_s=wall)
-        assert reporter.stragglers == ["slow"]
-        assert flag_stragglers(ledger) == []  # already flagged live
-        ledger.close()
-
-    def test_straggler_count_rendered(self):
-        reporter, clock, _ = make_reporter(total=6, min_samples=2)
-        for index in range(2):
-            reporter.update(1, cell_id=f"c{index}", wall_s=1.0)
-        clock.advance(1.0)
-        reporter.update(1, cell_id="slow", wall_s=50.0)
-        assert "1 straggler" in reporter.render()
-
     def test_heartbeat_forwards_to_ledger(self, tmp_path):
         ledger = RunLedger.create("t", root=tmp_path)
         reporter, _, _ = make_reporter(total=4, ledger=ledger)

@@ -98,11 +98,6 @@ class TestRunner:
         stats = runner.run("noop", FrontEndConfig())
         assert stats.blocks == runner.scale.measured_records
 
-    def test_clear(self, runner):
-        first = runner.run("noop", FrontEndConfig())
-        runner.clear()
-        assert runner.run("noop", FrontEndConfig()) is not first
-
 
 class TestScale:
     def test_default_quick(self, monkeypatch):

@@ -180,12 +180,13 @@ class TestPersistence:
 
     def test_from_trace_jsonl_rebuilds_rollups(self, tmp_path):
         trace = EventTrace(capacity=1024)
-        agg_live = AttributionAggregator()
-        trace.add_sink(agg_live.observe)
         trace.record_index = 0
         trace.emit("btb", pc=0x100, hit=False, branch_kind="Call",
                    resident=True)
         trace.emit("sbb", pc=0x100, hit=True, which="u")
+        agg_live = AttributionAggregator()
+        for event in trace:
+            agg_live.observe(event)
         path = trace.to_jsonl(tmp_path / "trace.jsonl")
         rebuilt = AttributionAggregator.from_trace_jsonl(path)
         assert rebuilt.totals() == agg_live.totals()

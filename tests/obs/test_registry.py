@@ -9,7 +9,6 @@ from repro.obs import (
     MetricsRegistry,
     diff_snapshots,
     load_snapshot,
-    merge_snapshots,
     render_snapshot,
     save_snapshot,
 )
@@ -77,10 +76,6 @@ class TestSnapshotAlgebra:
         diff = diff_snapshots({"old": 1}, {"new": 2})
         assert diff == {"old": (1, None), "new": (None, 2)}
 
-    def test_merge_sums_counters(self):
-        merged = merge_snapshots([{"a": 1, "b": 2}, {"a": 10}])
-        assert merged == {"a": 11, "b": 2}
-
     def test_render_groups_by_component(self):
         text = render_snapshot({"btb.hits": 5, "btb.lookups": 9,
                                 "ras.pops": 1.5})
@@ -101,58 +96,3 @@ class TestSnapshotAlgebra:
         loaded, meta = load_snapshot(path)
         assert loaded == {"x": 1}
         assert meta == {}
-
-
-class TestPrometheusExport:
-    def test_type_lines_and_values(self):
-        from repro.obs import snapshot_to_prometheus
-
-        text = snapshot_to_prometheus({"btb.hits": 5, "engine.mean": 1.25})
-        lines = text.splitlines()
-        assert "# TYPE repro_btb_hits gauge" in lines
-        assert "repro_btb_hits 5" in lines
-        assert "repro_engine_mean 1.25" in lines
-        assert text.endswith("\n")
-
-    def test_names_sanitised_and_sorted(self):
-        from repro.obs import snapshot_to_prometheus
-
-        text = snapshot_to_prometheus({"z.last": 1, "a.first": 2,
-                                       "sbb/u-way:hits": 3})
-        samples = [line for line in text.splitlines()
-                   if not line.startswith("#")]
-        assert samples == ["repro_a_first 2", "repro_sbb_u_way_hits 3",
-                           "repro_z_last 1"]
-
-    def test_help_line_precedes_each_type_line(self):
-        # promtool-style exposition: every metric's HELP line comes
-        # immediately before its TYPE line, which comes immediately
-        # before the sample.
-        from repro.obs import snapshot_to_prometheus
-
-        text = snapshot_to_prometheus({"btb.hits": 5, "ras.pops": 2})
-        lines = text.splitlines()
-        for name, metric in (("btb.hits", "repro_btb_hits"),
-                             ("ras.pops", "repro_ras_pops")):
-            index = lines.index(f"# HELP {metric} repro counter {name}")
-            assert lines[index + 1] == f"# TYPE {metric} gauge"
-            assert lines[index + 2].startswith(metric)
-
-    def test_labels_attached_and_escaped(self):
-        from repro.obs import snapshot_to_prometheus
-
-        text = snapshot_to_prometheus(
-            {"x": 1}, labels={"workload": 'vo"ter\n', "seed": "7"})
-        assert (r'repro_x{seed="7",workload="vo\"ter\n"} 1'
-                in text.splitlines())
-
-    def test_empty_snapshot_renders_empty(self):
-        from repro.obs import snapshot_to_prometheus
-
-        assert snapshot_to_prometheus({}) == ""
-
-    def test_registry_to_prometheus(self):
-        registry = MetricsRegistry()
-        registry.scope("btb").gauge("hits", lambda: 4)
-        text = registry.to_prometheus(labels={"workload": "noop"})
-        assert 'repro_btb_hits{workload="noop"} 4' in text

@@ -61,29 +61,6 @@ class TestRingBuffer:
             EventTrace(capacity=0)
 
 
-class TestSinks:
-    def test_sink_sees_every_event(self):
-        trace = EventTrace()
-        seen = []
-        trace.add_sink(seen.append)
-        trace.emit("btb", pc=1, hit=True)
-        trace.emit("resteer", pc=1, stage="decode", cause="btb_alias",
-                   latency=12.0)
-        assert [event["kind"] for event in seen] == ["btb", "resteer"]
-
-    def test_sink_observes_past_ring_capacity(self):
-        # The ring keeps only the newest events, but sinks are fed at
-        # emission time -- a sink-based aggregation never under-counts.
-        trace = EventTrace(capacity=1)
-        seen = []
-        trace.add_sink(seen.append)
-        for index in range(5):
-            trace.emit("btb", pc=index, hit=False)
-        assert trace.dropped == 4
-        assert len(trace) == 1
-        assert [event["pc"] for event in seen] == [0, 1, 2, 3, 4]
-
-
 class TestJsonl:
     def test_dump_is_self_describing(self, tmp_path):
         trace = EventTrace(capacity=2)
