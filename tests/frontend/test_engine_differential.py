@@ -10,6 +10,13 @@ same attribution artifact, events and timeline; the artifact folded from the row
 events rebuild; and observing a run must not change it: ``SimStats``
 and the metric snapshot of an observed run equal an unobserved kernel
 run outside the ``trace.`` scope.
+
+A second property puts several drawn configs on one trace in one batch,
+so lanes share a predictor setup or differ in it (RAS depth, the loop
+predictor, TAGE history lengths, the TAGE seed, a warm start), and one
+lane may carry the divergence bisector's per-window state probe.  Each
+lane must equal its own ``run_compiled`` and end with the oracle's
+predictor state.
 """
 
 import dataclasses
@@ -22,7 +29,13 @@ from repro.frontend.batch import BatchedFrontEndSimulator
 from repro.frontend.comparators import COMPARATOR_NAMES
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
-from repro.obs import AttributionAggregator, EventTrace, TimelineRecorder
+from repro.obs import (
+    AttributionAggregator,
+    EventTrace,
+    IntervalCollector,
+    TimelineRecorder,
+)
+from repro.obs.digests import state_digest
 from repro.workloads.codegen import ProgramGenerator
 from repro.workloads.compiled import CompiledTrace
 from repro.workloads.trace import TraceGenerator
@@ -131,3 +144,77 @@ def test_kernel_matches_oracle_outcomes(seed, config, chunk, warmup):
     snapshot = plain.metrics_snapshot()
     assert _untraced(oracle.metrics_snapshot()) == snapshot
     assert _untraced(kernel.metrics_snapshot()) == snapshot
+
+
+#: Predictor setups the multi-lane property draws from, few enough that
+#: lanes often share one.
+_SETUPS = st.fixed_dictionaries({
+    "ras_depth": st.sampled_from((4, 32)),
+    "use_loop_predictor": st.booleans(),
+    "tage_history_lengths": st.sampled_from(((5, 15, 44, 130), (3, 9, 27))),
+})
+
+_PREDICTORS = ("tage", "ittage", "loop", "ras")
+
+
+@st.composite
+def lanes(draw) -> list[dict]:
+    drawn = [{"config": dataclasses.replace(draw(configs()), **draw(_SETUPS)),
+              "seed": draw(st.integers(0, 1)),
+              "warm": draw(st.booleans()),
+              "probe": False}
+             for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        drawn[draw(st.integers(0, len(drawn) - 1))]["probe"] = True
+    return drawn
+
+
+def _lane_simulator(program, compiled, lane: dict) -> FrontEndSimulator:
+    """A simulator for one drawn lane: optionally warmed on a prefix of
+    the trace, optionally carrying a per-window state probe."""
+    simulator = FrontEndSimulator(program, lane["config"], seed=lane["seed"])
+    if lane["warm"]:
+        simulator.run_compiled(compiled.prefix(300))
+    if lane["probe"]:
+        simulator.attach_intervals(IntervalCollector(
+            97, state_probe=lambda: state_digest(simulator)))
+    return simulator
+
+
+def _predictor_states(simulator) -> dict:
+    structures = simulator.structures()
+    return {name: structures[name].state(0.0)
+            for name in _PREDICTORS if name in structures}
+
+
+@given(seed=st.integers(0, 3), drawn=lanes(),
+       chunk=st.one_of(st.integers(1, 8), st.integers(9, 700)),
+       warmup=st.integers(0, RECORDS - 1))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_lanes_sharing_a_trace_match_their_oracles(seed, drawn, chunk,
+                                                   warmup):
+    program, compiled = _workload(seed)
+
+    batch = BatchedFrontEndSimulator(chunk_records=chunk)
+    kernels = []
+    for lane in drawn:
+        simulator = _lane_simulator(program, compiled, lane)
+        rows = _observed(simulator)
+        batch.add_lane(simulator, compiled, warmup=warmup)
+        kernels.append((simulator, rows))
+    results = batch.run()
+
+    for lane, (kernel, kernel_rows), kernel_stats in zip(drawn, kernels,
+                                                         results):
+        oracle = _lane_simulator(program, compiled, lane)
+        oracle_rows = _observed(oracle)
+        oracle_stats = oracle.run_compiled(compiled, warmup=warmup)
+        assert dataclasses.asdict(kernel_stats) == \
+            dataclasses.asdict(oracle_stats)
+        assert kernel.metrics_snapshot() == oracle.metrics_snapshot()
+        assert kernel_rows == oracle_rows
+        assert _predictor_states(kernel) == _predictor_states(oracle)
+        if lane["probe"]:
+            assert kernel.intervals.state_marks == \
+                oracle.intervals.state_marks
