@@ -87,27 +87,41 @@ CONFIG_NAMES = ("base", "skia", "head", "tail", "airbtb", "boomerang",
                 "microbtb", "fdip", "fdip1", "fdip2", "fdip4", "fdip8")
 
 
-def _add_common_options(parser: argparse.ArgumentParser,
-                        suppress: bool = False) -> None:
-    """Options accepted both before and after the subcommand.
+#: The options accepted both before and after the subcommand.
+COMMON_OPTIONS = ("scale", "jobs", "no_store")
 
-    Subcommand copies use ``SUPPRESS`` defaults so they only overwrite
-    the top-level values when actually given on the command line.
+
+def _add_common_options(parser: argparse.ArgumentParser,
+                        *names: str) -> None:
+    """Add the shared options ``names`` (all of :data:`COMMON_OPTIONS`
+    on the top-level parser).
+
+    A subcommand copy lists only the options its command reads, so a
+    flag it would ignore is a usage error.  Copies use ``SUPPRESS``
+    defaults so they only overwrite the top-level values when actually
+    given on the command line.
     """
+    suppress = bool(names)
+    names = names or COMMON_OPTIONS
+
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--scale", choices=sorted(SCALES),
-                        default=default(None),
-                        help="trace scale (overrides REPRO_SCALE)")
-    parser.add_argument("--jobs", "-j", type=int, metavar="N",
-                        default=default(None),
-                        help="simulation worker processes (0 = all CPUs; "
-                             "default REPRO_JOBS, else 1 = serial)")
-    parser.add_argument("--no-store", action="store_true",
-                        default=default(False),
-                        help="skip the persistent result store "
-                             "(equivalent to REPRO_NO_STORE=1)")
+    if "scale" in names:
+        parser.add_argument("--scale", choices=sorted(SCALES),
+                            default=default(None),
+                            help="trace scale (overrides REPRO_SCALE)")
+    if "jobs" in names:
+        parser.add_argument("--jobs", "-j", type=int, metavar="N",
+                            default=default(None),
+                            help="simulation worker processes (0 = all "
+                                 "CPUs; default REPRO_JOBS, else 1 = "
+                                 "serial)")
+    if "no_store" in names:
+        parser.add_argument("--no-store", action="store_true",
+                            default=default(False),
+                            help="skip the persistent result store "
+                                 "(equivalent to REPRO_NO_STORE=1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="baseline vs Skia on one workload")
     compare.add_argument("workload", nargs="?", default="voter",
                          choices=sorted(WORKLOAD_NAMES))
-    _add_common_options(compare, suppress=True)
+    _add_common_options(compare, "scale")
 
     experiment = sub.add_parser("experiment",
                                 help="regenerate a paper exhibit")
@@ -134,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--workloads", nargs="+", default=None,
                             metavar="NAME", choices=sorted(WORKLOAD_NAMES),
                             help="restrict to these workloads")
-    _add_common_options(experiment, suppress=True)
+    _add_common_options(experiment, *COMMON_OPTIONS)
 
     workloads = sub.add_parser("workloads", help="list workload profiles")
     workloads_sub = workloads.add_subparsers(dest="workloads_command")
@@ -147,11 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace length (default: current scale's)")
     period.add_argument("--warmup", type=int, default=None, metavar="N",
                         help="warm-up records (default: current scale's)")
-    # SUPPRESS, as in _add_common_options: a default here would
-    # overwrite a --scale given before the subcommand.
-    period.add_argument("--scale", choices=sorted(SCALES),
-                        default=argparse.SUPPRESS,
-                        help="take records/warmup from this scale preset")
+    _add_common_options(period, "scale")
 
     describe = sub.add_parser("describe",
                               help="print a workload's static structure")
@@ -205,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--timeline-out", metavar="PATH", default=None,
                      help="write the pipeline timeline as Chrome "
                           "trace-event JSON (Perfetto-loadable)")
-    _add_common_options(run, suppress=True)
+    _add_common_options(run, "scale", "no_store")
 
     stats = sub.add_parser(
         "stats", help="metric snapshots and invariant cross-checks")
@@ -227,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="PATH",
                              help="check these saved snapshot files "
                                   "instead of simulating the grid")
-    _add_common_options(stats_check, suppress=True)
+    _add_common_options(stats_check, *COMMON_OPTIONS)
 
     stats_trace = stats_sub.add_parser(
         "trace", help="inspect or convert a saved event trace (JSONL)")
@@ -388,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     divergence_bisect.add_argument("--no-events", action="store_true",
                                    help="skip the oracle event replay "
                                         "of the divergent record")
-    _add_common_options(divergence_bisect, suppress=True)
+    _add_common_options(divergence_bisect, "scale")
     return parser
 
 

@@ -20,6 +20,21 @@ class TestParser:
                      "comparator-zoo"):
             assert name in EXPERIMENTS
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "voter", "-j", "8"],
+        ["compare", "voter", "--jobs", "2"],
+        ["compare", "voter", "--no-store"],
+        ["divergence", "bisect", "voter", "--no-store"],
+    ])
+    def test_subcommands_reject_options_they_ignore(self, argv, capsys):
+        # A subcommand takes only the shared options it reads: run and
+        # compare simulate in-process, compare and divergence bisect
+        # touch no store.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
