@@ -260,7 +260,7 @@ class ParallelRunner:
             from repro.harness.progress import (ProgressReporter,
                                                 progress_enabled)
             if progress_enabled():
-                progress = ProgressReporter(len(unique), ledger=ledger)
+                progress = ProgressReporter(len(unique))
 
         simulate = partial(
             simulate_group, scale=self.scale,

@@ -22,8 +22,6 @@ import sys
 import time
 from typing import Callable, TextIO
 
-from repro.obs.ledger import RunLedger
-
 
 def _format_eta(seconds: float) -> str:
     """``1h02m``/``3m20s``/``12s`` -- coarse on purpose."""
@@ -41,21 +39,18 @@ class ProgressReporter:
     Parameters mirror the testability conventions of the obs layer:
     ``clock`` is a monotonic-seconds callable, ``stream`` the output
     text stream (TTY detection via ``stream.isatty()``), ``interval``
-    the minimum seconds between emitted lines.  ``ledger`` (optional)
-    receives heartbeats.
+    the minimum seconds between emitted lines.
     """
 
     def __init__(self, total: int, *,
                  stream: TextIO | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  interval: float = 2.0,
-                 ledger: RunLedger | None = None,
                  label: str = "cells"):
         self.total = total
         self.stream = stream if stream is not None else sys.stderr
         self.clock = clock
         self.interval = interval
-        self.ledger = ledger
         self.label = label
         self.completed = 0
         self._started = clock()
@@ -89,12 +84,6 @@ class ProgressReporter:
         """Record ``n`` completed cells."""
         self.completed += n
         self.maybe_emit()
-
-    def heartbeat(self, **fields) -> None:
-        """Forward a liveness signal to the ledger (rate-limited there)."""
-        if self.ledger is not None:
-            self.ledger.heartbeat(completed=self.completed,
-                                  total=self.total, **fields)
 
     # -- rendering -------------------------------------------------------
 

@@ -330,7 +330,7 @@ class ExperimentRunner:
                 ledger.submit([cell.cell_id for cell in missing.values()],
                               submitted=len(resolved), jobs=1)
                 if progress_enabled():
-                    progress = ProgressReporter(len(missing), ledger=ledger)
+                    progress = ProgressReporter(len(missing))
             for group in group_cells(missing.values()):
                 self.run_group(group, progress=progress)
             if progress is not None:

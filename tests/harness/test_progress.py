@@ -1,9 +1,10 @@
-"""Progress reporting: ETA arithmetic, ledger heartbeats, TTY awareness.
+"""Progress reporting: ETA arithmetic and TTY awareness.
 
 Everything runs on a synthetic monotonic clock -- no sleeping, no
-timing sensitivity.  Stragglers are judged once, when a run ends
-(:func:`repro.obs.ledger.flag_stragglers`, tested in
-``tests/obs/test_ledger.py``).
+timing sensitivity.  Heartbeats go straight to the run ledger, and
+stragglers are judged once, when a run ends
+(:func:`repro.obs.ledger.flag_stragglers`); both are tested in
+``tests/obs/test_ledger.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 
 from repro.harness.progress import (ProgressReporter, _format_eta,
                                     progress_enabled)
-from repro.obs.ledger import RunLedger, read_manifest
 
 
 class FakeClock:
@@ -66,19 +66,6 @@ class TestEtaMath:
         clock.advance(8.0)
         reporter.update(4)
         assert reporter.render() == "4/10 cells  0.5/s  ETA 12s"
-
-
-class TestStragglers:
-    def test_heartbeat_forwards_to_ledger(self, tmp_path):
-        ledger = RunLedger.create("t", root=tmp_path)
-        reporter, _, _ = make_reporter(total=4, ledger=ledger)
-        reporter.completed = 2
-        reporter.heartbeat(cell="c1")
-        ledger.close()
-        beats = [r for r in read_manifest(ledger.manifest_path)
-                 if r["kind"] == "heartbeat"]
-        assert beats and beats[0]["completed"] == 2
-        assert beats[0]["total"] == 4
 
 
 class TestRendering:
