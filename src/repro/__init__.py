@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.frontend.batch import BatchedFrontEndSimulator
 from repro.frontend.config import FrontEndConfig, SkiaConfig
 from repro.frontend.engine import FrontEndSimulator
 from repro.frontend.stats import SimStats
@@ -85,12 +86,15 @@ def quick_compare(workload: str = "voter", records: int = 160_000,
                   warmup: int = 50_000, seed: int = 0) -> CompareResult:
     """Run baseline FDIP and FDIP+Skia on one workload and compare.
 
-    The one-call entry point used by ``examples/quickstart.py``.
+    The one-call entry point used by ``examples/quickstart.py``.  Both
+    configurations run as two lanes of one batch over the shared trace,
+    so they share its predictor pass.
     """
     program = build_program(workload, seed=seed)
     trace = build_trace(workload, records, seed=seed)
-    baseline = FrontEndSimulator(program, FrontEndConfig(),
-                                 seed=seed).run_compiled(trace, warmup=warmup)
-    skia = FrontEndSimulator(program, FrontEndConfig(skia=SkiaConfig()),
-                             seed=seed).run_compiled(trace, warmup=warmup)
+    batch = BatchedFrontEndSimulator()
+    for config in (FrontEndConfig(), FrontEndConfig(skia=SkiaConfig())):
+        batch.add_lane(FrontEndSimulator(program, config, seed=seed), trace,
+                       warmup=warmup)
+    baseline, skia = batch.run()
     return CompareResult(workload=workload, baseline=baseline, skia=skia)

@@ -7,8 +7,9 @@ attribute store per counter event.  This module is the same model
 written to be fast: a **lane kernel**, one fully inlined replay loop per
 (workload, config, seed) cell that
 
-* reads, per record, only the compiled trace's block index, taken bit
-  and target, and unpacks one fused **block row** (see
+* reads, per record, only the compiled trace's block index, taken bit,
+  target and predictor outcome byte, and unpacks one fused **block
+  row** (see
   :func:`_block_rows`: kind object, line arithmetic, BTB set/tag, L1
   set numbers, decode cycles -- everything fixed by the block and the
   structure geometry);
@@ -27,19 +28,37 @@ while they are hot.  Block rows are built once per (trace, structure
 geometry) per batch, over the trace's executed blocks only, and shared
 by every lane of that geometry.
 
+The direction and target predictors (TAGE, the loop predictor, ITTAGE
+and the RAS) train on every executed branch in order, whatever the BTB
+or SBB did, so their outcomes depend only on the trace and the
+predictors' setup.  They run **once per group** of lanes that share a
+trace and a predictor setup (:func:`_predictor_setup`: geometry,
+counters and state, the TAGE seed and a warm start included): before
+the lockstep rounds, :func:`_share_predictor_passes` steps one lane's
+predictors over the trace, writes one outcome byte per record, and
+copies the predictor state into each other lane's own objects at that
+lane's handoff.  A lane reads the shared column up to its handoff and
+steps its own predictors per segment after it.  The handoff is the
+trace's end for a plain lane, the first probe for a fast-forward lane
+and 0 for a lane with a per-window state probe, since both probes read
+predictor state.
+
 Bit-exactness contract: a lane performs *exactly* the same structure
 operations, in the same order, with the same counter updates as
-``run_compiled`` -- final ``SimStats`` and metric snapshots are
-bit-identical (enforced over the full Figure-14 grid by
-``tests/frontend/test_batch_equivalence.py``).  A lane observed by
-attribution, an event trace or a timeline recorder appends the oracle's
-outcome row (and, for a timeline, stage-time row) per record and renders
-the rows when it finishes, as ``run_compiled`` does; an unobserved lane
-pays one ``None`` check per record.  So every harness cell runs here,
-and ``run_compiled`` stays the oracle it is tested against.  Section 7.1
-comparator cells run on the kernel too: the comparator's ``lookup``/
-``record``/``on_btb_miss`` hooks are bound locals called at exactly the
-oracle's call sites.
+``run_compiled``, except that the predictor operations of a group run
+once for all its lanes; each lane still ends with the oracle's
+predictor state and counters.  Final ``SimStats`` and metric snapshots
+are bit-identical (enforced over the full Figure-14 grid by
+``tests/frontend/test_batch_equivalence.py``, and for mixed batches of
+drawn configs by ``tests/frontend/test_engine_differential.py``).  A
+lane observed by attribution, an event trace or a timeline recorder
+appends the oracle's outcome row (and, for a timeline, stage-time row)
+per record and renders the rows when it finishes, as ``run_compiled``
+does; an unobserved lane pays one ``None`` check per record.  So every
+harness cell runs here, and ``run_compiled`` stays the oracle it is
+tested against.  Section 7.1 comparator cells run on the kernel too:
+the comparator's ``lookup``/``record``/``on_btb_miss`` hooks are bound
+locals called at exactly the oracle's call sites.
 """
 
 from __future__ import annotations
@@ -72,6 +91,15 @@ _K_COND = BranchKind.DIRECT_COND
 _K_UNCOND = BranchKind.DIRECT_UNCOND
 _K_CALL = BranchKind.CALL
 _K_RETURN = BranchKind.RETURN
+
+# The predictor a record of each kind consults, as ``bpu`` does: TAGE
+# (and the loop predictor) for a conditional, the RAS for a return,
+# none for a direct jump or call, ITTAGE for the rest.
+_OP_NONE, _OP_COND, _OP_RETURN, _OP_INDIRECT = range(4)
+_OP_BY_CODE = tuple(
+    _OP_COND if kind is _K_COND else _OP_RETURN if kind is _K_RETURN
+    else _OP_NONE if kind is _K_UNCOND or kind is _K_CALL else _OP_INDIRECT
+    for kind in KIND_BY_CODE)
 
 
 def _geometry(simulator) -> tuple:
@@ -130,15 +158,125 @@ def _block_rows(trace: CompiledTrace, geometry: tuple) -> list:
         (n_instr / backend_width).tolist()))
 
 
+def _predictor_rows(trace: CompiledTrace) -> list:
+    """Per executed block: ``(op, branch pc, return address)``, the
+    return address being the fallthrough of a call and ``None`` for
+    every other kind."""
+    table = trace.block_table
+    return [(_OP_BY_CODE[code], pc, fallthrough if _IS_CALL_BY_CODE[code]
+             else None)
+            for code, pc, fallthrough in zip(table["kind"].tolist(),
+                                             table["branch_pc"].tolist(),
+                                             table["fallthrough"].tolist())]
+
+
+def _predictors(simulator) -> tuple:
+    """A simulator's TAGE, ITTAGE, loop predictor (or ``None``) and RAS."""
+    bpu = simulator.bpu
+    return bpu.tage, bpu.ittage, bpu.loop, bpu.ras
+
+
+def _predictor_setup(simulator) -> tuple:
+    """Everything a lane's predictor outcomes depend on besides the
+    trace: per predictor, its type, its plain attributes (geometry and
+    counters) and ``state(0.0)``, which covers every other attribute
+    (the structural coverage test checks that)."""
+    return tuple(
+        None if predictor is None else (
+            type(predictor),
+            tuple((name, value) for name, value in vars(predictor).items()
+                  if isinstance(value, (int, float, str, tuple))),
+            predictor.state(0.0))
+        for predictor in _predictors(simulator))
+
+
+def _predict(predictors: tuple, rows: list, trace: CompiledTrace,
+             start: int, stop: int) -> bytes:
+    """Step ``predictors`` over records ``[start, stop)``; one outcome
+    byte per record.
+
+    Each record makes exactly the predictor calls ``bpu.process`` makes
+    for it, in the same order.  Bit 0 says the prediction was correct;
+    bit 1 says a conditional was predicted taken, or a return found the
+    RAS empty.
+    """
+    tage, ittage, loop, ras = predictors
+    tage_update = tage.update
+    loop_on = loop is not None
+    loop_predict = loop.predict if loop_on else None
+    loop_update = loop.update if loop_on else None
+    ittage_update = ittage.update
+    ras_pop = ras.pop
+    ras_push = ras.push
+    out = bytearray()
+    append = out.append
+    for block, taken, target in zip(trace.blocks[start:stop],
+                                    trace.taken[start:stop],
+                                    trace.target[start:stop]):
+        op, pc, return_address = rows[block]
+        if op == _OP_COND:
+            predicted = tage_update(pc, taken)
+            if loop_on:
+                lp = loop_predict(pc)
+                loop_update(pc, taken)
+                if lp is not None:
+                    predicted = lp
+            append((predicted == taken) + 2 * predicted)
+        elif op == _OP_RETURN:
+            predicted = ras_pop()
+            append(2 if predicted is None else predicted == target)
+        elif op == _OP_INDIRECT:
+            append(ittage_update(pc, target) == target)
+        else:
+            append(0)
+        if return_address is not None:
+            ras_push(return_address)
+    return bytes(out)
+
+
+def _share_predictor_passes(lanes: list) -> None:
+    """Step the predictors once per group of lanes that share a trace
+    and a predictor setup, and hand each lane its state.
+
+    The lane with the latest handoff steps its own predictors; at each
+    earlier lane's handoff, that lane's predictors become copies of
+    them.  Every lane of the group reads the one outcome column up to
+    its handoff.
+    """
+    groups: dict[tuple, list] = {}
+    for lane in lanes:
+        if lane.handoff:
+            groups.setdefault((lane.compiled, lane.setup), []).append(lane)
+    for group in groups.values():
+        group.sort(key=lambda lane: lane.handoff)
+        owner = group[-1]
+        parts = []
+        cursor = 0
+        for lane in group:
+            if lane.handoff > cursor:
+                parts.append(_predict(owner.predictors, owner.predictor_rows,
+                                      owner.compiled, cursor, lane.handoff))
+                cursor = lane.handoff
+            if lane is not owner:
+                for mine, shared in zip(lane.predictors, owner.predictors):
+                    if mine is not None:
+                        mine.copy_from(shared)
+        column = b"".join(parts)
+        for lane in group:
+            lane.column = column
+
+
 class _Lane:
     """One cell's replay state, advanced chunk by chunk."""
 
     def __init__(self, simulator: FrontEndSimulator, compiled, warmup: int,
-                 block_rows: list, ff=None):
+                 block_rows: list, predictor_rows: list, ff=None):
         self.sim = simulator
         self.compiled = compiled
         #: The trace's block rows for this lane's geometry (shared).
         self.block_rows = block_rows
+        #: The trace's per-block predictor rows (see _predictor_rows).
+        self.predictor_rows = predictor_rows
         self.warmup = warmup
         self.n_records = compiled.n_records
 
@@ -177,6 +315,23 @@ class _Lane:
         if self.intervals is not None:
             self.intervals.warmup = warmup
             self.next_boundary = self.intervals.interval_size
+
+        # Predictor outcomes: records before ``handoff`` read the
+        # group's shared ``column`` (see _share_predictor_passes), which
+        # leaves this lane's predictors in their state at ``handoff``;
+        # later records step them per segment.  A fast-forward probe
+        # digests predictor state and a state probe samples the RAS, so
+        # the handoff comes no later than the first of either.
+        self.predictors = _predictors(simulator)
+        self.setup = _predictor_setup(simulator)
+        if self.intervals is not None \
+                and self.intervals.state_probe is not None:
+            self.handoff = 0
+        elif ff is not None:
+            self.handoff = ff.next_probe
+        else:
+            self.handoff = self.n_records
+        self.column = b""
 
     def advance(self, start: int, stop: int) -> None:
         """Advance through records ``[start, stop)`` of one lockstep
@@ -245,6 +400,17 @@ class _Lane:
                 return
         self._advance(start, stop)
 
+    def _outcomes(self, start: int, stop: int) -> bytes:
+        """Predictor outcome bytes (see :func:`_predict`) for records
+        ``[start, stop)``: the shared column before the handoff, this
+        lane's own predictors from there on."""
+        handoff = self.handoff
+        if stop <= handoff:
+            return self.column[start:stop]
+        own = _predict(self.predictors, self.predictor_rows, self.compiled,
+                       max(start, handoff), stop)
+        return self.column[start:handoff] + own if start < handoff else own
+
     # The kernel: one fully inlined replay of records [start, stop).
     # Every structure operation and counter update below replicates the
     # oracle (engine.run_compiled + bpu.process +
@@ -274,12 +440,12 @@ class _Lane:
             self.cycles_at_count_start = self.retire_free
             self.wp_at_count_start = hierarchy.wrong_path_fills
 
-        # Per record: its block's row (see _block_rows), taken bit and
-        # target.
+        # Per record: its block's row (see _block_rows), taken bit,
+        # target and predictor outcome byte.
         trace = self.compiled
         block_rows = self.block_rows
         records = zip(trace.blocks[start:stop], trace.taken[start:stop],
-                      trace.target[start:stop])
+                      trace.target[start:stop], self._outcomes(start, stop))
 
         # Structures, locals-bound.
         l1i = hierarchy.l1i
@@ -290,14 +456,6 @@ class _Lane:
         btb_full = btb._full
         btb_sets = btb._sets
         btb_assoc = btb.assoc
-        tage_update = bpu.tage.update
-        loop = bpu.loop
-        loop_on = loop is not None
-        loop_predict = loop.predict if loop_on else None
-        loop_update = loop.update if loop_on else None
-        ittage_update = bpu.ittage.update
-        ras_pop = bpu.ras.pop
-        ras_push = bpu.ras.push
         comp = bpu.comparator
         comp_on = comp is not None
         comp_lookup = comp.lookup if comp_on else None
@@ -337,7 +495,6 @@ class _Lane:
             r_evict = rsbb._evict
         sbb_entry_cls = SBBEntry
         takes_target = _TAKES_TARGET_BY_CODE
-        is_call = _IS_CALL_BY_CODE
         k_cond = _K_COND
         k_uncond = _K_UNCOND
         k_call = _K_CALL
@@ -411,7 +568,7 @@ class _Lane:
         cnt_branches = [0] * _N_KINDS
         cnt_btb_misses = [0] * _N_KINDS
 
-        for block, taken, target in records:
+        for block, taken, target, outcome in records:
             (kind, kcode, branch_pc, fallthrough, n_instr, branch_line,
              bl_set, bidx, btag, first_line, fl_set, n_lines, entry_offset,
              tail_aligned, exit_pc, tail_line, tl_set, decode_cycles,
@@ -463,36 +620,27 @@ class _Lane:
                         if sbb_result is None:
                             s_sbb_misses += 1
 
-            # Predictors (bpu._predict_*, inlined).  Whichever way the
-            # decision tree below goes, the oracle consults the branch
-            # kind's predictor exactly once -- in the case handler, or in
+            # Predictors (bpu._predict_*).  Whichever way the decision
+            # tree below goes, the oracle consults the branch kind's
+            # predictor exactly once -- in the case handler, or in
             # _train_side_predictors on the alias and SBB-wrong-target
             # paths -- and no lookup or comparator hook reads predictor
-            # state, so the one call runs here, up front.
-            if kind is k_cond:
-                predicted = tage_update(branch_pc, taken)
-                if loop_on:
-                    lp = loop_predict(branch_pc)
-                    loop_update(branch_pc, taken)
-                    if lp is not None:
-                        predicted = lp
-                correct = predicted == taken
-                if counting:
+            # state.  So the calls depend on the trace alone and ran
+            # ahead of the kernel (_predict); the kernel reads their
+            # outcome byte.
+            correct = outcome & 1
+            if counting:
+                if kind is k_cond:
                     s_cond_predictions += 1
                     if not correct:
                         s_cond_mispredicts += 1
-            elif kind is k_return:
-                predicted = ras_pop()
-                correct = predicted == target
-                if counting:
+                elif kind is k_return:
                     s_ras_predictions += 1
-                    if predicted is None:
+                    if outcome & 2:
                         s_ras_underflows += 1
                     if not correct:
                         s_ras_mispredicts += 1
-            elif kind is not k_uncond and kind is not k_call:
-                correct = ittage_update(branch_pc, target) == target
-                if counting:
+                elif kind is not k_uncond and kind is not k_call:
                     s_indirect_predictions += 1
                     if not correct:
                         s_indirect_mispredicts += 1
@@ -561,11 +709,11 @@ class _Lane:
                 wrong_pc = fallthrough
                 if kind is k_cond:
                     if not taken:
-                        if predicted:
+                        if outcome & 2:
                             resteer = "exec"
                             cause = "cond_mispredict"
                             wrong_pc = target
-                    elif predicted:
+                    elif outcome & 2:
                         resteer = "decode"
                         cause = "undetected_branch"
                     else:
@@ -600,8 +748,6 @@ class _Lane:
                     ientry = btb_entry_cls(tag=btag, kind=kind,
                                            target=btb_target)
                 bway[btag] = ientry
-            if is_call[kcode]:
-                ras_push(fallthrough)
             if comp_on:
                 comp_record(branch_pc, kind, btb_target)
             if used_sbb:
@@ -930,6 +1076,8 @@ class BatchedFrontEndSimulator:
         self._lanes: list[_Lane] = []
         #: Block rows per (trace, geometry), shared by the batch's lanes.
         self._block_rows: dict[tuple, list] = {}
+        #: Predictor rows per trace.
+        self._predictor_rows: dict[CompiledTrace, list] = {}
         self._ran = False
 
     def __len__(self) -> int:
@@ -946,7 +1094,12 @@ class BatchedFrontEndSimulator:
         rows = self._block_rows.get(key)
         if rows is None:
             rows = self._block_rows[key] = _block_rows(*key)
-        self._lanes.append(_Lane(simulator, compiled, warmup, rows, ff=ff))
+        predictor_rows = self._predictor_rows.get(compiled)
+        if predictor_rows is None:
+            predictor_rows = self._predictor_rows[compiled] = \
+                _predictor_rows(compiled)
+        self._lanes.append(_Lane(simulator, compiled, warmup, rows,
+                                 predictor_rows, ff=ff))
 
     def run(self) -> list[SimStats]:
         """Run every lane to completion; stats in ``add_lane`` order."""
@@ -961,6 +1114,7 @@ class BatchedFrontEndSimulator:
                                "single-shot; build a new batch")
         self._ran = True
         lanes = self._lanes
+        _share_predictor_passes(lanes)
         chunk = self.chunk_records
         longest = max((lane.n_records for lane in lanes), default=0)
         for start in range(0, longest, chunk):

@@ -29,6 +29,13 @@ class _TaggedEntry:
         self.ctr = 0 if taken else -1  # weakly taken / weakly not-taken
         self.useful = 0
 
+    def copy(self) -> "_TaggedEntry":
+        clone = _TaggedEntry.__new__(_TaggedEntry)
+        clone.tag = self.tag
+        clone.ctr = self.ctr
+        clone.useful = self.useful
+        return clone
+
 
 class TageLite:
     """TAGE with a bimodal base and geometric tagged tables."""
@@ -206,6 +213,20 @@ class TageLite:
         table_number, index, tag = self._rng.choice(candidates[:2])
         tables[table_number][index] = _TaggedEntry(tag, taken)
 
+    def copy_from(self, other: "TageLite") -> None:
+        """Become a copy of ``other`` that shares no mutable state.
+
+        Entries are rebuilt field by field, which is many times faster
+        than ``copy.deepcopy``.  The object itself stays, so references
+        to it remain valid.
+        """
+        vars(self).update(vars(other))
+        self.tables = [{index: entry.copy() for index, entry in table.items()}
+                       for table in other.tables]
+        self.bimodal = dict(other.bimodal)
+        self._rng = random.Random(0)
+        self._rng.setstate(other._rng.getstate())
+
     def state(self, base: float) -> tuple:
         """Tagged entries, bimodal counters, history and the allocator's
         RNG state.  Holds no timestamps."""
@@ -232,6 +253,13 @@ class _LoopEntry:
         self.trip = 0         # learned taken-run length
         self.current = 0      # takes seen in the ongoing run
         self.confidence = 0   # consecutive confirmations of `trip`
+
+    def copy(self) -> "_LoopEntry":
+        clone = _LoopEntry()
+        clone.trip = self.trip
+        clone.current = self.current
+        clone.confidence = self.confidence
+        return clone
 
 
 class LoopPredictor:
@@ -287,6 +315,12 @@ class LoopPredictor:
                 entry.confidence = 0
             entry.current = 0
 
+    def copy_from(self, other: "LoopPredictor") -> None:
+        """Become a copy of ``other`` (see :meth:`TageLite.copy_from`);
+        the eviction order is kept."""
+        vars(self).update(vars(other))
+        self._table = {pc: entry.copy() for pc, entry in other._table.items()}
+
     def state(self, base: float) -> tuple:
         """Per-PC ``(trip, current, confidence)`` in eviction order."""
         return tuple((pc, e.trip, e.current, e.confidence)
@@ -300,6 +334,11 @@ class _ITEntry:
         self.tag = tag
         self.target = target
         self.confidence = 0
+
+    def copy(self) -> "_ITEntry":
+        clone = _ITEntry(self.tag, self.target)
+        clone.confidence = self.confidence
+        return clone
 
 
 class ITTageLite:
@@ -428,6 +467,13 @@ class ITTageLite:
         self.base[pc] = target
         self.history = ((history << 2) ^ (target & 0xFFFF)) & ((1 << 128) - 1)
         return prediction
+
+    def copy_from(self, other: "ITTageLite") -> None:
+        """Become a copy of ``other`` (see :meth:`TageLite.copy_from`)."""
+        vars(self).update(vars(other))
+        self.tables = [{index: entry.copy() for index, entry in table.items()}
+                       for table in other.tables]
+        self.base = dict(other.base)
 
     def state(self, base: float) -> tuple:
         """Tagged entries, last-target base table and path history.

@@ -71,6 +71,12 @@ class ReturnAddressStack:
         self._top = 0
         self._occupancy = 0
 
+    def copy_from(self, other: "ReturnAddressStack") -> None:
+        """Become a copy of ``other`` that shares no mutable state.  The
+        object itself stays: the metric gauges are bound to it."""
+        vars(self).update(vars(other))
+        self._buffer = list(other._buffer)
+
     def state(self, base: float) -> tuple:
         """Buffer slots, push pointer and occupancy.  No timestamps."""
         return tuple(self._buffer), self._top, self._occupancy
