@@ -208,13 +208,16 @@ def _predict(predictors: tuple, rows: list, trace: CompiledTrace,
     ittage_update = ittage.update
     ras_pop = ras.pop
     ras_push = ras.push
+    op_cond = _OP_COND
+    op_return = _OP_RETURN
+    op_indirect = _OP_INDIRECT
     out = bytearray()
     append = out.append
     for block, taken, target in zip(trace.blocks[start:stop],
                                     trace.taken[start:stop],
                                     trace.target[start:stop]):
         op, pc, return_address = rows[block]
-        if op == _OP_COND:
+        if op == op_cond:
             predicted = tage_update(pc, taken)
             if loop_on:
                 lp = loop_predict(pc)
@@ -222,10 +225,10 @@ def _predict(predictors: tuple, rows: list, trace: CompiledTrace,
                 if lp is not None:
                     predicted = lp
             append((predicted == taken) + 2 * predicted)
-        elif op == _OP_RETURN:
+        elif op == op_return:
             predicted = ras_pop()
             append(2 if predicted is None else predicted == target)
-        elif op == _OP_INDIRECT:
+        elif op == op_indirect:
             append(ittage_update(pc, target) == target)
         else:
             append(0)
