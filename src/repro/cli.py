@@ -87,41 +87,38 @@ CONFIG_NAMES = ("base", "skia", "head", "tail", "airbtb", "boomerang",
                 "microbtb", "fdip", "fdip1", "fdip2", "fdip4", "fdip8")
 
 
-#: The options accepted both before and after the subcommand.
-COMMON_OPTIONS = ("scale", "jobs", "no_store")
+#: The shared options: flags and ``add_argument`` keywords, by name.
+#: The top-level parser takes all of them; a subcommand repeats the
+#: ones its command reads.
+COMMON_OPTIONS = {
+    "scale": (("--scale",), {
+        "choices": sorted(SCALES), "default": None,
+        "help": "trace scale (overrides REPRO_SCALE)"}),
+    "jobs": (("--jobs", "-j"), {
+        "type": int, "metavar": "N", "default": None,
+        "help": "simulation worker processes (0 = all CPUs; default "
+                "REPRO_JOBS, else 1 = serial)"}),
+    "no_store": (("--no-store",), {
+        "action": "store_true", "default": False,
+        "help": "skip the persistent result store (equivalent to "
+                "REPRO_NO_STORE=1)"}),
+}
 
 
 def _add_common_options(parser: argparse.ArgumentParser,
                         *names: str) -> None:
-    """Add the shared options ``names`` (all of :data:`COMMON_OPTIONS`
-    on the top-level parser).
+    """Add the shared options ``names``, or all of them.
 
     A subcommand copy lists only the options its command reads, so a
     flag it would ignore is a usage error.  Copies use ``SUPPRESS``
     defaults so they only overwrite the top-level values when actually
     given on the command line.
     """
-    suppress = bool(names)
-    names = names or COMMON_OPTIONS
-
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    if "scale" in names:
-        parser.add_argument("--scale", choices=sorted(SCALES),
-                            default=default(None),
-                            help="trace scale (overrides REPRO_SCALE)")
-    if "jobs" in names:
-        parser.add_argument("--jobs", "-j", type=int, metavar="N",
-                            default=default(None),
-                            help="simulation worker processes (0 = all "
-                                 "CPUs; default REPRO_JOBS, else 1 = "
-                                 "serial)")
-    if "no_store" in names:
-        parser.add_argument("--no-store", action="store_true",
-                            default=default(False),
-                            help="skip the persistent result store "
-                                 "(equivalent to REPRO_NO_STORE=1)")
+    for name in names or COMMON_OPTIONS:
+        flags, options = COMMON_OPTIONS[name]
+        if names:
+            options = {**options, "default": argparse.SUPPRESS}
+        parser.add_argument(*flags, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
