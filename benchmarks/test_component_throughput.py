@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from repro.core import decode_tables
 from repro.core.sbb import ShadowBranchBuffer
 from repro.core.sbd import ShadowBranchDecoder
 from repro.frontend.config import FrontEndConfig, SkiaConfig
@@ -135,60 +134,70 @@ def test_sbb_insert_lookup_throughput(benchmark):
     benchmark(run)
 
 
-def test_sbd_head_decode_throughput(benchmark, program):
+def _private_sbd(program, warm_lines=()):
+    """A decoder over its own empty tables, its ``warm_lines`` decoded."""
     sbd = ShadowBranchDecoder(program.image, program.base_address,
-                              SkiaConfig())
-    entries = [program.base_address + line * 64 + offset
-               for line in range(0, 40)
-               for offset in (7, 23, 41)]
+                              SkiaConfig(), shared=False)
+    for line in warm_lines:
+        sbd._line_decodes(line)
+    return sbd
 
-    def run():
-        sbd._head_memo.clear()
+
+def _sbd_lines(program):
+    return [program.base_address + line * 64 for line in range(0, 40)]
+
+
+def test_sbd_head_decode_throughput(benchmark, program):
+    """Head decodes over warm line vectors: each round gets a fresh
+    private decoder whose lines are decoded before timing starts."""
+    lines = _sbd_lines(program)
+    entries = [line + offset for line in lines for offset in (7, 23, 41)]
+
+    def run(sbd):
         for entry in entries:
             sbd.decode_head(entry)
 
-    benchmark(run)
-    for name, stats in sbd.cache_stats().items():
-        print(stats.render(f"sbd {name}"))
+    benchmark.pedantic(run, setup=lambda: ((_private_sbd(program, lines),),
+                                           {}), rounds=50)
 
 
 def test_sbd_tail_decode_throughput(benchmark, program):
-    sbd = ShadowBranchDecoder(program.image, program.base_address,
-                              SkiaConfig())
-    exits = [program.base_address + line * 64 + offset
-             for line in range(0, 40)
-             for offset in (5, 19, 47)]
+    """Tail sweeps over warm line vectors, set up as the head benchmark."""
+    lines = _sbd_lines(program)
+    exits = [line + offset for line in lines for offset in (5, 19, 47)]
 
-    def run():
-        sbd._tail_memo.clear()
+    def run(sbd):
         for exit_pc in exits:
             sbd.decode_tail(exit_pc)
 
-    benchmark(run)
+    benchmark.pedantic(run, setup=lambda: ((_private_sbd(program, lines),),
+                                           {}), rounds=50)
 
 
-def test_sbd_cold_line_decode_throughput(benchmark, program):
-    """Cold line decodes: each round empties the process-wide decode
-    tables and builds a fresh decoder, so every head and tail decode
-    pays the per-line decode of its line (the head/tail benchmarks
-    above keep the line cache warm and never time it)."""
-    entries = [program.base_address + line * 64 + 23
-               for line in range(0, 40)]
+def test_sbd_cold_line_decode_throughput(benchmark, program, monkeypatch):
+    """Cold line decodes: each round builds a fresh private decoder, so
+    every head and tail decode pays the per-line decode of its line (the
+    head/tail benchmarks above keep the line vectors warm and never time
+    it)."""
+    entries = [line + 23 for line in _sbd_lines(program)]
 
     def run():
-        decode_tables.reset()
-        sbd = ShadowBranchDecoder(program.image, program.base_address,
-                                  SkiaConfig())
+        sbd = _private_sbd(program)
         for entry in entries:
             sbd.decode_head(entry)
             sbd.decode_tail(entry)
-        return sbd
 
-    sbd = benchmark(run)
-    decode_tables.reset()
-    stats = sbd.cache_stats()["line_cache"]
-    assert stats.misses == len(entries)  # one cold decode per line
-    print(stats.render("sbd line_cache"))
+    benchmark(run)
+    decoded = []
+    decode_line = ShadowBranchDecoder._decode_line
+
+    def counted(sbd, line):
+        decoded.append(line)
+        return decode_line(sbd, line)
+
+    monkeypatch.setattr(ShadowBranchDecoder, "_decode_line", counted)
+    run()
+    assert decoded == _sbd_lines(program)  # one cold decode per line
 
 
 def test_engine_blocks_per_second(benchmark, program, trace):

@@ -1,7 +1,7 @@
 """Bounded LRU caching with observable statistics.
 
-Several hot paths memoise aggressively -- the byte decoder, the Shadow
-Branch Decoder, the workload cache -- and long sweeps (hundreds of
+Several hot paths memoise aggressively -- the byte decoder, the shared
+decode-table registry, the workload cache -- and long sweeps (hundreds of
 (workload, config) cells) previously let those memos grow without limit.
 :class:`LRUCache` is the shared bounded replacement: a dict with
 least-recently-used eviction, hit/miss/eviction counters, and the small
@@ -61,8 +61,6 @@ class LRUCache:
     and ``size <= maxsize``.
     """
 
-    COUNTERS = ("hits", "misses", "evictions")
-
     def __init__(self, maxsize: int | None = None):
         if maxsize is not None and maxsize < 0:
             raise ValueError("maxsize must be non-negative or None")
@@ -111,14 +109,6 @@ class LRUCache:
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Uncounted removal: not an eviction."""
         return self._data.pop(key, default)
-
-    def state(self, base: float) -> tuple:
-        """Keys, least- to most-recently used: the eviction order.
-
-        Values are left out: every memo call-site stores a pure function
-        of its key, so key order is the whole behavioural state.
-        """
-        return tuple(self._data)
 
     def clear(self) -> None:
         """Drop all entries; counters are preserved."""

@@ -110,15 +110,33 @@ def _add_common_options(parser: argparse.ArgumentParser,
     """Add the shared options ``names``, or all of them.
 
     A subcommand copy lists only the options its command reads, so a
-    flag it would ignore is a usage error.  Copies use ``SUPPRESS``
-    defaults so they only overwrite the top-level values when actually
-    given on the command line.
+    flag it would ignore is a usage error, and records them for
+    :func:`_reject_unread_options`.  Copies use ``SUPPRESS`` defaults
+    so they only overwrite the top-level values when actually given on
+    the command line.
     """
+    if names:
+        parser.set_defaults(reads_options=names)
     for name in names or COMMON_OPTIONS:
         flags, options = COMMON_OPTIONS[name]
         if names:
             options = {**options, "default": argparse.SUPPRESS}
         parser.add_argument(*flags, **options)
+
+
+def _reject_unread_options(parser: argparse.ArgumentParser,
+                           args: argparse.Namespace) -> None:
+    """Exit 2 on a top-level shared option the subcommand ignores.
+
+    After the subcommand such a flag is already unrecognized; before
+    it, the top-level parser accepts every shared option, so the
+    subcommand's own list decides.
+    """
+    reads = getattr(args, "reads_options", ())
+    for name, (flags, options) in COMMON_OPTIONS.items():
+        if name not in reads and getattr(args, name) != options["default"]:
+            parser.error(f"unrecognized arguments: {flags[0]} (the "
+                         f"{args.command!r} command does not read it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,11 +433,10 @@ def _run_experiment(args) -> int:
     kwargs = {}
     if args.workloads is not None:
         kwargs["workloads"] = args.workloads
-    if args.jobs != 1:
-        # Fan the exhibit's whole grid out first; the exhibit function
-        # then assembles its tables from memo hits.
-        experiments.prefetch_exhibit(runner, args.name, jobs=args.jobs,
-                                     **kwargs)
+    # Batch the exhibit's whole grid first, serial or not; the exhibit
+    # function then assembles its tables from memo hits.
+    experiments.prefetch_exhibit(runner, args.name, jobs=args.jobs,
+                                 **kwargs)
     result = function(runner, **kwargs)
     print(result["render"])
     return 0
@@ -1158,7 +1175,9 @@ def _ledgered_command(args) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _reject_unread_options(parser, args)
     if args.jobs is None:
         # Absent flag: REPRO_JOBS when set (0 = all CPUs), else serial.
         args.jobs = default_jobs() if os.environ.get(

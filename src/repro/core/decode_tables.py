@@ -13,13 +13,10 @@ cold cell time.
 :func:`shared_tables` hands every decoder over the same image a single
 :class:`SharedDecodeTables` instance, keyed by the SHA-256 of the image
 bytes (content-addressed: a different program can never alias, and the
-key doubles as the invalidation rule -- new bytes, new tables).  The
-tables are a *backing store behind* each decoder's own LRU caches, not a
-replacement for them: a decoder still performs exactly the same
-get/put sequence on its ``line_cache`` / ``head_memo`` / ``tail_memo``
-(those counters are part of the metric snapshot the bit-exactness tests
-compare), but a miss that some earlier decoder already paid for becomes
-a dictionary read instead of a byte-by-byte decode.
+key doubles as the invalidation rule -- new bytes, new tables).  These
+tables are the decoder's only cache: a decoder, and the batched kernel
+through it, reads them with a plain dict get, and a miss decodes once
+and stores the result for every later decoder over the same image.
 
 Results stored here are treated as immutable by every consumer (the
 decoder and the batched kernel only read ``branches`` /

@@ -24,25 +24,28 @@ into the front-end:
      when valid), or ``MERGE`` (the common convergence point).
 
 Decoded direct unconditional jumps/calls and returns are handed to the
-SBB.  Results are memoised per (line, boundary) because hot lines are
-re-decoded constantly.
+SBB.
 
-Caching (the per-cycle hot path)
---------------------------------
+Decode tables (the per-cycle hot path)
+--------------------------------------
 Program images are immutable, so every decode result is a pure function
-of (line address, boundary offset) and caching needs no invalidation.
-Three bounded LRU caches cooperate:
+of the image bytes, the line and the boundary offset (plus, for heads,
+the decode policy), and caching needs no invalidation.  A decoder reads
+the process-wide :mod:`repro.core.decode_tables` entry of its image
+directly, and each of its three tables is a plain dict get, or a
+compute and store on a miss:
 
-* a **line decode cache** holding, per cache line, the instruction that
-  would start at *every* byte offset of the line (decoded against the
+* the **line table** holds, per cache line, the instruction that would
+  start at *every* byte offset of the line (decoded against the
   line-end limit) as a compact ``(length, kind, rel)`` tuple from
   :func:`repro.isa.decoder.decode_fields` -- ``rel`` is ``target - pc``
   for direct branches, and an entry's pc is ``line + offset``.  Index
   Computation for any entry offset, the chosen-path walk, and tail
   sweeps all read from this one vector, so a line entered at several
   different offsets decodes its bytes exactly once;
-* the **head memo** per (line, entry offset) and the **tail memo** per
-  (line, exit offset), which make repeats of the same boundary free.
+* the **head table** per (line, entry offset), one per decode policy,
+  and the **tail table** per (line, exit offset), which make repeats of
+  the same boundary free.
 
 A shorter decode limit can only turn a full-line decode result into
 ``None`` -- never into a *different* instruction -- so a full-line decode
@@ -50,34 +53,22 @@ whose length fits below the entry offset is byte-for-byte what a
 limit-at-entry decode would produce; the length-vector filter encodes
 exactly that.
 
-Behind the per-decoder caches sits a fourth layer: the process-wide
-:mod:`repro.core.decode_tables` registry, content-addressed by image
-digest.  Every decode result is a pure function of the image bytes (plus
-the head policy), so decoders built over the same program -- one per
-(workload, config) grid cell -- share results instead of each paying the
-byte-by-byte decode.  The per-decoder LRU caches still see exactly the
-same get/put sequence either way (their counters are part of the metric
-snapshots the bit-exactness suite compares); sharing only changes what a
-*miss* costs.
+The tables are content-addressed by image digest, so decoders built over
+the same program -- one per (workload, config) grid cell -- share results
+instead of each paying the byte-by-byte decode.  ``shared=False`` gives a
+decoder private tables of the same shape (tests and microbenchmarks that
+probe the raw decode path use it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.caching import CacheStats, LRUCache
-from repro.core.decode_tables import shared_tables
+from repro.core.decode_tables import SharedDecodeTables, shared_tables
 from repro.isa.branch import SBB_ELIGIBLE, BranchKind
 from repro.isa.decoder import decode_fields
 from repro.frontend.config import IndexPolicy, SkiaConfig
 from repro.obs.profiler import PROFILER
-
-#: Default bounds for the per-decoder caches.  16K lines covers a 1MB
-#: image completely; 64K (line, offset) results cover every boundary of
-#: that image.  Long multi-program sweeps evict cold lines instead of
-#: growing without limit.
-DEFAULT_LINE_CACHE_LINES = 16_384
-DEFAULT_RESULT_MEMO_SIZE = 65_536
 
 
 @dataclass(frozen=True)
@@ -109,52 +100,21 @@ class TailDecodeResult:
 
 
 class ShadowBranchDecoder:
-    """Stateless-per-line decoder over a program image, with memoisation."""
+    """Stateless-per-line decoder over a program image's decode tables."""
 
     def __init__(self, image: bytes, base_address: int,
                  config: SkiaConfig, line_size: int = 64,
-                 line_cache_lines: int | None = DEFAULT_LINE_CACHE_LINES,
-                 result_memo_size: int | None = DEFAULT_RESULT_MEMO_SIZE,
                  shared: bool = True):
         self.image = image
         self.base_address = base_address
         self.config = config
         self.line_size = line_size
-        self._head_memo = LRUCache(maxsize=result_memo_size)
-        self._tail_memo = LRUCache(maxsize=result_memo_size)
-        self._line_cache = LRUCache(maxsize=line_cache_lines)
-        # Process-wide backing store (repro.core.decode_tables): misses
-        # another decoder over the same image already computed become
-        # dict reads.  ``shared=False`` keeps a decoder fully isolated
-        # (tests that probe the raw decode path use it).
-        if shared:
-            tables = shared_tables(image, base_address, line_size)
-            self._shared_lines = tables.lines
-            self._shared_tails = tables.tails
-            self._shared_heads = tables.heads_for(
-                config.max_valid_paths, config.index_policy)
-        else:
-            self._shared_lines = None
-            self._shared_tails = None
-            self._shared_heads = None
-
-    def memos(self) -> dict[str, LRUCache]:
-        """The three decode caches, by metric name."""
-        return {"head_memo": self._head_memo, "tail_memo": self._tail_memo,
-                "line_cache": self._line_cache}
-
-    def cache_stats(self) -> dict[str, CacheStats]:
-        """Hit/miss/eviction counters for the three decode caches."""
-        return {name: cache.stats for name, cache in self.memos().items()}
-
-    def register_metrics(self, scope) -> None:
-        """Expose the decode-cache counters as gauges (repro.obs)."""
-        for name, cache in self.memos().items():
-            sub = scope.scope(name)
-            for counter in cache.COUNTERS:
-                sub.gauge(counter,
-                          lambda c=cache, n=counter: getattr(c, n))
-            sub.gauge("size", lambda c=cache: len(c))
+        tables = (shared_tables(image, base_address, line_size) if shared
+                  else SharedDecodeTables(None))
+        self._lines = tables.lines
+        self._tails = tables.tails
+        self._heads = tables.heads_for(config.max_valid_paths,
+                                       config.index_policy)
 
     # ------------------------------------------------------------------
     # Per-line decode vector
@@ -169,20 +129,13 @@ class ShadowBranchDecoder:
         tail sweeps.  Offsets outside the image, and offsets where no
         valid instruction starts, hold ``None``.
         """
-        cached = self._line_cache.get(line)
-        if cached is not None:
-            return cached
-        shared = self._shared_lines
-        decodes = None if shared is None else shared.get(line)
+        decodes = self._lines.get(line)
         if decodes is None:
-            decodes = self._compute_line_decodes(line)
-            if shared is not None:
-                shared[line] = decodes
-        self._line_cache[line] = decodes
+            decodes = self._lines[line] = self._compute_line_decodes(line)
         return decodes
 
     def _compute_line_decodes(self, line: int) -> list:
-        # Profiled on shared-table misses only -- each line of an image
+        # Profiled on table misses only -- each line of an image
         # decodes once per process -- and only when the profiler is on,
         # so the disabled path pays nothing (tests/obs/test_overhead.py).
         if PROFILER.enabled:
@@ -215,37 +168,21 @@ class ShadowBranchDecoder:
         if exit_pc >= line_end:
             return TailDecodeResult()
         key = (last_line, exit_pc - last_line)
-        memo = self._tail_memo.get(key)
-        if memo is None:
-            memo = self._tail_missing(key, exit_pc, line_end)
-            self._tail_memo[key] = memo
-        return memo
+        result = self._tails.get(key)
+        if result is None:
+            result = self._tail_missing(key, exit_pc, line_end)
+        return result
 
     def _tail_missing(self, key: tuple[int, int], exit_pc: int,
                       line_end: int) -> TailDecodeResult:
-        """Resolve a tail-memo miss: shared table first, then sweep.
-
-        On a shared hit the line vector a local sweep would have read is
-        still touched through :meth:`_line_decodes`, so the per-decoder
-        line-cache counters follow the exact sequence of a cold decoder
-        (the metric snapshots are compared bit-for-bit across engines).
-        """
-        shared = self._shared_tails
-        if shared is not None:
-            memo = shared.get(key)
-            if memo is not None:
-                offset = exit_pc - self.base_address
-                if 0 <= offset < len(self.image):
-                    self._line_decodes(line_end - self.line_size)
-                return memo
+        """Sweep a tail-table miss and store the result."""
         if PROFILER.enabled:
             with PROFILER.section("sbd.tail_decode"):
-                memo = self._sweep(exit_pc, line_end)
+                result = self._sweep(exit_pc, line_end)
         else:
-            memo = self._sweep(exit_pc, line_end)
-        if shared is not None:
-            shared[key] = memo
-        return memo
+            result = self._sweep(exit_pc, line_end)
+        self._tails[key] = result
+        return result
 
     def _sweep(self, start_pc: int, limit_pc: int) -> TailDecodeResult:
         result = TailDecodeResult()
@@ -283,37 +220,21 @@ class ShadowBranchDecoder:
         if entry_offset == 0:
             return HeadDecodeResult()
         key = (line, entry_offset)
-        memo = self._head_memo.get(key)
-        if memo is None:
-            memo = self._head_missing(key, line, entry_offset)
-            self._head_memo[key] = memo
-        return memo
+        result = self._heads.get(key)
+        if result is None:
+            result = self._head_missing(key, line, entry_offset)
+        return result
 
     def _head_missing(self, key: tuple[int, int], line: int,
                       entry_offset: int) -> HeadDecodeResult:
-        """Resolve a head-memo miss: shared table first, then decode.
-
-        A local head decode reads the line vector twice (the region walk
-        and Index Computation); a shared hit replays those two touches so
-        the line-cache counter sequence matches a cold decoder exactly.
-        """
-        shared = self._shared_heads
-        if shared is not None:
-            memo = shared.get(key)
-            if memo is not None:
-                image_base = line - self.base_address
-                if 0 <= image_base < len(self.image):
-                    self._line_decodes(line)
-                    self._line_decodes(line)
-                return memo
+        """Decode a head-table miss and store the result."""
         if PROFILER.enabled:
             with PROFILER.section("sbd.head_decode"):
-                memo = self._decode_head_region(line, entry_offset)
+                result = self._decode_head_region(line, entry_offset)
         else:
-            memo = self._decode_head_region(line, entry_offset)
-        if shared is not None:
-            shared[key] = memo
-        return memo
+            result = self._decode_head_region(line, entry_offset)
+        self._heads[key] = result
+        return result
 
     def _decode_head_region(self, line: int, entry_offset: int) -> HeadDecodeResult:
         image_base = line - self.base_address

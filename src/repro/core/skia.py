@@ -117,6 +117,5 @@ class Skia:
             stats.sbb_retired_marks += 1
 
     def register_metrics(self, registry) -> None:
-        """Register the SBB halves and the SBD decode caches."""
+        """Register the SBB halves."""
         self.sbb.register_metrics(registry.scope("sbb"))
-        self.sbd.register_metrics(registry.scope("sbd"))

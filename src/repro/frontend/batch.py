@@ -471,17 +471,13 @@ class _Lane:
         sbb_mark_retired = skia.sbb.mark_retired if skia_on else None
         oracle = skia.boundary_oracle if skia_on else None
         if skia_on:
-            # Decode-memo internals: the hit path (raw dict get + LRU
-            # re-insert + counter bump) is inlined below; misses fall
-            # back to the decoder's _head_missing/_tail_missing with the
-            # exact counter sequence of the decode_head/decode_tail
-            # wrappers.
+            # Decode-table internals: a hit is a dict get on the
+            # decoder's head/tail tables; a miss calls the decoder's
+            # _head_missing/_tail_missing, which decode and store.
             sbd = skia.sbd
-            head_memo = sbd._head_memo
-            hm_data = head_memo._data
+            head_get = sbd._heads.get
             head_missing = sbd._head_missing
-            tail_memo = sbd._tail_memo
-            tm_data = tail_memo._data
+            tail_get = sbd._tails.get
             tail_missing = sbd._tail_missing
             # SBB structure internals for the inlined insert walk.
             usbb = skia.sbb.usbb
@@ -793,7 +789,7 @@ class _Lane:
             # ----- Skia (skia.on_ftq_entry, inlined) ------------------
             # Structurally-empty decodes (line-aligned entry/exit) are
             # skipped outright: the object path's decoder early-returns
-            # for them with no cache or counter activity.  Both decodes
+            # for them with no table or counter activity.  Both decodes
             # run before the one SBB insert walk: the SBD never reads the
             # SBB, so the SBB still sees the oracle's insert order (head
             # branches, then tail branches).
@@ -803,16 +799,10 @@ class _Lane:
                 if (heads_on and prev_taken and entry_offset != 0
                         and first_line in l1_sets[fl_set]):
                     hkey = (first_line, entry_offset)
-                    hres = hm_data.get(hkey)
-                    if hres is not None:
-                        head_memo.hits += 1
-                        del hm_data[hkey]
-                        hm_data[hkey] = hres
-                    else:
-                        head_memo.misses += 1
+                    hres = head_get(hkey)
+                    if hres is None:
                         hres = head_missing(hkey, first_line,
                                             entry_offset)
-                        head_memo[hkey] = hres
                     if counting:
                         s_sbd_head_decodes += 1
                         if hres.discarded:
@@ -821,16 +811,10 @@ class _Lane:
                 if (tails_on and taken and not tail_aligned
                         and tail_line in l1_sets[tl_set]):
                     tkey = (tail_line, exit_pc - tail_line)
-                    tres = tm_data.get(tkey)
-                    if tres is not None:
-                        tail_memo.hits += 1
-                        del tm_data[tkey]
-                        tm_data[tkey] = tres
-                    else:
-                        tail_memo.misses += 1
+                    tres = tail_get(tkey)
+                    if tres is None:
                         tres = tail_missing(tkey, exit_pc,
                                             tail_line + line_size)
-                        tail_memo[tkey] = tres
                     if counting:
                         s_sbd_tail_decodes += 1
                     found = found + tres.branches if found \

@@ -210,8 +210,6 @@ class FrontEndSimulator:
         if self.skia is not None:
             found["usbb"] = self.skia.sbb.usbb
             found["rsbb"] = self.skia.sbb.rsbb
-            for name, memo in self.skia.sbd.memos().items():
-                found[f"sbd_{name}"] = memo
         return {name: s for name, s in found.items() if s is not None}
 
     @staticmethod

@@ -12,7 +12,7 @@ Two kinds of keys appear in a snapshot:
 * ``sim.*`` -- the post-warm-up ``SimStats`` counters (always available,
   including from stored results), via :func:`snapshot_from_stats`;
 * component scopes (``btb.*``, ``ras.*``, ``sbb.u.*``, ``sbb.r.*``,
-  ``sbd.*``, ``engine.*``) -- whole-run structure counters, available
+  ``engine.*``) -- whole-run structure counters, available
   when the snapshot was taken from a live simulator.  Because structure
   counters include the warm-up region and ``sim.*`` does not, cross-layer
   checks are inequalities (``sim`` never exceeds the structure).

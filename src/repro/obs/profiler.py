@@ -2,7 +2,7 @@
 
 The simulator's own metrics (:mod:`repro.obs.registry`) count *simulated*
 events; this module times the *host* Python code that produces them --
-the experiment runner, the persistent store, the shadow-decode memo
+the experiment runner, the persistent store, the shadow-decode table
 misses -- so the run ledger can report where a cell's wall-clock is
 actually spent.
 
@@ -15,8 +15,8 @@ Design constraints mirror the rest of ``repro.obs``:
 * **Near-zero cost when disabled.**  ``section(name)`` on a disabled
   profiler returns a shared no-op context manager; instrumented call
   sites pay one attribute check and an empty ``with`` block.  Hot-path
-  call sites (the SBD) only open sections on memo *misses*, which are
-  bounded by the number of distinct decode boundaries.
+  call sites (the SBD) only open sections on decode-table *misses*,
+  which are bounded by the number of distinct decode boundaries.
 * **Nesting-aware.**  Sections stack; each span carries both its
   duration and its *self* time (duration minus child sections), so
   ``harness.simulate`` minus ``sbd.*`` is the engine's own share.

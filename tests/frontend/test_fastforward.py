@@ -132,7 +132,6 @@ CONSTANTS = {
     "ReturnAddressStack": {"depth"},
     "SBBStructure": {"name", "use_retired_bit", "assoc", "tag_bits",
                      "entry_bits", "n_sets", "entries"},
-    "LRUCache": {"maxsize", "on_evict"},
     "BTBEntry": {"tag"},
     "SBBEntry": {"tag"},
 }
@@ -237,13 +236,6 @@ def _set_l2_ready(delta):
     return change
 
 
-def _reorder_sbd_memo(simulator, base):
-    data = simulator.skia.sbd.memos()["head_memo"]._data
-    assert len(data) > 1
-    first = next(iter(data))
-    data[first] = data.pop(first)
-
-
 #: One change per structure after warm-up:
 #: ``name -> (change, moves probe_digest, moves state_digest)``.
 DIGEST_CHANGES = {
@@ -252,7 +244,6 @@ DIGEST_CHANGES = {
     "tage rng": (lambda sim, base: sim.bpu.tage._rng.random(), True, False),
     "sbb retired bit": (_flip_retired, True, True),
     "future l2 ready time": (_set_l2_ready(7), True, False),
-    "sbd memo key order": (_reorder_sbd_memo, True, False),
     "past l2 ready time": (_set_l2_ready(-3), False, False),
 }
 

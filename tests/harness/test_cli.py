@@ -25,11 +25,14 @@ class TestParser:
         ["compare", "voter", "--jobs", "2"],
         ["compare", "voter", "--no-store"],
         ["divergence", "bisect", "voter", "--no-store"],
+        ["-j", "8", "run", "voter"],
+        ["--no-store", "compare", "voter"],
+        ["-j", "4", "divergence", "bisect", "voter"],
     ])
     def test_subcommands_reject_options_they_ignore(self, argv, capsys):
-        # A subcommand takes only the shared options it reads: run and
-        # compare simulate in-process, compare and divergence bisect
-        # touch no store.
+        # A subcommand takes only the shared options it reads, on either
+        # side of its name: run and compare simulate in-process, compare
+        # and divergence bisect touch no store.
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -83,9 +86,9 @@ class TestCommands:
         assert "noop" in out
 
     @pytest.mark.parametrize("env, flags, prefetched", [
-        ("2", [], [2]),             # no flag: REPRO_JOBS picks the workers
-        (None, [], []),             # no flag, no env: serial
-        ("2", ["--jobs", "1"], []),  # the flag wins over the env
+        ("2", [], [2]),              # no flag: REPRO_JOBS picks the workers
+        (None, [], [1]),             # no flag, no env: serial
+        ("2", ["--jobs", "1"], [1]),  # the flag wins over the env
     ])
     def test_experiment_jobs_default_from_env(self, env, flags, prefetched,
                                               monkeypatch, capsys):

@@ -69,9 +69,9 @@ class TestStructuralGuard:
 
     def test_default_run_records_no_profiler_sections(self, micro_program,
                                                       micro_trace):
-        # The module-level profiler is threaded through the SBD memo
-        # misses; outside a run ledger or bench it must record nothing,
-        # and every section is the one shared no-op.
+        # The module-level profiler is threaded through the SBD decode
+        # table misses; outside a run ledger or bench it must record
+        # nothing, and every section is the one shared no-op.
         assert PROFILER.enabled is False
         assert PROFILER.section("sbd.head_decode") is _NULL
         before = list(PROFILER.spans)
